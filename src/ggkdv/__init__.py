@@ -1,58 +1,11 @@
 """Boundary control and spectral analysis for the Gear-Grimshaw coupled
 KdV system on a bounded interval: linear/adjoint/nonlinear solvers, HUM
 control synthesis through the duality Gramian, observability estimation,
-and numerical unique-continuation certificates."""
+and numerical unique-continuation certificates.  The top level holds the
+README's quick-start names; import everything else from its submodule."""
 
-from .core import (
-    ControlConfig,
-    ControlKind,
-    DiagonalForm,
-    Grid,
-    Parameters,
-    StatePair,
-    diagonalize,
-    dispersion_matrix,
-    validate_params,
-    x_inner,
-    x_norm,
-)
-from .errors import (
-    ConstraintViolation,
-    ExpressionError,
-    FeasibilityError,
-    GGKdVError,
-    NonConvergence,
-    NumericalError,
-    ScenarioError,
-)
-from .hum import (
-    ControlBundle,
-    ControlResult,
-    ObservabilityReport,
-    controls_from_adjoint,
-    estimate_observability,
-    gramian_apply,
-    solve_control,
-    solve_nonlinear_control,
-)
-from .pde import (
-    BoundarySignals,
-    SchemeConfig,
-    TraceBundle,
-    Trajectory,
-    solve_adjoint_backward,
-    solve_linear_forward,
-    solve_nonlinear,
-)
-from .spectral import (
-    build_P,
-    degree_certificate,
-    lambert_solve,
-    r0_eigencheck,
-    roots_P,
-    ucp_certificate,
-    ucp_sweep,
-)
-from .tracenorm import riesz_map, sobolev_inner, sobolev_trace_norm
+from .core import ControlConfig, Grid, Parameters, StatePair, x_norm
+from .errors import FeasibilityError
+from .hum import solve_control
 
 __version__ = "0.1.0"

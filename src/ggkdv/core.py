@@ -34,6 +34,8 @@ __all__ = [
     "diagonalize",
     "x_norm",
     "x_inner",
+    "trapezoid_weights",
+    "SIGNAL_NAMES",
 ]
 
 
@@ -150,7 +152,9 @@ class StatePair:
                 f"state has {len(self.u)} spatial samples, grid expects {g.nx}"
             )
 
-    def check_finite(self):
+    def check(self, g: Grid):
+        """Raise unless the state is sampled on ``g`` and finite."""
+        self.check_grid(g)
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
             raise ConstraintViolation("state contains NaN or Inf")
 
@@ -177,6 +181,7 @@ _KIND_MASKS = {
     ControlKind.THREE_VI: (True, False, False, True, True, False),
 }
 
+# The order of the six boundary signals everywhere in the package.
 SIGNAL_NAMES = ("h0", "h1", "h2", "g0", "g1", "g2")
 
 
@@ -274,12 +279,19 @@ def diagonalize(p: Parameters) -> DiagonalForm:
     )
 
 
+def trapezoid_weights(n: int, h: float) -> np.ndarray:
+    """Trapezoid weights of ``n`` samples ``h`` apart; on the spatial grid,
+    ||(u, v)||_X^2 = (b/c) sum w u^2 + sum w v^2."""
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
+
+
 def x_inner(s1: StatePair, s2: StatePair, p: Parameters, g: Grid) -> float:
     """The weighted inner product (b/c) int u1 u2 + int v1 v2 (trapezoid)."""
     s1.check_grid(g)
     s2.check_grid(g)
-    w = np.full(g.nx, g.dx)
-    w[0] = w[-1] = 0.5 * g.dx
+    w = trapezoid_weights(g.nx, g.dx)
     return float(
         (p.b / p.c) * np.sum(w * s1.u * s2.u) + np.sum(w * s1.v * s2.v)
     )

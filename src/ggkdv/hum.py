@@ -28,10 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    SIGNAL_NAMES,
     ControlConfig,
     Grid,
     Parameters,
     StatePair,
+    trapezoid_weights,
     validate_params,
     x_norm,
 )
@@ -45,13 +47,13 @@ from .fdops import boundary_stencils, first_derivative_matrix, second_derivative
 from .pde import (
     BoundarySignals,
     SchemeConfig,
-    Stepper,
     TraceBundle,
     Trajectory,
     nonlinear_forcing,
     solve_adjoint_backward,
     solve_linear_forward,
     solve_nonlinear,
+    stepper,
 )
 from .tracenorm import riesz_map, sobolev_norms_batch, sobolev_trace_norm
 
@@ -67,22 +69,17 @@ __all__ = [
     "solve_nonlinear_control",
     "random_final_state",
     "observability_quotient",
-    "feasibility_constant_ok",
 ]
 
-SIGNAL_ORDER = ("h0", "h1", "h2", "g0", "g1", "g2")
-
-# fractional class of each control's paired trace combination
-TRACE_CLASS = {"h0": -1 / 3, "h1": 0.0, "h2": 1 / 3,
-               "g0": -1 / 3, "g1": 0.0, "g2": 1 / 3}
-# class of the control signal itself (Dirichlet / Neumann / second derivative)
-CONTROL_CLASS = {"h0": 1 / 3, "h1": 0.0, "h2": -1 / 3,
-                 "g0": 1 / 3, "g1": 0.0, "g2": -1 / 3}
+# fractional class of each control's paired trace combination; the control
+# signal itself (Dirichlet / Neumann / second derivative) has the opposite one
+TRACE_CLASS = dict(zip(SIGNAL_NAMES, (-1 / 3, 0.0, 1 / 3) * 2))
+CONTROL_CLASS = {name: 0.0 - s for name, s in TRACE_CLASS.items()}
 
 
 def _coefficients(p: Parameters) -> dict:
     cb = p.c / p.b
-    return {"h0": cb, "h1": cb, "h2": -cb, "g0": p.c, "g1": p.c, "g2": -p.c}
+    return dict(zip(SIGNAL_NAMES, (cb, cb, -cb, p.c, p.c, -p.c)))
 
 
 @dataclass
@@ -98,7 +95,7 @@ class ControlBundle:
             "config": self.config.kind.value,
             "mask": list(self.config.mask),
             "norms": {k: float(v) for k, v in self.norms.items()},
-            "signals": {n: getattr(self.signals, n).tolist() for n in SIGNAL_ORDER},
+            "signals": {n: getattr(self.signals, n).tolist() for n in SIGNAL_NAMES},
         }
 
 
@@ -204,7 +201,7 @@ def combos_from_traces(traces: TraceBundle, p: Parameters) -> np.ndarray:
 def _signals_from_combos(cb: np.ndarray, cfg: ControlConfig, p: Parameters, T: float):
     coef = _coefficients(p)
     sig = np.zeros_like(cb)
-    for i, name in enumerate(SIGNAL_ORDER):
+    for i, name in enumerate(SIGNAL_NAMES):
         if not cfg.mask[i]:
             continue
         s = TRACE_CLASS[name]
@@ -229,7 +226,7 @@ def controls_from_adjoint(
     signals = BoundarySignals.from_array(sig)
     norms = {
         name: sobolev_trace_norm(sig[i], CONTROL_CLASS[name], T)
-        for i, name in enumerate(SIGNAL_ORDER)
+        for i, name in enumerate(SIGNAL_NAMES)
     }
     return ControlBundle(signals=signals, config=cfg, norms=norms)
 
@@ -242,34 +239,28 @@ class GramianOperator:
         validate_params(p)
         self.cfg, self.p, self.g = cfg, p, g
         self.scheme = scheme or SchemeConfig()
-        self.fw = Stepper(p, g, "forward", self.scheme.theta)
-        self.ad = Stepper(p, g, "adjoint", self.scheme.theta)
+        self.fw = stepper(p, g, "forward", self.scheme.theta)
+        self.ad = stepper(p, g, "adjoint", self.scheme.theta)
         self.read = combo_read_vectors(p, g)
-        w = np.full(g.nx, g.dx)
-        w[0] = w[-1] = g.dx / 2
+        w = trapezoid_weights(g.nx, g.dx)
         self.w_stacked = np.concatenate([(p.b / p.c) * w, w])
         self.coef = _coefficients(p)
 
     def xdot(self, z1: np.ndarray, z2: np.ndarray) -> float:
         return float(np.sum(self.w_stacked * z1 * z2))
 
-    def signals_for(self, z_final: np.ndarray) -> np.ndarray:
-        states = self.ad.run(z_final)
-        cb = self.read @ states.T
-        return _signals_from_combos(cb, self.cfg, self.p, self.g.T)
-
     def apply(self, z_final: np.ndarray) -> np.ndarray:
-        sig = self.signals_for(z_final)
+        cb = self.read @ self.ad.run(z_final).T
+        sig = _signals_from_combos(cb, self.cfg, self.p, self.g.T)
         states = self.fw.run(np.zeros(2 * self.g.nx), bc=sig)
         return states[-1]
 
     def apply_star(self, y: np.ndarray) -> np.ndarray:
         q = self.fw.input_transpose(self.w_stacked * y)
         T = self.g.T
-        wt = np.full(self.g.nt, self.g.dt)
-        wt[0] = wt[-1] = self.g.dt / 2
+        wt = trapezoid_weights(self.g.nt, self.g.dt)
         d = np.zeros_like(q)
-        for i, name in enumerate(SIGNAL_ORDER):
+        for i, name in enumerate(SIGNAL_NAMES):
             if not self.cfg.mask[i]:
                 continue
             s = TRACE_CLASS[name]
@@ -280,10 +271,6 @@ class GramianOperator:
                 d[i] = self.coef[name] * wt * riesz_map(q[i] / wt, s, T)
         return self.ad.readout_transpose(self.read, d) / self.w_stacked
 
-    def free_evolution(self, init: StatePair) -> np.ndarray:
-        z0 = np.concatenate([init.u, init.v])
-        return self.fw.run(z0)[-1]
-
 
 def gramian_apply(
     cfg: ControlConfig, final: StatePair, p: Parameters, g: Grid,
@@ -291,8 +278,7 @@ def gramian_apply(
 ) -> StatePair:
     """Adjoint solve -> controls -> forward solve from rest; state at t = T."""
     op = GramianOperator(cfg, p, g, scheme)
-    final.check_grid(g)
-    final.check_finite()
+    final.check(g)
     out = op.apply(np.concatenate([final.u, final.v]))
     return StatePair(out[: g.nx].copy(), out[g.nx :].copy())
 
@@ -372,10 +358,8 @@ def solve_control(
     using the returned controls.
     """
     validate_params(p)
-    init.check_grid(g)
-    target.check_grid(g)
-    init.check_finite()
-    target.check_finite()
+    init.check(g)
+    target.check(g)
     if cfg.is_three_control and check_feasibility:
         rep = estimate_observability(cfg, feasibility_samples, p, g, scheme=scheme)
         if not rep.feasible_three_control(p):
@@ -385,31 +369,28 @@ def solve_control(
                 f"{rep.c1_squared * gap:.4g} not inside (0, c = {p.c:.4g})"
             )
     op = GramianOperator(cfg, p, g, scheme)
-    rhs = np.concatenate([target.u, target.v]) - op.free_evolution(init)
+    rhs = (np.concatenate([target.u, target.v])
+           - op.fw.run(np.concatenate([init.u, init.v]))[-1])
     if np.sqrt(op.xdot(rhs, rhs)) < 1e-14:
         bundle = ControlBundle(
             signals=BoundarySignals.zeros(g), config=cfg,
-            norms={n: 0.0 for n in SIGNAL_ORDER},
+            norms={n: 0.0 for n in SIGNAL_NAMES},
         )
-        traj, _ = solve_linear_forward(p, g, init, bundle.signals,
-                                       scheme=scheme, stepper=op.fw)
+        traj, _ = solve_linear_forward(p, g, init, bundle.signals, scheme=scheme)
         return ControlResult(bundle, traj.final_state, 0, [0.0],
                              StatePair.zeros(g))
     z0 = np.concatenate([x0.u, x0.v]) if x0 is not None else None
     xsol, iters, hist = _cgls(op, rhs, tol, maxiter, x0=z0)
-    _, traces = solve_adjoint_backward(
-        p, g, StatePair(xsol[: g.nx].copy(), xsol[g.nx :].copy()),
-        scheme=scheme, stepper=op.ad,
-    )
+    adjoint_final = StatePair(xsol[: g.nx].copy(), xsol[g.nx :].copy())
+    _, traces = solve_adjoint_backward(p, g, adjoint_final, scheme=scheme)
     bundle = controls_from_adjoint(cfg, traces, p)
-    traj, _ = solve_linear_forward(p, g, init, bundle.signals,
-                                   scheme=scheme, stepper=op.fw)
+    traj, _ = solve_linear_forward(p, g, init, bundle.signals, scheme=scheme)
     return ControlResult(
         controls=bundle,
         achieved=traj.final_state,
         iterations=iters,
         residuals=hist,
-        adjoint_final=StatePair(xsol[: g.nx].copy(), xsol[g.nx :].copy()),
+        adjoint_final=adjoint_final,
     )
 
 
@@ -461,25 +442,31 @@ def random_final_state(rng: np.random.Generator, p: Parameters, g: Grid) -> Stat
     return s
 
 
+def _adjoint_quotient(cfg: ControlConfig, final: StatePair, p: Parameters,
+                      g: Grid, scheme: SchemeConfig):
+    """The observability quotient of ``final`` and the adjoint trajectory
+    it came from; (None, None) for zero final data, which is not marched."""
+    nrm = x_norm(final, p, g)
+    if nrm < 1e-14:
+        return None, None
+    traj, traces = solve_adjoint_backward(p, g, final, scheme=scheme)
+    cb = combos_from_traces(traces, p)
+    total = 0.0
+    for i, name in enumerate(SIGNAL_NAMES):
+        if cfg.mask[i]:
+            total += sobolev_trace_norm(cb[i], TRACE_CLASS[name], g.T) ** 2
+    return total / nrm**2, traj.z
+
+
 def observability_quotient(
     cfg: ControlConfig, final: StatePair, p: Parameters, g: Grid,
-    scheme: SchemeConfig = None, adjoint_stepper: Stepper = None,
+    scheme: SchemeConfig = None,
 ):
     """(sum of squared active combination norms) / ||final||_X^2.
 
     Returns None for zero final data (not a valid quotient sample).
     """
-    nrm = x_norm(final, p, g)
-    if nrm < 1e-14:
-        return None
-    _, traces = solve_adjoint_backward(p, g, final, scheme=scheme,
-                                       stepper=adjoint_stepper)
-    cb = combos_from_traces(traces, p)
-    total = 0.0
-    for i, name in enumerate(SIGNAL_ORDER):
-        if cfg.mask[i]:
-            total += sobolev_trace_norm(cb[i], TRACE_CLASS[name], g.T) ** 2
-    return total / nrm**2
+    return _adjoint_quotient(cfg, final, p, g, scheme)[0]
 
 
 def estimate_observability(
@@ -500,8 +487,6 @@ def estimate_observability(
     validate_params(p)
     if nsamples < 1:
         raise ValueError("nsamples must be >= 1")
-    scheme = scheme or SchemeConfig()
-    stp = Stepper(p, g, "adjoint", scheme.theta)
     rng = np.random.default_rng(seed)
     D1 = first_derivative_matrix(g.nx, g.dx).T.tocsr()
     D2 = second_derivative_matrix(g.nx, g.dx).T.tocsr()
@@ -510,13 +495,11 @@ def estimate_observability(
     rejected = 0
     for _ in range(nsamples):
         final = random_final_state(rng, p, g)
-        q = observability_quotient(cfg, final, p, g, scheme=scheme,
-                                   adjoint_stepper=stp)
+        q, states = _adjoint_quotient(cfg, final, p, g, scheme)
         if q is None:
             rejected += 1
             continue
         quots.append(q)
-        states = stp.run(np.concatenate([final.u, final.v]))
         for var in (0, 1):
             blk = states[:, var * g.nx : (var + 1) * g.nx]
             for j, deriv in ((0, blk), (1, blk @ D1), (2, blk @ D2)):
@@ -533,10 +516,6 @@ def estimate_observability(
         quotients=quots,
         rejected=rejected,
     )
-
-
-def feasibility_constant_ok(report: ObservabilityReport, p: Parameters) -> bool:
-    return report.feasible_three_control(p)
 
 
 def solve_nonlinear_control(
@@ -612,7 +591,7 @@ def solve_nonlinear_control(
             f"history {history}",
             history=history,
         )
-    terminal = StatePair(traj.z[-1, : g.nx].copy(), traj.z[-1, g.nx :].copy())
+    terminal = traj.final_state
     err = x_norm(StatePair(terminal.u - target.u, terminal.v - target.v), p, g)
     return NonlinearControlResult(
         controls=result.controls,

@@ -25,13 +25,15 @@ reproduce imposed boundary data identically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import Grid, Parameters, StatePair, validate_params, x_norm
+from .core import (SIGNAL_NAMES, Grid, Parameters, StatePair, trapezoid_weights,
+                   validate_params)
 from .errors import ConstraintViolation, NonConvergence, NumericalError
 from .fdops import (
     boundary_stencils,
@@ -45,13 +47,12 @@ __all__ = [
     "Trajectory",
     "TraceBundle",
     "Stepper",
+    "stepper",
     "solve_linear_forward",
     "solve_adjoint_backward",
     "solve_nonlinear",
     "nonlinear_forcing",
 ]
-
-SIGNAL_ORDER = ("h0", "h1", "h2", "g0", "g1", "g2")
 
 
 @dataclass
@@ -72,7 +73,7 @@ class BoundarySignals:
 
     def __post_init__(self):
         n = None
-        for name in SIGNAL_ORDER:
+        for name in SIGNAL_NAMES:
             arr = np.asarray(getattr(self, name), dtype=float)
             setattr(self, name, arr)
             if arr.ndim != 1:
@@ -81,7 +82,7 @@ class BoundarySignals:
                 n = len(arr)
             elif len(arr) != n:
                 raise ValueError("all six series must share the time grid")
-        if not all(np.all(np.isfinite(getattr(self, nm))) for nm in SIGNAL_ORDER):
+        if not all(np.all(np.isfinite(getattr(self, nm))) for nm in SIGNAL_NAMES):
             raise ConstraintViolation("boundary signals contain NaN or Inf")
 
     @classmethod
@@ -89,7 +90,7 @@ class BoundarySignals:
         return cls(*(np.zeros(g.nt) for _ in range(6)))
 
     def as_array(self) -> np.ndarray:
-        return np.stack([getattr(self, n) for n in SIGNAL_ORDER])
+        return np.stack([getattr(self, n) for n in SIGNAL_NAMES])
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BoundarySignals":
@@ -152,9 +153,6 @@ class Trajectory:
     def initial_state(self) -> StatePair:
         return self.state(0)
 
-    def sup_x_norm(self, p: Parameters) -> float:
-        return max(x_norm(self.state(n), p, self.grid) for n in range(self.grid.nt))
-
 
 # trace keys: (var, order, side); var 0 is u (or phi), var 1 is v (or psi)
 TRACE_KEYS = [
@@ -173,12 +171,9 @@ class TraceBundle:
     def series(self, var: int, order: int, side: str) -> np.ndarray:
         return self.data[(var, order, side)]
 
-    def column_names(self, names=("u", "v")) -> list:
-        cols = []
-        for var, order, side in TRACE_KEYS:
-            d = ("", "x", "xx")[order]
-            cols.append(f"{names[var]}{d}_x{side}")
-        return cols
+    def column_names(self) -> list:
+        return [f"{'uv'[var]}{('', 'x', 'xx')[order]}_x{side}"
+                for var, order, side in TRACE_KEYS]
 
     def columns(self) -> list:
         return [self.data[k] for k in TRACE_KEYS]
@@ -337,9 +332,11 @@ class Stepper:
         return acc
 
 
-def _check_state(s: StatePair, g: Grid):
-    s.check_grid(g)
-    s.check_finite()
+@functools.lru_cache(maxsize=8)
+def stepper(p: Parameters, g: Grid, direction: str, theta: float) -> Stepper:
+    """The factorized Stepper of a key, shared by all callers (read-only);
+    pass the arguments positionally, so that equal keys share one entry."""
+    return Stepper(p, g, direction, theta)
 
 
 def _stack(s: StatePair) -> np.ndarray:
@@ -365,15 +362,14 @@ def solve_linear_forward(
     bc: BoundarySignals,
     forcing=None,
     scheme: SchemeConfig = None,
-    stepper: Stepper = None,
 ):
     """Solve the linearized forward system; returns (Trajectory, TraceBundle)."""
     validate_params(p)
-    _check_state(init, g)
+    init.check(g)
     if len(bc.h0) != g.nt:
         raise ValueError("boundary signals do not match the time grid")
     scheme = scheme or SchemeConfig()
-    stp = stepper or Stepper(p, g, "forward", scheme.theta)
+    stp = stepper(p, g, "forward", scheme.theta)
     forc = _forcing_array(forcing, g) if forcing is not None else None
     z = stp.run(_stack(init), bc=bc.as_array(), forcing=forc)
     traj = Trajectory(z=z, grid=g)
@@ -385,13 +381,12 @@ def solve_adjoint_backward(
     g: Grid,
     final: StatePair,
     scheme: SchemeConfig = None,
-    stepper: Stepper = None,
 ):
     """Solve the backward adjoint system from final data at t = T."""
     validate_params(p)
-    _check_state(final, g)
+    final.check(g)
     scheme = scheme or SchemeConfig()
-    stp = stepper or Stepper(p, g, "adjoint", scheme.theta)
+    stp = stepper(p, g, "adjoint", scheme.theta)
     z = stp.run(_stack(final))
     traj = Trajectory(z=z, grid=g)
     return traj, extract_traces(z, g)
@@ -439,9 +434,9 @@ def solve_nonlinear(
     weighted state norm, relative to the trajectory size.
     """
     validate_params(p)
-    _check_state(init, g)
+    init.check(g)
     scheme = scheme or SchemeConfig()
-    stp = Stepper(p, g, "forward", scheme.theta)
+    stp = stepper(p, g, "forward", scheme.theta)
     bc_arr = bc.as_array()
     z0 = _stack(init)
 
@@ -449,7 +444,6 @@ def solve_nonlinear(
     history = []
     for it in range(scheme.picard_max):
         forc = nonlinear_forcing(z_prev, p, g, self_terms)
-        forc[:, stp.bc_rows] = 0.0
         z_new = stp.run(z0, bc=bc_arr, forcing=forc)
         with np.errstate(over="ignore", invalid="ignore"):
             diff = np.max(np.sqrt(_xnorm_sq_rows(z_new - z_prev, p, g)))
@@ -470,7 +464,6 @@ def solve_nonlinear(
 
 def _xnorm_sq_rows(z: np.ndarray, p: Parameters, g: Grid) -> np.ndarray:
     """Squared weighted state norm of each row of a stacked trajectory."""
-    w = np.full(g.nx, g.dx)
-    w[0] = w[-1] = g.dx / 2
+    w = trapezoid_weights(g.nx, g.dx)
     nx = g.nx
     return (p.b / p.c) * (z[:, :nx] ** 2 @ w) + z[:, nx:] ** 2 @ w

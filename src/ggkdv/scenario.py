@@ -9,10 +9,10 @@ significant digits for reproducibility.
 
 from __future__ import annotations
 
-import io
+import itertools
 import json
+import math
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +20,7 @@ import yaml
 
 from . import hum, pde, spectral
 from .core import (
+    SIGNAL_NAMES,
     ControlConfig,
     ControlKind,
     Grid,
@@ -57,7 +58,7 @@ _SCHEMA = {
     "initial": {"u", "v", "file"},
     "final": {"u", "v", "file"},
     "target": {"u", "v", "file"},
-    "bc": {"h0", "h1", "h2", "g0", "g1", "g2"},
+    "bc": set(SIGNAL_NAMES),
     "tol": None,
     "delta": None,
     "observe": {"samples"},
@@ -76,11 +77,61 @@ _REQUIRED = {
 }
 
 
+def _real(value, field: str, positive: bool = True) -> float:
+    """``value`` as a finite float, positive unless ``positive`` is False."""
+    try:
+        num = float(value)
+    except (TypeError, ValueError, OverflowError):
+        num = math.nan
+    if isinstance(value, bool) or not math.isfinite(num) or (positive and num <= 0):
+        kind = "positive finite" if positive else "finite"
+        raise ScenarioError(f"expected a {kind} number, got {value!r}", field=field)
+    return num
+
+
+def _integer(value, field: str, minimum: int = None) -> int:
+    """``value`` as an int of at least ``minimum``; 2.7 is an error, not 2."""
+    try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError
+        num = int(value)
+    except (TypeError, ValueError):
+        num = None
+    if num is None or (minimum is not None and num < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ScenarioError(f"expected an integer{bound}, got {value!r}", field=field)
+    return num
+
+
+def _axis(value, field: str) -> tuple:
+    """An r0 sampling axis [lo, hi, points]."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ScenarioError(f"expected [lo, hi, points], got {value!r}", field=field)
+    return (_real(value[0], field, False), _real(value[1], field, False),
+            _integer(value[2], field, 1))
+
+
+def _lengths(value, field: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ScenarioError(f"expected a nonempty list, got {value!r}", field=field)
+    return [_real(v, field) for v in value]
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario; ``raw`` preserves the file's exact content."""
+    """A validated scenario; ``raw`` preserves the file's exact content.
+
+    Runners read values only through the accessors, which check type and
+    range; parsing calls them all, so ``validate`` rejects what ``run`` would.
+    """
 
     raw: dict
+
+    def _get(self, path: str, default, check, *args):
+        """The value at ``path`` ("tol", "ucp.samples"), passed through ``check``."""
+        section, _, key = path.rpartition(".")
+        d = (self.raw.get(section) or {}) if section else self.raw
+        return check(d.get(key, default), path, *args)
 
     @property
     def command(self) -> str:
@@ -88,7 +139,35 @@ class Scenario:
 
     @property
     def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
+        return self._get("seed", 0, _integer, 0)
+
+    @property
+    def tol(self) -> float:
+        return self._get("tol", 1e-3, _real)
+
+    @property
+    def delta(self) -> float:
+        return self._get("delta", 0.1, _real)
+
+    @property
+    def observe_samples(self) -> int:
+        return self._get("observe.samples", 20, _integer, 1)
+
+    def ucp(self) -> dict:
+        """Keyword arguments of ``spectral.ucp_sweep``."""
+        def real(key, default):
+            return self._get(f"ucp.{key}", default, _real)
+        return {"nsamples": self._get("ucp.samples", 200, _integer, 1),
+                "L_range": (real("L_min", 0.05), real("L_max", 10.0)),
+                "p_radius": (real("p_min", 0.3), real("p_max", 3.0)),
+                "tol": real("tol", 1e-6)}
+
+    def r0(self) -> tuple:
+        """(re axis, im axis, lengths, tol) of the r = 0 eigencheck grid."""
+        return (self._get("r0.re", [-10.0, 10.0, 9], _axis),
+                self._get("r0.im", [-10.0, 10.0, 9], _axis),
+                self._get("r0.lengths", [0.5, 1.0, float(np.pi), 5.0], _lengths),
+                self._get("r0.tol", 1e-8, _real))
 
     def params(self) -> Parameters:
         d = self.raw["params"]
@@ -99,14 +178,15 @@ class Scenario:
 
     def grid(self) -> Grid:
         d = self.raw["grid"]
-        return Grid(L=float(d["L"]), N=int(d["N"]), T=float(d["T"]), M=int(d["M"]))
+        return Grid(L=float(d["L"]), N=_integer(d["N"], "grid.N"), T=float(d["T"]),
+                    M=_integer(d["M"], "grid.M"))
 
     def scheme(self) -> pde.SchemeConfig:
-        d = self.raw.get("scheme", {})
+        d = self.raw.get("scheme") or {}
         return pde.SchemeConfig(
             theta=float(d.get("theta", 0.5)),
             picard_tol=float(d.get("picard_tol", 1e-8)),
-            picard_max=int(d.get("picard_max", 40)),
+            picard_max=self._get("scheme.picard_max", 40, _integer),
         )
 
     def config(self) -> ControlConfig:
@@ -129,10 +209,13 @@ def _check_keys(raw: dict):
         if key not in _SCHEMA:
             raise ScenarioError("unknown key", field=key)
         sub = _SCHEMA[key]
-        if sub is not None and isinstance(val, dict):
-            for k2 in val:
-                if k2 not in sub:
-                    raise ScenarioError("unknown key", field=f"{key}.{k2}")
+        if sub is None or val is None:
+            continue
+        if not isinstance(val, dict):
+            raise ScenarioError("must be a mapping", field=key)
+        for k2 in val:
+            if k2 not in sub:
+                raise ScenarioError("unknown key", field=f"{key}.{k2}")
 
 
 def parse_scenario_text(text: str) -> Scenario:
@@ -159,6 +242,12 @@ def parse_scenario_text(text: str) -> Scenario:
         ("grid", sc.grid),
         ("config", sc.config),
         ("scheme", sc.scheme),
+        ("seed", lambda: sc.seed),
+        ("tol", lambda: sc.tol),
+        ("delta", lambda: sc.delta),
+        ("observe", lambda: sc.observe_samples),
+        ("ucp", sc.ucp),
+        ("r0", sc.r0),
     )
     for section, build in builders:
         if section not in raw:
@@ -196,14 +285,16 @@ def _state_from_section(sc: Scenario, section: str, g: Grid) -> StatePair:
         return StatePair.zeros(g)
     if "file" in spec:
         return _state_from_file(spec["file"], g, section)
+    return StatePair(*(_sample(spec, var, g.x, section) for var in "uv"))
+
+
+def _sample(spec: dict, key: str, points: np.ndarray, field: str) -> np.ndarray:
+    """The expression ``spec[key]`` (default "0") evaluated at ``points``."""
     try:
-        fu = compile_expression(str(spec.get("u", "0")))
-        fv = compile_expression(str(spec.get("v", "0")))
-        x = g.x
-        return StatePair(np.array([fu(xi) for xi in x]),
-                         np.array([fv(xi) for xi in x]))
+        fn = compile_expression(str(spec.get(key, "0")))
+        return np.array([fn(v) for v in points])
     except ExpressionError as exc:
-        raise ScenarioError(str(exc), field=section)
+        raise ScenarioError(str(exc), field=field)
 
 
 def _state_from_file(path: str, g: Grid, section: str) -> StatePair:
@@ -224,54 +315,39 @@ def _bc_from_section(sc: Scenario, g: Grid) -> pde.BoundarySignals:
     spec = sc.raw.get("bc")
     if spec is None:
         return pde.BoundarySignals.zeros(g)
-    series = {}
-    t = g.t
-    for name in pde.SIGNAL_ORDER:
-        text = str(spec.get(name, "0"))
-        try:
-            fn = compile_expression(text)
-            series[name] = np.array([fn(ti) for ti in t])
-        except ExpressionError as exc:
-            raise ScenarioError(str(exc), field=f"bc.{name}")
-    return pde.BoundarySignals(**series)
+    return pde.BoundarySignals(*(_sample(spec, name, g.t, f"bc.{name}")
+                                 for name in SIGNAL_NAMES))
 
 
 # -- CSV helpers --------------------------------------------------------------
 
 
-def _csv(header: list, rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(
-            v if isinstance(v, str) else _FLOAT_FMT % v for v in row
-        ) + "\n")
-    return buf.getvalue()
+def _csv(header: list, blocks) -> str:
+    """CSV text of ``blocks`` of rows, each a list of equal-length columns.
+
+    Numeric columns are written with ``%.16e``, string columns as they are.
+    Each block is formatted by one ``%`` operation, so a trajectory streams
+    one time level at a time instead of becoming one list of Python floats.
+    """
+    parts = [",".join(header) + "\n"]
+    for block in blocks:
+        cols = [np.asarray(c) for c in block]
+        row = ",".join("%s" if c.dtype.kind == "U" else _FLOAT_FMT for c in cols)
+        values = itertools.chain.from_iterable(zip(*(c.tolist() for c in cols)))
+        parts.append((row + "\n") * len(cols[0]) % tuple(values))
+    return "".join(parts)
 
 
-def _trajectory_csv(traj: pde.Trajectory) -> str:
-    g = traj.grid
-    t, x = g.t, g.x
-    rows = (
-        (t[n], x[i], traj.z[n, i], traj.z[n, g.nx + i])
-        for n in range(g.nt)
-        for i in range(g.nx)
-    )
-    return _csv(["t", "x", "u", "v"], rows)
-
-
-def _traces_csv(traces: pde.TraceBundle) -> str:
-    g = traces.grid
-    cols = traces.columns()
-    names = traces.column_names()
-    rows = ((g.t[n], *(col[n] for col in cols)) for n in range(g.nt))
-    return _csv(["t"] + names, rows)
+def _trajectory_artifacts(traj: pde.Trajectory, traces: pde.TraceBundle) -> dict:
+    """trajectory.csv, one block per time level, and traces.csv."""
+    t, x = traj.grid.t, traj.grid.x
+    levels = ([np.full(len(x), t[n]), x, traj.u[n], traj.v[n]] for n in range(len(t)))
+    return {"trajectory.csv": _csv(["t", "x", "u", "v"], levels),
+            "traces.csv": _csv(["t"] + traces.column_names(), [[t] + traces.columns()])}
 
 
 def _controls_csv(signals: pde.BoundarySignals, g: Grid) -> str:
-    arr = signals.as_array()
-    rows = ((g.t[n], *(arr[i, n] for i in range(6))) for n in range(g.nt))
-    return _csv(["t"] + list(pde.SIGNAL_ORDER), rows)
+    return _csv(["t"] + list(SIGNAL_NAMES), [[g.t, *signals.as_array()]])
 
 
 # -- command runners ----------------------------------------------------------
@@ -286,10 +362,7 @@ def _run_simulate(sc: Scenario):
         "terminal_x_norm": x_norm(traj.final_state, p, g),
         "initial_x_norm": x_norm(init, p, g),
     }
-    return summary, {
-        "trajectory.csv": _trajectory_csv(traj),
-        "traces.csv": _traces_csv(traces),
-    }
+    return summary, _trajectory_artifacts(traj, traces)
 
 
 def _run_adjoint(sc: Scenario):
@@ -300,10 +373,7 @@ def _run_adjoint(sc: Scenario):
         "final_x_norm": x_norm(final, p, g),
         "initial_x_norm": x_norm(traj.initial_state, p, g),
     }
-    return summary, {
-        "trajectory.csv": _trajectory_csv(traj),
-        "traces.csv": _traces_csv(traces),
-    }
+    return summary, _trajectory_artifacts(traj, traces)
 
 
 def _run_control(sc: Scenario):
@@ -311,8 +381,7 @@ def _run_control(sc: Scenario):
     cfg = sc.config()
     init = _state_from_section(sc, "initial", g)
     target = _state_from_section(sc, "target", g)
-    tol = float(sc.raw.get("tol", 1e-3))
-    res = hum.solve_control(cfg, init, target, tol, p, g, scheme=sc.scheme())
+    res = hum.solve_control(cfg, init, target, sc.tol, p, g, scheme=sc.scheme())
     err = x_norm(StatePair(res.achieved.u - target.u, res.achieved.v - target.v), p, g)
     tnorm = max(x_norm(target, p, g), 1e-30)
     summary = {
@@ -329,10 +398,8 @@ def _run_nonlinear_control(sc: Scenario):
     cfg = sc.config()
     init = _state_from_section(sc, "initial", g)
     target = _state_from_section(sc, "target", g)
-    tol = float(sc.raw.get("tol", 1e-3))
-    delta = float(sc.raw.get("delta", 0.1))
-    res = hum.solve_nonlinear_control(init, target, cfg, delta, p, g,
-                                      scheme=sc.scheme(), tol=tol)
+    res = hum.solve_nonlinear_control(init, target, cfg, sc.delta, p, g,
+                                      scheme=sc.scheme(), tol=sc.tol)
     summary = {
         "outer_iterations": res.iterations,
         "terminal_relative_error": res.terminal_error,
@@ -345,62 +412,51 @@ def _run_nonlinear_control(sc: Scenario):
 def _run_observe(sc: Scenario):
     p, g = sc.params(), sc.grid()
     cfg = sc.config()
-    nsamples = int(sc.raw.get("observe", {}).get("samples", 20))
-    rep = hum.estimate_observability(cfg, nsamples, p, g, seed=sc.seed,
+    rep = hum.estimate_observability(cfg, sc.observe_samples, p, g, seed=sc.seed,
                                      scheme=sc.scheme())
     summary = rep.as_json_dict()
     if cfg.is_three_control:
         summary["feasible_three_control"] = rep.feasible_three_control(p)
-    rows = ((str(i), q) for i, q in enumerate(rep.quotients))
-    return summary, {"observability.csv": _csv(["sample", "quotient"], rows)}
+    index = [str(i) for i in range(len(rep.quotients))]
+    return summary, {"observability.csv": _csv(["sample", "quotient"],
+                                               [[index, rep.quotients]])}
 
 
 def _run_ucp_sweep(sc: Scenario):
-    p = sc.params()
-    opts = sc.raw.get("ucp", {})
-    n = int(opts.get("samples", 200))
-    verdicts = spectral.ucp_sweep(
-        n, p, seed=sc.seed,
-        L_range=(float(opts.get("L_min", 0.05)), float(opts.get("L_max", 10.0))),
-        p_radius=(float(opts.get("p_min", 0.3)), float(opts.get("p_max", 3.0))),
-        tol=float(opts.get("tol", 1e-6)),
-    )
+    verdicts = spectral.ucp_sweep(params=sc.params(), seed=sc.seed, **sc.ucp())
+    n = len(verdicts)
     inconclusive = sum(v.verdict is spectral.Verdict.INCONCLUSIVE for v in verdicts)
     summary = {
         "samples": n,
         "inconclusive": int(inconclusive),
         "confirmed": int(n - inconclusive),
     }
-    rows = (
-        (v.L, v.p.real, v.p.imag, v.case_tag.value,
-         v.dispersion if np.isfinite(v.dispersion) else 1e308,
-         v.verdict.value)
-        for v in verdicts
-    )
     header = ["L", "re_p", "im_p", "case_tag", "dispersion", "verdict"]
-    body = _csv(header, (
-        (r[0], r[1], r[2], str(r[3]), r[4], str(r[5])) for r in rows
-    ))
+    body = _csv(header, [[
+        [v.L for v in verdicts],
+        [v.p.real for v in verdicts],
+        [v.p.imag for v in verdicts],
+        [str(v.case_tag.value) for v in verdicts],
+        [v.dispersion if np.isfinite(v.dispersion) else 1e308 for v in verdicts],
+        [str(v.verdict.value) for v in verdicts],
+    ]])
     return summary, {"ucp.csv": body}
 
 
 def _run_r0_check(sc: Scenario):
-    opts = sc.raw.get("r0", {})
-    re_lo, re_hi, re_n = opts.get("re", [-10.0, 10.0, 9])
-    im_lo, im_hi, im_n = opts.get("im", [-10.0, 10.0, 9])
-    lengths = [float(v) for v in opts.get("lengths", [0.5, 1.0, float(np.pi), 5.0])]
-    tol = float(opts.get("tol", 1e-8))
+    (re_lo, re_hi, re_n), (im_lo, im_hi, im_n), lengths, tol = sc.r0()
     rows = []
     smin_all = np.inf
     for Lval in lengths:
-        for sre in np.linspace(float(re_lo), float(re_hi), int(re_n)):
-            for sim in np.linspace(float(im_lo), float(im_hi), int(im_n)):
+        for sre in np.linspace(re_lo, re_hi, re_n):
+            for sim in np.linspace(im_lo, im_hi, im_n):
                 rep = spectral.r0_eigencheck(Lval, complex(sre, sim), tol=tol)
                 smin_all = min(smin_all, rep.sigma_min)
                 rows.append((rep.s.real, rep.s.imag, rep.L, rep.sigma_min))
     summary = {"sigma_min": float(smin_all), "certified": bool(smin_all > tol),
                "points": len(rows)}
-    return summary, {"r0.csv": _csv(["re_s", "im_s", "L", "sigma_min"], rows)}
+    return summary, {"r0.csv": _csv(["re_s", "im_s", "L", "sigma_min"],
+                                    [list(zip(*rows))])}
 
 
 _RUNNERS = {
@@ -425,10 +481,16 @@ class RunResult:
 def _atomic_write(directory: str, artifacts: dict):
     os.makedirs(directory, exist_ok=True)
     for name, text in artifacts.items():
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.")
+        # os.open applies the umask to 0o666, as open() does; mkstemp
+        # would force mode 0600 on every artifact
+        tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                # encode a slice at a time, never a copy of a whole trajectory
+                step = 1 << 20
+                for i in range(0, len(text), step):
+                    fh.write(text[i:i + step])
             os.replace(tmp, os.path.join(directory, name))
         except BaseException:
             if os.path.exists(tmp):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ggkdv.core import ControlConfig, Grid, Parameters, StatePair, x_inner, x_norm
+from ggkdv import pde
 from ggkdv.errors import ConstraintViolation, FeasibilityError, NonConvergence
 from ggkdv.hum import (
     GramianOperator,
@@ -10,6 +11,7 @@ from ggkdv.hum import (
     estimate_observability,
     gramian_apply,
     observability_quotient,
+    random_final_state,
     solve_control,
     solve_nonlinear_control,
 )
@@ -309,3 +311,48 @@ def test_report_json_serialization():
     assert parsed["mask"] == [True, True, True, False, True, False]
     assert set(parsed["norms"]) == {"h0", "h1", "h2", "g0", "g1", "g2"}
     assert len(parsed["signals"]["h1"]) == g.nt
+
+
+def count_calls(monkeypatch, name):
+    """Record the arguments of every call to the Stepper method ``name``."""
+    calls = []
+    orig = getattr(pde.Stepper, name)
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(pde.Stepper, name, counting)
+    return calls
+
+
+def test_stepper_cache_factorizes_once_per_direction(monkeypatch):
+    pde.stepper.cache_clear()
+    inits = count_calls(monkeypatch, "__init__")
+    g = Grid(L=1.0, N=16, T=0.5, M=24)
+    final = shaped_random_state(np.random.default_rng(8), g)
+    first = gramian_apply(FOUR_I, final, P, g)
+    second = gramian_apply(FOUR_I, final, P, g)
+    assert [a[2] for a in inits] == ["forward", "adjoint"]
+    gramian_apply(FOUR_I, final, P, g, scheme=SchemeConfig(theta=0.6))
+    assert len(inits) == 4
+    g2 = Grid(L=1.0, N=18, T=0.5, M=24)
+    gramian_apply(FOUR_I, shaped_random_state(np.random.default_rng(8), g2), P, g2)
+    assert len(inits) == 6
+    # a freshly built pair of steppers gives the same bits
+    op = GramianOperator(FOUR_I, P, g)
+    op.fw, op.ad = pde.Stepper(P, g, "forward"), pde.Stepper(P, g, "adjoint")
+    fresh = op.apply(np.concatenate([final.u, final.v]))
+    for got in (first, second):
+        assert np.array_equal(np.concatenate([got.u, got.v]), fresh)
+
+
+def test_observability_marches_each_sample_once(monkeypatch):
+    g = Grid(L=1.0, N=24, T=0.5, M=48)
+    runs = count_calls(monkeypatch, "run")
+    rep = estimate_observability(FOUR_I, 5, P, g, seed=11)
+    assert rep.sample_count == 5 and len(runs) == 5
+    rng = np.random.default_rng(11)
+    for q in rep.quotients:
+        final = random_final_state(rng, P, g)
+        assert observability_quotient(FOUR_I, final, P, g) == q

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -311,3 +313,57 @@ def test_invalid_section_values_exit_2(tmp_path):
         path = write(tmp_path, text, name=f"bad{i}.yaml")
         result = run_scenario(path, output_dir=str(tmp_path / f"o{i}"))
         assert result.exit_code == 2, (i, result.message)
+
+
+OBSERVE_BASE = """
+command: observe
+params: {a: 0.2, b: 1.0, c: 1.0, r: 1.0}
+grid: {L: 1.0, N: 16, T: 0.25, M: 16}
+config: FOUR_I
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "command: r0-check\nr0: {re: [1, 2]}\n",
+        OBSERVE_BASE + "observe: {samples: 0}\n",
+        CONTROL_SCENARIO.replace("tol: 1.0e-3", "tol: abc"),
+        OBSERVE_BASE + "seed: -3\n",
+        MINIMAL_SIMULATE + "initial: [1, 2]\n",
+        "command: ucp-sweep\nparams: {a: 0.2, b: 1.0, c: 1.0, r: 1.0}\n"
+        "ucp: {samples: -1}\n",
+        MINIMAL_SIMULATE + "scheme: {picard_max: 2.7}\n",
+    ],
+    ids=["r0-axis", "observe-samples", "tol", "seed", "initial-list",
+         "ucp-samples", "picard-max"],
+)
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
+    path = write(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli_main(["validate", path]) == 2
+    assert cli_main(["run", path, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("invalid scenario") == 1 and err.count("error:") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_artifacts_honour_umask(tmp_path, umask):
+    path = write(tmp_path, MINIMAL_SIMULATE)
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert run_scenario(path, output_dir=str(out)).exit_code == 0
+        with open(out / "plain.txt", "w") as fh:
+            fh.write("x")
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE(os.stat(out / "plain.txt").st_mode)
+    assert want == 0o666 & ~umask
+    for name in ("run.json", "trajectory.csv", "traces.csv"):
+        assert stat.S_IMODE(os.stat(out / name).st_mode) == want, name
+    # the write-then-rename leaves no temporary files behind
+    assert sorted(os.listdir(out)) == ["plain.txt", "run.json", "traces.csv",
+                                       "trajectory.csv"]
