@@ -13,16 +13,20 @@ its trace combination.  The Gramian is the composition
 
     adjoint solve -> controls -> forward solve (zero init) -> state at T,
 
-and the control problem Gramian(x) = target - free evolution is solved by
-conjugate gradient on the normal equations (CGLS) in the weighted state
-inner product, using exact transposes of the discrete solve recursions.
-Plain CG on the Gramian itself is not usable here: the forward/adjoint
-discretizations are only weak-sense adjoints of each other, and the
-composite operator loses symmetry on unresolved mesh-scale data.
+a linear map of the final data.  It is assembled once per (configuration,
+parameters, grid, theta) as a dense matrix, by one transposed adjoint sweep
+and one forward sweep of the boundary pulses.  The control problem
+Gramian(x) = target - free evolution is solved by conjugate gradient on the
+normal equations (CGLS) in the weighted state inner product, with the
+exact transpose of the assembled matrix.  Plain CG on the Gramian itself is
+not usable here: the forward/adjoint discretizations are only weak-sense
+adjoints of each other, and the composite operator loses symmetry on
+unresolved mesh-scale data.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +68,7 @@ __all__ = [
     "NonlinearControlResult",
     "controls_from_adjoint",
     "gramian_apply",
+    "gramian_operator",
     "solve_control",
     "estimate_observability",
     "solve_nonlinear_control",
@@ -232,44 +237,68 @@ def controls_from_adjoint(
 
 
 class GramianOperator:
-    """The HUM map with cached steppers and its exact discrete transpose."""
+    """The HUM map G, assembled once as a dense (2nx, 2nx) matrix.
 
-    def __init__(self, cfg: ControlConfig, p: Parameters, g: Grid,
-                 scheme: SchemeConfig = None):
+    G = sum over active signals i of coef_i F_i R_i Theta_i, with Theta_i
+    the read-outs of the adjoint trace combination i at every level, R_i
+    its Riesz multiplier along time and F_i the forward responses at T to
+    unit pulses on boundary row i.  Theta comes from one transposed adjoint
+    block sweep, F from one forward block sweep; build it through the
+    cached ``gramian_operator``.
+    """
+
+    def __init__(self, cfg: ControlConfig, p: Parameters, g: Grid, theta: float = 0.5):
         validate_params(p)
         self.cfg, self.p, self.g = cfg, p, g
-        self.scheme = scheme or SchemeConfig()
-        self.fw = stepper(p, g, "forward", self.scheme.theta)
-        self.ad = stepper(p, g, "adjoint", self.scheme.theta)
-        self.read = combo_read_vectors(p, g)
         w = trapezoid_weights(g.nx, g.dx)
         self.w_stacked = np.concatenate([(p.b / p.c) * w, w])
-        self.coef = _coefficients(p)
+        fw = stepper(p, g, "forward", theta)
+        ad = stepper(p, g, "adjoint", theta)
+        active = [i for i in range(6) if cfg.mask[i]]
+        # Theta, turned in place into the control histories coef_i R_i Theta_i
+        d = ad.readout_transpose(combo_read_vectors(p, g)[active])
+        coef = _coefficients(p)
+        for row, i in zip(d, active):
+            name = SIGNAL_NAMES[i]
+            if TRACE_CLASS[name] != 0.0:
+                _riesz_columns(row, TRACE_CLASS[name], g.T)
+            row *= coef[name]
+        self.G = fw.input_transpose(d, active).T
+        if not np.all(np.isfinite(self.G)):
+            raise NumericalError("Gramian assembly lost finiteness")
+        self.G.flags.writeable = False  # shared through the cache
 
     def xdot(self, z1: np.ndarray, z2: np.ndarray) -> float:
         return float(np.sum(self.w_stacked * z1 * z2))
 
     def apply(self, z_final: np.ndarray) -> np.ndarray:
-        cb = self.read @ self.ad.run(z_final).T
-        sig = _signals_from_combos(cb, self.cfg, self.p, self.g.T)
-        states = self.fw.run(np.zeros(2 * self.g.nx), bc=sig)
-        return states[-1]
+        return self.G @ z_final
 
     def apply_star(self, y: np.ndarray) -> np.ndarray:
-        q = self.fw.input_transpose(self.w_stacked * y)
-        T = self.g.T
-        wt = trapezoid_weights(self.g.nt, self.g.dt)
-        d = np.zeros_like(q)
-        for i, name in enumerate(SIGNAL_NAMES):
-            if not self.cfg.mask[i]:
-                continue
-            s = TRACE_CLASS[name]
-            if s == 0.0:
-                d[i] = self.coef[name] * q[i]
-            else:
-                # Riesz multiplier is self-adjoint in the trapezoid weights
-                d[i] = self.coef[name] * wt * riesz_map(q[i] / wt, s, T)
-        return self.ad.readout_transpose(self.read, d) / self.w_stacked
+        """The transpose of ``apply`` in the weighted inner product."""
+        return (self.G.T @ (self.w_stacked * y)) / self.w_stacked
+
+
+@functools.lru_cache(maxsize=8)
+def gramian_operator(cfg: ControlConfig, p: Parameters, g: Grid,
+                     theta: float) -> GramianOperator:
+    """The assembled Gramian of a key, shared by all callers (read-only);
+    pass the arguments positionally, so that equal keys share one entry."""
+    return GramianOperator(cfg, p, g, theta)
+
+
+def _riesz_columns(block: np.ndarray, s: float, T: float):
+    """``riesz_map`` of class ``s`` down each column of ``block`` (M+1, m),
+    in place, 32 columns at a time, so that the transforms of the reflected
+    series never hold a copy of the whole block."""
+    M = block.shape[0] - 1
+    om = 2.0 * np.pi * np.fft.rfftfreq(2 * M, d=T / M)
+    w = ((1.0 + om**2) ** s)[:, None]
+    for j in range(0, block.shape[1], 32):
+        cols = block[:, j:j + 32]
+        ext = np.concatenate([cols, cols[-2:0:-1]])
+        spec = np.fft.rfft(ext, axis=0) * w
+        cols[:] = np.fft.irfft(spec, n=2 * M, axis=0)[: M + 1]
 
 
 def gramian_apply(
@@ -277,8 +306,8 @@ def gramian_apply(
     scheme: SchemeConfig = None,
 ) -> StatePair:
     """Adjoint solve -> controls -> forward solve from rest; state at t = T."""
-    op = GramianOperator(cfg, p, g, scheme)
     final.check(g)
+    op = gramian_operator(cfg, p, g, (scheme or SchemeConfig()).theta)
     out = op.apply(np.concatenate([final.u, final.v]))
     return StatePair(out[: g.nx].copy(), out[g.nx :].copy())
 
@@ -290,7 +319,8 @@ def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, maxiter: int,
     The normal residual directions are kept fully orthogonal (modified
     Gram-Schmidt against all previous ones); without this, roundoff stalls
     the iteration well above the target on ill-conditioned configurations.
-    The stored basis is tiny next to the PDE solves each iteration costs.
+    Each iteration costs two dense products with the assembled Gramian and
+    one pass over the stored basis.
     """
     nrhs = np.sqrt(op.xdot(rhs, rhs))
     x = np.zeros_like(rhs) if x0 is None else x0.copy()
@@ -368,10 +398,10 @@ def solve_control(
                 f"three-control condition failed: C1 (1 - a^2 b) = "
                 f"{rep.c1_squared * gap:.4g} not inside (0, c = {p.c:.4g})"
             )
-    op = GramianOperator(cfg, p, g, scheme)
+    theta = (scheme or SchemeConfig()).theta
     rhs = (np.concatenate([target.u, target.v])
-           - op.fw.run(np.concatenate([init.u, init.v]))[-1])
-    if np.sqrt(op.xdot(rhs, rhs)) < 1e-14:
+           - stepper(p, g, "forward", theta).run(np.concatenate([init.u, init.v]))[-1])
+    if x_norm(StatePair(rhs[: g.nx], rhs[g.nx :]), p, g) < 1e-14:
         bundle = ControlBundle(
             signals=BoundarySignals.zeros(g), config=cfg,
             norms={n: 0.0 for n in SIGNAL_NAMES},
@@ -380,6 +410,7 @@ def solve_control(
         return ControlResult(bundle, traj.final_state, 0, [0.0],
                              StatePair.zeros(g))
     z0 = np.concatenate([x0.u, x0.v]) if x0 is not None else None
+    op = gramian_operator(cfg, p, g, theta)
     xsol, iters, hist = _cgls(op, rhs, tol, maxiter, x0=z0)
     adjoint_final = StatePair(xsol[: g.nx].copy(), xsol[g.nx :].copy())
     _, traces = solve_adjoint_backward(p, g, adjoint_final, scheme=scheme)
@@ -545,7 +576,7 @@ def solve_nonlinear_control(
             f"data too large: ||init|| + ||target|| = {sizes:.3g} > delta = {delta:.3g}"
         )
     outer_max = outer_max or scheme.picard_max
-    op = GramianOperator(cfg, p, g, scheme)
+    fw = stepper(p, g, "forward", scheme.theta)
     adjusted = target.copy()
     warm = None
     history = []
@@ -568,7 +599,7 @@ def solve_nonlinear_control(
             ) from exc
         # endpoint Duhamel correction of the nonlinear terms
         forc = -nonlinear_forcing(traj.z, p, g, self_terms)
-        ups = op.fw.run(np.zeros(2 * g.nx), forcing=forc)[-1]
+        ups = fw.run(np.zeros(2 * g.nx), forcing=forc)[-1]
         adjusted_new = StatePair(target.u + ups[: g.nx], target.v + ups[g.nx :])
         change = x_norm(
             StatePair(adjusted_new.u - adjusted.u, adjusted_new.v - adjusted.v),

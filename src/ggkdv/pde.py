@@ -195,8 +195,8 @@ class Stepper:
     direction "forward" marches the nonhomogeneous system in t; "adjoint"
     marches the adjoint system in tau = T - t (so the same loop serves
     both, and the adjoint trajectory is reversed on output).  The exact
-    transposes of the discrete input and readout maps are exposed for
-    normal-equation solvers built on top.
+    transposes of the discrete input and readout maps are exposed as block
+    sweeps, from which the HUM Gramian is assembled.
     """
 
     def __init__(self, p: Parameters, g: Grid, direction: str, theta: float = 0.5):
@@ -208,7 +208,7 @@ class Stepper:
         a, b, c, r = p.a, p.b, p.c, p.r
 
         D3 = third_derivative_matrix(nx, dx)
-        D1 = first_derivative_matrix(nx, dx)
+        D1 = _first_derivative(nx, dx)[0]
         Lop = sp.vstack(
             [
                 sp.hstack([-D3, -a * D3]),
@@ -300,36 +300,52 @@ class Stepper:
                 out[g.M - 1 - n] = z
         return out
 
-    # -- exact transposes for normal-equation control solvers --------------
+    # -- block sweeps that assemble the HUM Gramian ---------------------------
 
-    def input_transpose(self, w: np.ndarray) -> np.ndarray:
-        """Transpose of the zero-init boundary-input map bc -> z(T).
+    def input_transpose(self, d: np.ndarray, signals) -> np.ndarray:
+        """The input transpose paired with ``m`` signal histories, as a matrix.
 
-        Returns q with q[i, n] = d(w . z(T)) / d(bc_i at level n).
+        For final weights w, the transpose of the zero-init input map
+        bc -> z(T) is q(w)[i, n] = d(w . z(T)) / d(bc_i at level n).  This
+        returns X (m, 2 nx) with
+
+            X[j] . w = sum over k, n of d[k, n, j] q(w)[signals[k], n],
+
+        so X.T is the input map applied to the histories d[:, :, j].  ``d``
+        is (k, M+1, m) in ascending time; level 0 is not read.  One forward
+        sweep of the k boundary-row pulses makes it; their responses are
+        folded into X level by level and never stored.
         """
         if self.direction != "forward":
             raise ValueError("input_transpose applies to the forward stepper")
         g = self.g
-        q = np.zeros((6, g.nt))
-        lam = np.asarray(w, dtype=float).copy()
-        for n in range(g.M, 0, -1):
-            mu = self.lu.solve(lam, trans="T")
-            q[:, n] = mu[self.bc_rows]
-            lam = self.BT @ mu
-        return q
+        rows = [self.bc_rows[i] for i in signals]
+        pulse = np.zeros((2 * self.nx, len(rows)))
+        pulse[rows, np.arange(len(rows))] = 1.0
+        resp = self.lu.solve(pulse)  # z(T) after a unit pulse at level M
+        X = d[:, g.M, :].T @ resp.T
+        for n in range(g.M - 1, 0, -1):
+            resp = self.lu.solve(self.B @ resp)
+            X += d[:, n, :].T @ resp.T
+        return X
 
-    def readout_transpose(self, readvecs: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Transpose of the map final data -> (readvecs . state) sequences.
+    def readout_transpose(self, readvecs: np.ndarray) -> np.ndarray:
+        """The transpose of final data -> (readvecs . state) sequences.
 
-        ``readvecs`` is (k, 2 nx); ``d`` is (k, M+1) in ascending time.
+        Returns Theta (k, M+1, 2 nx) in ascending time, with Theta[i, l] the
+        gradient of readvecs[i] . z(l) with respect to the final data z(T).
+        One transposed sweep of the k read-out vectors makes it.
         """
         if self.direction != "adjoint":
             raise ValueError("readout_transpose applies to the adjoint stepper")
-        acc = readvecs.T @ d[:, 0]
-        for n in range(1, self.g.nt):
-            acc = self.BT @ self.lu.solve(acc, trans="T")
-            acc += readvecs.T @ d[:, n]
-        return acc
+        g = self.g
+        theta = np.empty((len(readvecs), g.nt, 2 * self.nx))
+        theta[:, g.M] = readvecs
+        lam = readvecs.T
+        for n in range(g.M - 1, -1, -1):
+            lam = self.BT @ self.lu.solve(lam, trans="T")
+            theta[:, n] = lam.T
+        return theta
 
 
 @functools.lru_cache(maxsize=8)
@@ -337,6 +353,13 @@ def stepper(p: Parameters, g: Grid, direction: str, theta: float) -> Stepper:
     """The factorized Stepper of a key, shared by all callers (read-only);
     pass the arguments positionally, so that equal keys share one entry."""
     return Stepper(p, g, direction, theta)
+
+
+@functools.lru_cache(maxsize=8)
+def _first_derivative(nx: int, dx: float) -> tuple:
+    """D1 and its CSR transpose, built once per (nx, dx); read-only."""
+    D1 = first_derivative_matrix(nx, dx)
+    return D1, D1.T.tocsr()
 
 
 def _stack(s: StatePair) -> np.ndarray:
@@ -402,7 +425,7 @@ def nonlinear_forcing(
     terms weighted by a1, a2.
     """
     nx = g.nx
-    D1T = first_derivative_matrix(nx, g.dx).T.tocsr()
+    D1T = _first_derivative(nx, g.dx)[1]
     u = traj_z[:, :nx]
     v = traj_z[:, nx:]
     # overflow here only happens on diverging Picard iterates; the stepper's

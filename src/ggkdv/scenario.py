@@ -248,6 +248,10 @@ def parse_scenario_text(text: str) -> Scenario:
         ("observe", lambda: sc.observe_samples),
         ("ucp", sc.ucp),
         ("r0", sc.r0),
+        ("initial", lambda: _expressions(sc, "initial")),
+        ("final", lambda: _expressions(sc, "final")),
+        ("target", lambda: _expressions(sc, "target")),
+        ("bc", lambda: _expressions(sc, "bc")),
     )
     for section, build in builders:
         if section not in raw:
@@ -285,13 +289,31 @@ def _state_from_section(sc: Scenario, section: str, g: Grid) -> StatePair:
         return StatePair.zeros(g)
     if "file" in spec:
         return _state_from_file(spec["file"], g, section)
-    return StatePair(*(_sample(spec, var, g.x, section) for var in "uv"))
+    fns = _expressions(sc, section)
+    return StatePair(*(_sample(fns[var], g.x, section) for var in "uv"))
 
 
-def _sample(spec: dict, key: str, points: np.ndarray, field: str) -> np.ndarray:
-    """The expression ``spec[key]`` (default "0") evaluated at ``points``."""
+def _expressions(sc: Scenario, section: str) -> dict:
+    """The compiled expressions of a state or ``bc`` section by key, "0"
+    where one is missing.  A state read from ``file`` has none."""
+    spec = sc.raw.get(section) or {}
+    if "file" in spec:
+        if "u" in spec or "v" in spec:
+            raise ScenarioError("give either file or u/v expressions, not both",
+                                field=section)
+        return {}
+    bc, fns = section == "bc", {}
+    for key in (SIGNAL_NAMES if bc else "uv"):
+        try:
+            fns[key] = compile_expression(str(spec.get(key, "0")))
+        except ExpressionError as exc:
+            raise ScenarioError(str(exc), field=f"bc.{key}" if bc else section)
+    return fns
+
+
+def _sample(fn, points: np.ndarray, field: str) -> np.ndarray:
+    """The compiled expression ``fn`` evaluated at ``points``."""
     try:
-        fn = compile_expression(str(spec.get(key, "0")))
         return np.array([fn(v) for v in points])
     except ExpressionError as exc:
         raise ScenarioError(str(exc), field=field)
@@ -312,10 +334,10 @@ def _state_from_file(path: str, g: Grid, section: str) -> StatePair:
 
 
 def _bc_from_section(sc: Scenario, g: Grid) -> pde.BoundarySignals:
-    spec = sc.raw.get("bc")
-    if spec is None:
+    if sc.raw.get("bc") is None:
         return pde.BoundarySignals.zeros(g)
-    return pde.BoundarySignals(*(_sample(spec, name, g.t, f"bc.{name}")
+    fns = _expressions(sc, "bc")
+    return pde.BoundarySignals(*(_sample(fns[name], g.t, f"bc.{name}")
                                  for name in SIGNAL_NAMES))
 
 

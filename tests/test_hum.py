@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from ggkdv.core import ControlConfig, Grid, Parameters, StatePair, x_inner, x_norm
-from ggkdv import pde
+from ggkdv.core import (SIGNAL_NAMES, ControlConfig, Grid, Parameters, StatePair,
+                        trapezoid_weights, x_inner, x_norm)
+from ggkdv import hum, pde
 from ggkdv.errors import ConstraintViolation, FeasibilityError, NonConvergence
 from ggkdv.hum import (
     GramianOperator,
@@ -10,6 +11,7 @@ from ggkdv.hum import (
     controls_from_adjoint,
     estimate_observability,
     gramian_apply,
+    gramian_operator,
     observability_quotient,
     random_final_state,
     solve_control,
@@ -328,6 +330,7 @@ def count_calls(monkeypatch, name):
 
 def test_stepper_cache_factorizes_once_per_direction(monkeypatch):
     pde.stepper.cache_clear()
+    gramian_operator.cache_clear()
     inits = count_calls(monkeypatch, "__init__")
     g = Grid(L=1.0, N=16, T=0.5, M=24)
     final = shaped_random_state(np.random.default_rng(8), g)
@@ -339,12 +342,99 @@ def test_stepper_cache_factorizes_once_per_direction(monkeypatch):
     g2 = Grid(L=1.0, N=18, T=0.5, M=24)
     gramian_apply(FOUR_I, shaped_random_state(np.random.default_rng(8), g2), P, g2)
     assert len(inits) == 6
-    # a freshly built pair of steppers gives the same bits
-    op = GramianOperator(FOUR_I, P, g)
-    op.fw, op.ad = pde.Stepper(P, g, "forward"), pde.Stepper(P, g, "adjoint")
-    fresh = op.apply(np.concatenate([final.u, final.v]))
+    # assembling from a freshly built pair of steppers gives the same bits
+    monkeypatch.setattr(hum, "stepper", lambda *key: pde.Stepper(*key))
+    fresh = GramianOperator(FOUR_I, P, g).apply(np.concatenate([final.u, final.v]))
+    assert len(inits) == 8
     for got in (first, second):
         assert np.array_equal(np.concatenate([got.u, got.v]), fresh)
+
+
+def test_gramian_assembles_once_per_key(monkeypatch):
+    gramian_operator.cache_clear()
+    sweeps = count_calls(monkeypatch, "readout_transpose")
+    g = Grid(L=1.0, N=16, T=0.5, M=24)
+    final = shaped_random_state(np.random.default_rng(3), g)
+    gramian_apply(FOUR_I, final, P, g)
+    gramian_apply(FOUR_I, final, P, g)
+    assert len(sweeps) == 1
+    gramian_apply(FOUR_I, final, P, g, scheme=SchemeConfig(theta=0.6))
+    assert len(sweeps) == 2
+    g2 = Grid(L=1.0, N=18, T=0.5, M=24)
+    gramian_apply(FOUR_I, shaped_random_state(np.random.default_rng(3), g2), P, g2)
+    assert len(sweeps) == 3
+    gramian_apply(ControlConfig.of("FOUR_II"), final, P, g)
+    assert len(sweeps) == 4
+    # zero rhs: the free evolution already hits the target, nothing assembles
+    gz = Grid(L=1.0, N=20, T=0.5, M=24)
+    init = shaped_random_state(np.random.default_rng(2), gz, scale=0.1)
+    traj, _ = solve_linear_forward(P, gz, init, BoundarySignals.zeros(gz))
+    assert solve_control(FOUR_I, init, traj.final_state, 1e-3, P, gz).iterations == 0
+    assert len(sweeps) == 4
+    # one assembly serves every outer sweep of a nonlinear run
+    pn = Parameters(a=0.2, b=1.0, c=1.0, r=1.0, a1=0.4, a2=0.3)
+    gn = Grid(L=1.0, N=32, T=1.0, M=128)
+    res = solve_nonlinear_control(StatePair.zeros(gn), gaussian_target(gn, 1e-3),
+                                  FOUR_I, 0.1, pn, gn, tol=1e-2)
+    assert res.iterations >= 2
+    assert len(sweeps) == 5
+
+
+def sparse_apply(op, z):
+    """The per-vector Gramian: adjoint march, controls, forward march."""
+    cfg, p, g = op.cfg, op.p, op.g
+    ad = pde.stepper(p, g, "adjoint", 0.5)
+    fw = pde.stepper(p, g, "forward", 0.5)
+    cb = hum.combo_read_vectors(p, g) @ ad.run(z).T
+    sig = hum._signals_from_combos(cb, cfg, p, g.T)
+    return fw.run(np.zeros(2 * g.nx), bc=sig)[-1]
+
+
+def sparse_apply_star(op, y):
+    """The per-vector transpose of ``sparse_apply`` in the weighted product:
+    the exact transposes of the two step recursions, one vector at a time."""
+    cfg, p, g = op.cfg, op.p, op.g
+    ad = pde.stepper(p, g, "adjoint", 0.5)
+    fw = pde.stepper(p, g, "forward", 0.5)
+    q = np.zeros((6, g.nt))
+    lam = op.w_stacked * y
+    for n in range(g.M, 0, -1):
+        mu = fw.lu.solve(lam, trans="T")
+        q[:, n] = mu[fw.bc_rows]
+        lam = fw.BT @ mu
+    wt = trapezoid_weights(g.nt, g.dt)
+    coef = hum._coefficients(p)
+    d = np.zeros_like(q)
+    for i, name in enumerate(SIGNAL_NAMES):
+        if not cfg.mask[i]:
+            continue
+        s = hum.TRACE_CLASS[name]
+        if s == 0.0:
+            d[i] = coef[name] * q[i]
+        else:
+            d[i] = coef[name] * wt * riesz_map(q[i] / wt, s, g.T)
+    read = hum.combo_read_vectors(p, g)
+    acc = read.T @ d[:, 0]
+    for n in range(1, g.nt):
+        acc = ad.BT @ ad.lu.solve(acc, trans="T")
+        acc += read.T @ d[:, n]
+    return acc / op.w_stacked
+
+
+@pytest.mark.parametrize("kind", ["FOUR_I", "FOUR_II", "FOUR_III", "FOUR_IV",
+                                  "THREE_V", "THREE_VI"])
+def test_assembled_gramian_matches_sparse_sweeps(kind):
+    g = Grid(L=1.0, N=48, T=1.0, M=192)
+    op = GramianOperator(ControlConfig.of(kind), P, g)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        xs = shaped_random_state(rng, g)
+        z = np.concatenate([xs.u, xs.v])
+        for dense, sparse in ((op.apply, sparse_apply),
+                              (op.apply_star, sparse_apply_star)):
+            want = sparse(op, z)
+            got = dense(z)
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_observability_marches_each_sample_once(monkeypatch):

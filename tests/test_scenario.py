@@ -210,6 +210,19 @@ initial: {{file: "{state}"}}
     assert result.summary["initial_x_norm"] > 0
 
 
+@pytest.mark.parametrize("both", ['u: "sin(x)"', 'v: "0"'])
+def test_state_file_excludes_expressions(tmp_path, capsys, both):
+    state = tmp_path / "state.csv"
+    state.write_text("u,v\n" + "0.0,0.0\n" * 18)
+    path = write(tmp_path, MINIMAL_SIMULATE + f'initial: {{{both}, file: "{state}"}}\n')
+    out = tmp_path / "out"
+    assert cli_main(["validate", path]) == 2
+    assert cli_main(["run", path, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("not both") == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_cli_validate_and_run(tmp_path, capsys):
     path = write(tmp_path, MINIMAL_SIMULATE)
     assert cli_main(["validate", path]) == 0
@@ -334,9 +347,11 @@ config: FOUR_I
         "command: ucp-sweep\nparams: {a: 0.2, b: 1.0, c: 1.0, r: 1.0}\n"
         "ucp: {samples: -1}\n",
         MINIMAL_SIMULATE + "scheme: {picard_max: 2.7}\n",
+        MINIMAL_SIMULATE + 'bc: {h0: "sin("}\n',
+        MINIMAL_SIMULATE + 'initial: {u: "exp(", v: "0"}\n',
     ],
     ids=["r0-axis", "observe-samples", "tol", "seed", "initial-list",
-         "ucp-samples", "picard-max"],
+         "ucp-samples", "picard-max", "bc-syntax", "initial-syntax"],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
     path = write(tmp_path, text)
