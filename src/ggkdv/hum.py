@@ -47,12 +47,13 @@ from .errors import (
     NonConvergence,
     NumericalError,
 )
-from .fdops import boundary_stencils, first_derivative_matrix, second_derivative_matrix
+from .fdops import boundary_stencils, second_derivative_matrix
 from .pde import (
     BoundarySignals,
     SchemeConfig,
     TraceBundle,
     Trajectory,
+    _first_derivative,
     nonlinear_forcing,
     solve_adjoint_backward,
     solve_linear_forward,
@@ -519,7 +520,7 @@ def estimate_observability(
     if nsamples < 1:
         raise ValueError("nsamples must be >= 1")
     rng = np.random.default_rng(seed)
-    D1 = first_derivative_matrix(g.nx, g.dx).T.tocsr()
+    D1 = _first_derivative(g.nx, g.dx)[1]
     D2 = second_derivative_matrix(g.nx, g.dx).T.tocsr()
     quots = []
     c_hidden = np.zeros(3)

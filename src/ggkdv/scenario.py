@@ -157,9 +157,16 @@ class Scenario:
         """Keyword arguments of ``spectral.ucp_sweep``."""
         def real(key, default):
             return self._get(f"ucp.{key}", default, _real)
+
+        def span(name, lo, hi):
+            bounds = (real(f"{name}_min", lo), real(f"{name}_max", hi))
+            if bounds[0] > bounds[1]:
+                raise ScenarioError(f"{name}_min {bounds[0]!r} exceeds {name}_max "
+                                    f"{bounds[1]!r}", field=f"ucp.{name}_min")
+            return bounds
         return {"nsamples": self._get("ucp.samples", 200, _integer, 1),
-                "L_range": (real("L_min", 0.05), real("L_max", 10.0)),
-                "p_radius": (real("p_min", 0.3), real("p_max", 3.0)),
+                "L_range": span("L", 0.05, 10.0),
+                "p_radius": span("p", 0.3, 3.0),
                 "tol": real("tol", 1e-6)}
 
     def r0(self) -> tuple:
@@ -467,18 +474,17 @@ def _run_ucp_sweep(sc: Scenario):
 
 def _run_r0_check(sc: Scenario):
     (re_lo, re_hi, re_n), (im_lo, im_hi, im_n), lengths, tol = sc.r0()
-    rows = []
-    smin_all = np.inf
-    for Lval in lengths:
-        for sre in np.linspace(re_lo, re_hi, re_n):
-            for sim in np.linspace(im_lo, im_hi, im_n):
-                rep = spectral.r0_eigencheck(Lval, complex(sre, sim), tol=tol)
-                smin_all = min(smin_all, rep.sigma_min)
-                rows.append((rep.s.real, rep.s.imag, rep.L, rep.sigma_min))
-    summary = {"sigma_min": float(smin_all), "certified": bool(smin_all > tol),
-               "points": len(rows)}
+    L, re, im = (axis.ravel() for axis in np.meshgrid(
+        lengths, np.linspace(re_lo, re_hi, re_n), np.linspace(im_lo, im_hi, im_n),
+        indexing="ij"))
+    s = np.empty(L.size, dtype=complex)
+    s.real, s.imag = re, im
+    rep = spectral.r0_eigencheck(L, s, tol=tol)
+    smin_all = float(np.min(rep.sigma_min))
+    summary = {"sigma_min": smin_all, "certified": bool(smin_all > tol),
+               "points": int(L.size)}
     return summary, {"r0.csv": _csv(["re_s", "im_s", "L", "sigma_min"],
-                                    [list(zip(*rows))])}
+                                    [[re, im, L, rep.sigma_min]])}
 
 
 _RUNNERS = {

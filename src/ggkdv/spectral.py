@@ -28,6 +28,7 @@ coefficients all vanish.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -73,7 +74,8 @@ class PolyP:
     """Degree-6 polynomial of the Fourier reduction, leading coefficient first.
 
     ``normalized`` selects between Q itself and P(xi) = Q(-xi)/(1 - a^2 b),
-    whose leading coefficient is one.
+    whose leading coefficient is one.  A stack of polynomials has one row of
+    ``coeffs`` per value of ``p``, then a complex array.
     """
 
     coeffs: np.ndarray
@@ -118,32 +120,89 @@ class UcpVerdict:
         }
 
 
-def q_coefficients(p: complex, params: Parameters) -> np.ndarray:
-    """Coefficients of Q(xi), degree 6 first."""
+def _q_rows(ps, params: Parameters) -> np.ndarray:
+    """Coefficients of Q(xi), degree 6 first, one row per value of ``ps``.
+
+    Each row is built by CPython arithmetic on that value, as a scalar
+    evaluation would: numpy's vectorized complex multiply can round the last
+    bit differently.  A value whose p^2 overflows gives a row of NaN.
+    """
     validate_params(params)
     a, b, c, r = params.a, params.b, params.c, params.r
-    return np.array(
-        [1.0 - a**2 * b, 0.0, -r, -(c + 1.0) * p, 0.0, p * r, c * p**2],
-        dtype=complex,
-    )
+
+    def row(p):
+        try:
+            return [1.0 - a**2 * b, 0.0, -r, -(c + 1.0) * p, 0.0, p * r, c * p**2]
+        except OverflowError:
+            return [np.nan] * 7
+
+    return np.array([row(p) for p in ps], dtype=complex)
 
 
-def build_P(p: complex, params: Parameters) -> PolyP:
-    """The normalized polynomial P(xi) = Q(-xi) / (1 - a^2 b), monic."""
-    q = q_coefficients(p, params)
-    gap = q[0].real
+def q_coefficients(p: complex, params: Parameters) -> np.ndarray:
+    """Coefficients of Q(xi), degree 6 first."""
+    return _q_rows([p], params)[0]
+
+
+_ODD_SIGNS = np.array([1, -1, 1, -1, 1, -1, 1], dtype=complex)
+
+
+def build_P(p, params: Parameters) -> PolyP:
+    """The normalized polynomial P(xi) = Q(-xi) / (1 - a^2 b), monic.
+
+    ``p`` is one value, or a sequence of values for a stack of polynomials:
+    then ``coeffs`` has one row per value and ``p`` is their complex array.
+    """
+    stacked = np.ndim(p) > 0
+    ps = np.asarray(p, dtype=complex).tolist() if stacked else [p]
+    q = _q_rows(ps, params)
+    gap = 1.0 - params.a**2 * params.b
     # Q(-xi): flip the sign of odd-degree coefficients (degrees 6..0)
-    signs = np.array([1, -1, 1, -1, 1, -1, 1], dtype=complex)
-    coeffs = signs * q / gap
-    coeffs[0] = 1.0  # exact, complex division rounds the leading entry
-    return PolyP(coeffs=coeffs, p=complex(p), params=params, normalized=True)
+    coeffs = _ODD_SIGNS * q / gap
+    coeffs[:, 0] = 1.0  # exact, complex division rounds the leading entry
+    if stacked:
+        return PolyP(coeffs=coeffs, p=np.array(ps, dtype=complex), params=params,
+                     normalized=True)
+    return PolyP(coeffs=coeffs[0], p=complex(p), params=params, normalized=True)
+
+
+def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row k of ``coeffs`` evaluated at every entry of row k of ``x``, by the
+    recurrence of np.polyval."""
+    y = np.zeros_like(x)
+    for k in range(coeffs.shape[1]):
+        y = y * x + coeffs[:, k:k + 1]
+    return y
+
+
+def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """The roots of each row of ``coeffs`` as np.roots finds them.
+
+    The eigenvalues of the companion matrices of all rows come from one
+    stacked eigvals call; trailing zero coefficients are stripped first and
+    their zero roots appended.
+    """
+    n, deg = coeffs.shape[0], coeffs.shape[1] - 1
+    trailing = np.argmax(coeffs[:, ::-1] != 0, axis=1)
+    roots = np.zeros((n, deg), dtype=complex)
+    for t in np.unique(trailing):
+        rows = np.flatnonzero(trailing == t)
+        k = deg - t
+        if k == 0:
+            continue
+        c = coeffs[rows, :k + 1]
+        A = np.zeros((len(rows), k, k), dtype=complex)
+        A[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        A[:, 0, :] = -c[:, 1:] / c[:, :1]
+        roots[rows, :k] = np.linalg.eigvals(A)
+    return roots
 
 
 def _polish_roots(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 3):
-    dcoeffs = np.polyder(coeffs)
+    dcoeffs = coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1)
     for _ in range(sweeps):
-        val = np.polyval(coeffs, roots)
-        der = np.polyval(dcoeffs, roots)
+        val = _horner(coeffs, roots)
+        der = _horner(dcoeffs, roots)
         safe = np.abs(der) > 0
         step = np.zeros_like(roots)
         step[safe] = val[safe] / der[safe]
@@ -152,9 +211,31 @@ def _polish_roots(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 3):
 
 
 def _elementary_symmetric(roots: np.ndarray) -> np.ndarray:
-    """e_1..e_6 of six values, via the monic expansion."""
-    poly = np.poly(roots)  # [1, -e1, +e2, -e3, ...]
-    return np.array([(-1) ** k * poly[k] for k in range(1, 7)])
+    """e_1..e_m of each row of m values, by the recurrence e_k += z e_{k-1}."""
+    n, m = roots.shape
+    e = np.zeros((n, m + 1), dtype=complex)
+    e[:, 0] = 1.0
+    for j in range(m):
+        e[:, 1:] = e[:, 1:] + roots[:, j:j + 1] * e[:, :-1]
+    return e[:, 1:]
+
+
+def _first_extreme(values: np.ndarray, better) -> np.ndarray:
+    """Row maxima (``better`` np.greater) or minima (np.less) as Python's max
+    and min take them: the first entry stays unless a later one is better,
+    so a NaN counts only in the first column."""
+    return functools.reduce(lambda m, x: np.where(better(x, m), x, m), values.T)
+
+
+def _pair_distances(z: np.ndarray) -> np.ndarray:
+    """|z_i - z_j| over the pairs i < j of each row, in combinations order.
+
+    np.hypot rounds as Python's abs of a complex scalar does; np.abs on a
+    complex array can take a SIMD path that differs in the last bit.
+    """
+    i, j = np.array(list(itertools.combinations(range(z.shape[1]), 2))).T
+    d = z[:, i] - z[:, j]
+    return np.hypot(d.real, d.imag)
 
 
 def roots_P(poly: PolyP) -> RootSet:
@@ -163,22 +244,29 @@ def roots_P(poly: PolyP) -> RootSet:
     The girard_residuals compare the elementary symmetric functions of the
     computed roots against the coefficient pattern (e1 = 0, e4 = 0,
     e2 = -r/(1-a^2 b), e6 = c p^2/(1-a^2 b), and so on), relatively scaled.
+    A stack of polynomials (2-D ``coeffs``) gives one row of each field per
+    polynomial, from one stacked eigenvalue call.
     """
     if not poly.normalized:
         poly = build_P(poly.p, poly.params)
-    coeffs = poly.coeffs
-    roots = np.roots(coeffs)
-    roots = _polish_roots(coeffs, roots)
-    residuals = np.abs(np.polyval(coeffs, roots))
-    scale = max(1.0, float(np.max(np.abs(coeffs))))
-    if np.max(residuals) > 1e-8 * scale:
+    coeffs = np.atleast_2d(poly.coeffs)
+    roots = _polish_roots(coeffs, _companion_roots(coeffs))
+    residuals = np.abs(_horner(coeffs, roots))
+    top = np.max(np.abs(coeffs), axis=1)
+    scale = np.where(top > 1.0, top, 1.0)
+    worst = np.max(residuals, axis=1)
+    failed = np.flatnonzero(worst > 1e-8 * scale)
+    if failed.size:
+        k = failed[0]
         raise NumericalError(
-            f"root refinement failed: worst residual {np.max(residuals):.3e} "
-            f"(tolerance {1e-8 * scale:.3e})"
+            f"root refinement failed at p = {np.atleast_1d(poly.p)[k]!r}: worst "
+            f"residual {worst[k]:.3e} (tolerance {1e-8 * scale[k]:.3e})"
         )
     e_roots = _elementary_symmetric(roots)
-    e_coeffs = np.array([(-1) ** k * coeffs[k] for k in range(1, 7)])
+    e_coeffs = coeffs[:, 1:] * np.array([-1, 1, -1, 1, -1, 1])
     girard = np.abs(e_roots - e_coeffs) / np.maximum(1.0, np.abs(e_coeffs))
+    if poly.coeffs.ndim == 1:
+        roots, residuals, girard = roots[0], residuals[0], girard[0]
     return RootSet(roots=roots, residuals=residuals, girard_residuals=girard)
 
 
@@ -251,25 +339,48 @@ def ucp_certificate(L: float, p: complex, params: Parameters,
     root of P, forcing gamma = 0 against the nonvanishing assumption.
     Near-multiple roots downgrade the verdict to INCONCLUSIVE.
     """
-    if L <= 0:
+    return _certify([L], [complex(p)], params, tol)[0]
+
+
+def _certify(Ls: list, ps: list, params: Parameters, tol: float) -> list:
+    """The UcpVerdict of each draw (Ls[k], ps[k]), p a Python complex.
+
+    The roots of every nonzero p come from one stacked ``roots_P`` call.
+    """
+    if any(L <= 0 for L in Ls):
         raise ValueError("L must be positive")
     validate_params(params)
-    p = complex(p)
-    tag = _classify(p)
-    detail: dict = {}
-
-    if tag is CaseTag.ZERO:
-        detail["reason"] = ("xi = 0 is a root of P, so gamma would vanish; "
-                            "gamma is a nonzero constant")
-        gap = 1.0 - params.a**2 * params.b
-        detail["factor"] = f"P(xi) = xi^4 ((1 - a^2 b) xi^2 - r) / ({gap:.6g})"
-        return UcpVerdict(L=L, p=p, case_tag=tag, dispersion=float("inf"),
-                          verdict=Verdict.OBSTRUCTION_CONFIRMED, detail=detail)
-
-    rs = roots_P(build_P(p, params))
-    verdict = certificate_from_roots(L, p, rs.roots, tol=tol)
-    verdict.detail["girard_residuals"] = rs.girard_residuals
-    return verdict
+    tags = [_classify(p) for p in ps]
+    out = [None] * len(ps)
+    gap = 1.0 - params.a**2 * params.b
+    nonzero = []
+    for k, tag in enumerate(tags):
+        if tag is not CaseTag.ZERO:
+            nonzero.append(k)
+            continue
+        detail = {
+            "reason": ("xi = 0 is a root of P, so gamma would vanish; "
+                       "gamma is a nonzero constant"),
+            "factor": f"P(xi) = xi^4 ((1 - a^2 b) xi^2 - r) / ({gap:.6g})",
+        }
+        out[k] = UcpVerdict(L=Ls[k], p=ps[k], case_tag=tag, dispersion=float("inf"),
+                            verdict=Verdict.OBSTRUCTION_CONFIRMED, detail=detail)
+    if not nonzero:
+        return out
+    poly = build_P([ps[k] for k in nonzero], params)
+    finite = np.isfinite(poly.coeffs).all(axis=1)
+    if not finite.all():
+        k = nonzero[np.argmin(finite)]
+        raise NumericalError(
+            f"P has a non-finite coefficient at L = {Ls[k]!r}, p = {ps[k]!r}"
+        )
+    rs = roots_P(poly)
+    verdicts = _verdicts_from_roots([Ls[k] for k in nonzero],
+                                    [ps[k] for k in nonzero], rs.roots, tol)
+    for k, v, girard in zip(nonzero, verdicts, rs.girard_residuals):
+        v.detail["girard_residuals"] = girard
+        out[k] = v
+    return out
 
 
 def certificate_from_roots(L: float, p: complex, roots: np.ndarray,
@@ -280,56 +391,66 @@ def certificate_from_roots(L: float, p: complex, roots: np.ndarray,
     INCONCLUSIVE verdict with a multiplicity flag instead of a dispersion
     claim.
     """
-    p = complex(p)
-    tag = _classify(p)
     roots = np.asarray(roots, dtype=complex)
-    detail: dict = {"roots": roots}
+    return _verdicts_from_roots([L], [complex(p)], roots[None, :], tol)[0]
 
-    min_sep = min(abs(x - y) for x, y in itertools.combinations(roots, 2))
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    if min_sep < 1e-8 * scale:
-        detail["multiplicity"] = True
-        detail["min_separation"] = min_sep
-        return UcpVerdict(L=L, p=p, case_tag=tag, dispersion=0.0,
-                          verdict=Verdict.INCONCLUSIVE, detail=detail)
+
+def _verdicts_from_roots(Ls: list, ps: list, roots: np.ndarray,
+                         tol: float) -> list:
+    """``certificate_from_roots`` of every row of the (n, m) ``roots``."""
+    L = np.array(Ls, dtype=float)[:, None]
+    min_sep = _first_extreme(_pair_distances(roots), np.less)
+    top = np.max(np.abs(roots), axis=1)
+    scale = np.where(top > 1.0, top, 1.0)
+    multiple = min_sep < 1e-8 * scale
 
     w = roots**2 * np.exp(1j * L * roots)
-    detail["w"] = w
-    wmax = float(np.max(np.abs(w)))
-    dispersion = max(abs(x - y) for x, y in itertools.combinations(w, 2))
-    detail["w_scale"] = wmax
+    wmax = np.max(np.abs(w), axis=1)
+    dispersion = _first_extreme(_pair_distances(w), np.greater)
+    confirmed = dispersion > tol * wmax
+    argsum = np.sum(np.angle(0.5j * L * roots), axis=1)
+    pi_dist = np.abs(argsum - np.pi * np.round(argsum / np.pi))
+    conj_defect = np.max(np.min(
+        np.abs(roots[:, :, None] - np.conj(roots)[:, None, :]), axis=2), axis=1)
+    real_count = np.sum(np.abs(roots.imag) < 1e-8 * scale[:, None], axis=1)
 
-    if tag is CaseTag.COMPLEX:
-        eta = p**2 / abs(p) ** 2
-        detail["p2_over_abs_p2_imag"] = eta.imag
-        argsum = float(np.sum(np.angle(0.5j * L * roots)))
-        detail["arg_sum"] = argsum
-        detail["arg_sum_dist_to_pi_grid"] = float(
-            abs(argsum - np.pi * np.round(argsum / np.pi))
-        )
-    elif tag is CaseTag.REAL:
-        conj_defect = float(
-            np.max(np.min(np.abs(roots[:, None] - np.conj(roots)[None, :]), axis=1))
-        )
-        detail["conjugate_closure_defect"] = conj_defect
-        detail["real_root_count"] = int(np.sum(np.abs(roots.imag) < 1e-8 * scale))
-    elif tag is CaseTag.IMAGINARY:
-        detail["note"] = "coefficients of R(xi) = P at p = iq are real up to scaling"
-
-    if dispersion > tol * wmax:
-        verdict = Verdict.OBSTRUCTION_CONFIRMED
-    else:
-        verdict = Verdict.INCONCLUSIVE
-    return UcpVerdict(L=L, p=p, case_tag=tag, dispersion=float(dispersion),
-                      verdict=verdict, detail=detail)
+    out = []
+    for k, (Lk, p) in enumerate(zip(Ls, ps)):
+        tag = _classify(p)
+        detail: dict = {"roots": roots[k]}
+        if multiple[k]:
+            detail["multiplicity"] = True
+            detail["min_separation"] = min_sep[k]
+            out.append(UcpVerdict(L=Lk, p=p, case_tag=tag, dispersion=0.0,
+                                  verdict=Verdict.INCONCLUSIVE, detail=detail))
+            continue
+        detail["w"] = w[k]
+        detail["w_scale"] = float(wmax[k])
+        if tag is CaseTag.COMPLEX:
+            eta = p**2 / abs(p) ** 2
+            detail["p2_over_abs_p2_imag"] = eta.imag
+            detail["arg_sum"] = float(argsum[k])
+            detail["arg_sum_dist_to_pi_grid"] = float(pi_dist[k])
+        elif tag is CaseTag.REAL:
+            detail["conjugate_closure_defect"] = float(conj_defect[k])
+            detail["real_root_count"] = int(real_count[k])
+        elif tag is CaseTag.IMAGINARY:
+            detail["note"] = "coefficients of R(xi) = P at p = iq are real up to scaling"
+        verdict = (Verdict.OBSTRUCTION_CONFIRMED if confirmed[k]
+                   else Verdict.INCONCLUSIVE)
+        out.append(UcpVerdict(L=Lk, p=p, case_tag=tag,
+                              dispersion=float(dispersion[k]), verdict=verdict,
+                              detail=detail))
+    return out
 
 
 def ucp_sweep(nsamples: int, params: Parameters, seed: int = 0,
               L_range=(0.05, 10.0), p_radius=(0.3, 3.0),
               tol: float = 1e-6) -> list:
-    """Random (L, p) draws with a share of axis and p = 0 cases included."""
+    """Random (L, p) draws with a share of axis and p = 0 cases included,
+    certified together by one stacked root computation."""
     rng = np.random.default_rng(seed)
-    out = []
+    Ls, ps = [], []
     for i in range(nsamples):
         L = float(rng.uniform(*L_range))
         kind = i % 8
@@ -343,8 +464,9 @@ def ucp_sweep(nsamples: int, params: Parameters, seed: int = 0,
             p = 0.0
         else:
             p = radius * np.exp(2j * np.pi * rng.uniform())
-        out.append(ucp_certificate(L, p, params, tol=tol))
-    return out
+        Ls.append(L)
+        ps.append(complex(p))
+    return _certify(Ls, ps, params, tol)
 
 
 @dataclass
@@ -456,6 +578,9 @@ def degree_certificate(config_id: str, p: complex = 0.7 + 0.3j,
 
 @dataclass
 class EigencheckReport:
+    """One point of the r = 0 check, or, from a stacked ``r0_eigencheck``
+    call, arrays over all its points."""
+
     L: float
     s: complex
     sigma_min: float
@@ -466,7 +591,7 @@ class EigencheckReport:
                 "sigma_min": self.sigma_min, "certified": self.certified}
 
 
-def r0_eigencheck(L: float, s: complex, tol: float = 1e-8) -> EigencheckReport:
+def r0_eigencheck(L, s, tol: float = 1e-8) -> EigencheckReport:
     """Certify that s phi = phi''' with the five clamped conditions
 
         phi(0) = phi_x(0) = phi_xx(0) = phi_x(L) = phi_xx(L) = 0
@@ -475,37 +600,45 @@ def r0_eigencheck(L: float, s: complex, tol: float = 1e-8) -> EigencheckReport:
     three-dimensional solution space (exponentials with mu^3 = s, or the
     monomials 1, x, x^2 when s = 0) and reports the smallest singular value
     of the row-normalized 5 x 3 matrix.
+
+    ``L`` and ``s`` are one point, or equal-length 1-D arrays of points: then
+    one stacked SVD covers them all and each field of the report is the
+    array over the points.
     """
-    if L <= 0:
+    stacked = np.ndim(s) > 0
+    Ls = np.atleast_1d(np.asarray(L, dtype=float))
+    ss = np.atleast_1d(np.asarray(s, dtype=complex))
+    if np.any(Ls <= 0):
         raise ValueError("L must be positive")
-    s = complex(s)
-    if abs(s) < 1e-14:
-        A = np.array(
-            [
-                [1.0, 0.0, 0.0],   # phi(0)
-                [0.0, 1.0, 0.0],   # phi_x(0)
-                [0.0, 0.0, 2.0],   # phi_xx(0)
-                [0.0, 1.0, 2.0 * L],
-                [0.0, 0.0, 2.0],
-            ],
-            dtype=complex,
+    zero = np.hypot(ss.real, ss.imag) < 1e-14
+    A = np.zeros((len(ss), 5, 3), dtype=complex)
+    # monomials 1, x, x^2: rows phi(0), phi_x(0), phi_xx(0), phi_x(L), phi_xx(L)
+    A[zero] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0],
+               [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
+    A[zero, 3, 2] = 2.0 * Ls[zero]
+    live = ~zero
+    # the principal cube root by CPython's complex power, one point at a time
+    mu0 = np.array([v ** (1.0 / 3.0) for v in ss[live].tolist()], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mus = mu0[:, None] * np.exp(2j * np.pi * np.arange(3) / 3.0)
+        eL = np.exp(mus * Ls[live][:, None])
+        A[live, 0] = 1.0
+        A[live, 1] = mus
+        A[live, 2] = mus**2
+        A[live, 3] = mus * eL
+        A[live, 4] = mus**2 * eL
+        norms = np.max(np.abs(A), axis=2)
+        norms[norms == 0] = 1.0
+        A /= norms[:, :, None]
+    finite = np.isfinite(A).all(axis=(1, 2))
+    if not finite.all():
+        k = np.argmin(finite)
+        raise NumericalError(
+            f"r0 boundary matrix is not finite at L = {float(Ls[k])!r}, "
+            f"s = {complex(ss[k])!r}"
         )
-    else:
-        mu0 = s ** (1.0 / 3.0)
-        mus = mu0 * np.exp(2j * np.pi * np.arange(3) / 3.0)
-        eL = np.exp(mus * L)
-        A = np.stack(
-            [
-                np.ones(3, dtype=complex),
-                mus,
-                mus**2,
-                mus * eL,
-                mus**2 * eL,
-            ]
-        )
-    norms = np.max(np.abs(A), axis=1)
-    norms[norms == 0] = 1.0
-    A = A / norms[:, None]
-    sigma = np.linalg.svd(A, compute_uv=False)
-    smin = float(sigma[-1])
-    return EigencheckReport(L=L, s=s, sigma_min=smin, certified=bool(smin > tol))
+    smin = np.linalg.svd(A, compute_uv=False)[:, -1]
+    if stacked:
+        return EigencheckReport(L=Ls, s=ss, sigma_min=smin, certified=smin > tol)
+    return EigencheckReport(L=L, s=complex(s), sigma_min=float(smin[0]),
+                            certified=bool(smin[0] > tol))

@@ -437,6 +437,27 @@ def test_assembled_gramian_matches_sparse_sweeps(kind):
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
+def test_observability_builds_first_derivative_once(monkeypatch):
+    # the observe grid's D1 and its transpose come from one cached assembly,
+    # shared by the adjoint stepper and the hidden-regularity norms
+    from ggkdv import fdops
+
+    calls = []
+
+    def counting(nx, dx):
+        calls.append(nx)
+        return fdops.first_derivative_matrix(nx, dx)
+
+    for module in (pde, hum):
+        if hasattr(module, "first_derivative_matrix"):
+            monkeypatch.setattr(module, "first_derivative_matrix", counting)
+    pde._first_derivative.cache_clear()
+    pde.stepper.cache_clear()
+    g = Grid(L=1.0, N=20, T=0.5, M=40)
+    estimate_observability(FOUR_I, 2, P, g, seed=3)
+    assert calls == [g.nx]
+
+
 def test_observability_marches_each_sample_once(monkeypatch):
     g = Grid(L=1.0, N=24, T=0.5, M=48)
     runs = count_calls(monkeypatch, "run")

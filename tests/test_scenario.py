@@ -328,6 +328,8 @@ def test_invalid_section_values_exit_2(tmp_path):
         assert result.exit_code == 2, (i, result.message)
 
 
+UCP_BASE = "command: ucp-sweep\nparams: {a: 0.2, b: 1.0, c: 1.0, r: 1.0}\n"
+
 OBSERVE_BASE = """
 command: observe
 params: {a: 0.2, b: 1.0, c: 1.0, r: 1.0}
@@ -349,9 +351,12 @@ config: FOUR_I
         MINIMAL_SIMULATE + "scheme: {picard_max: 2.7}\n",
         MINIMAL_SIMULATE + 'bc: {h0: "sin("}\n',
         MINIMAL_SIMULATE + 'initial: {u: "exp(", v: "0"}\n',
+        UCP_BASE + "ucp: {samples: 8, L_min: 5, L_max: 1}\n",
+        UCP_BASE + "ucp: {samples: 8, p_min: 5, p_max: 1}\n",
     ],
     ids=["r0-axis", "observe-samples", "tol", "seed", "initial-list",
-         "ucp-samples", "picard-max", "bc-syntax", "initial-syntax"],
+         "ucp-samples", "picard-max", "bc-syntax", "initial-syntax",
+         "ucp-L-range", "ucp-p-range"],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
     path = write(tmp_path, text)
@@ -361,6 +366,33 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("invalid scenario") == 1 and err.count("error:") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_equal_ucp_bounds_are_valid(tmp_path):
+    path = write(tmp_path, UCP_BASE + "ucp: {samples: 8, L_min: 2, L_max: 2, "
+                                      "p_min: 1, p_max: 1}\n")
+    assert run_scenario(path, output_dir=str(tmp_path / "out")).exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        UCP_BASE + "ucp: {samples: 16, p_min: 1.0e+200, p_max: 1.0e+201}\n",
+        "command: r0-check\nr0: {re: [-10, 10, 3], im: [-10, 10, 3], "
+        "lengths: [1000.0]}\n",
+        "command: r0-check\nr0: {re: [1.0e+300, 1.0e+301, 2], im: [-10, 10, 3]}\n",
+    ],
+    ids=["ucp-p-overflow", "r0-long-interval", "r0-huge-s"],
+)
+def test_non_finite_spectral_matrices_exit_3(tmp_path, capsys, text):
+    path = write(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli_main(["validate", path]) == 0
+    assert cli_main(["run", path, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error:") == 1 and "finite" in err
     assert not out.exists() or not any(out.iterdir())
 
 

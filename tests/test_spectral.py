@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -264,3 +266,181 @@ def test_reports_serialize_to_json():
 
     eig = json.loads(json.dumps(r0_eigencheck(1.0, 2.0).as_json_dict()))
     assert eig["certified"] is True
+
+
+# -- per-point oracle ----------------------------------------------------------
+# The scalar bodies that ucp_sweep, roots_P and r0_eigencheck ran one point at
+# a time before they became stacked array code.  The stacked kernels must
+# reproduce them bit for bit (girard residuals aside, whose symmetric
+# functions are now expanded by a recurrence instead of np.poly).
+
+
+def _oracle_classify(p, tol=1e-12):
+    ap = abs(p)
+    if ap < 1e-14:
+        return CaseTag.ZERO
+    if abs(p.imag) <= tol * ap:
+        return CaseTag.REAL
+    if abs(p.real) <= tol * ap:
+        return CaseTag.IMAGINARY
+    return CaseTag.COMPLEX
+
+
+def _oracle_P(p, params):
+    a, b, c, r = params.a, params.b, params.c, params.r
+    q = np.array([1.0 - a**2 * b, 0.0, -r, -(c + 1.0) * p, 0.0, p * r, c * p**2],
+                 dtype=complex)
+    signs = np.array([1, -1, 1, -1, 1, -1, 1], dtype=complex)
+    coeffs = signs * q / q[0].real
+    coeffs[0] = 1.0
+    return coeffs
+
+
+def _oracle_roots(coeffs):
+    """(roots, girard residuals) as the per-point roots_P computed them."""
+    roots = np.roots(coeffs)
+    dcoeffs = np.polyder(coeffs)
+    for _ in range(3):
+        val = np.polyval(coeffs, roots)
+        der = np.polyval(dcoeffs, roots)
+        safe = np.abs(der) > 0
+        step = np.zeros_like(roots)
+        step[safe] = val[safe] / der[safe]
+        roots = roots - step
+    poly = np.poly(roots)
+    e_roots = np.array([(-1) ** k * poly[k] for k in range(1, 7)])
+    e_coeffs = np.array([(-1) ** k * coeffs[k] for k in range(1, 7)])
+    girard = np.abs(e_roots - e_coeffs) / np.maximum(1.0, np.abs(e_coeffs))
+    return roots, girard
+
+
+def _oracle_from_roots(L, p, roots, tol=1e-6):
+    """(case_tag, dispersion, verdict, detail) of certificate_from_roots."""
+    tag = _oracle_classify(p)
+    detail = {"roots": roots}
+    min_sep = min(abs(x - y) for x, y in itertools.combinations(roots, 2))
+    scale = max(1.0, float(np.max(np.abs(roots))))
+    if min_sep < 1e-8 * scale:
+        detail["multiplicity"] = True
+        detail["min_separation"] = min_sep
+        return tag, 0.0, Verdict.INCONCLUSIVE, detail
+    w = roots**2 * np.exp(1j * L * roots)
+    detail["w"] = w
+    wmax = float(np.max(np.abs(w)))
+    dispersion = max(abs(x - y) for x, y in itertools.combinations(w, 2))
+    verdict = (Verdict.OBSTRUCTION_CONFIRMED if dispersion > tol * wmax
+               else Verdict.INCONCLUSIVE)
+    return tag, float(dispersion), verdict, detail
+
+
+def _oracle_sweep(nsamples, params, seed, L_range, p_radius):
+    """The per-draw ucp_sweep: one certificate per (L, p) draw."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(nsamples):
+        L = float(rng.uniform(*L_range))
+        kind = i % 8
+        radius = float(np.exp(rng.uniform(np.log(p_radius[0]),
+                                          np.log(p_radius[1]))))
+        if kind == 5:
+            p = radius * (1.0 if rng.uniform() < 0.5 else -1.0)
+        elif kind == 6:
+            p = 1j * radius * (1.0 if rng.uniform() < 0.5 else -1.0)
+        elif kind == 7:
+            p = 0.0
+        else:
+            p = radius * np.exp(2j * np.pi * rng.uniform())
+        p = complex(p)
+        if _oracle_classify(p) is CaseTag.ZERO:
+            out.append((L, p, CaseTag.ZERO, float("inf"),
+                        Verdict.OBSTRUCTION_CONFIRMED, {}, None))
+            continue
+        roots, girard = _oracle_roots(_oracle_P(p, params))
+        out.append((L, p, *_oracle_from_roots(L, p, roots), girard))
+    return out
+
+
+def _oracle_r0(L, s):
+    s = complex(s)
+    if abs(s) < 1e-14:
+        A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0],
+                      [0.0, 1.0, 2.0 * L], [0.0, 0.0, 2.0]], dtype=complex)
+    else:
+        mus = s ** (1.0 / 3.0) * np.exp(2j * np.pi * np.arange(3) / 3.0)
+        eL = np.exp(mus * L)
+        A = np.stack([np.ones(3, dtype=complex), mus, mus**2, mus * eL, mus**2 * eL])
+    norms = np.max(np.abs(A), axis=1)
+    norms[norms == 0] = 1.0
+    return float(np.linalg.svd(A / norms[:, None], compute_uv=False)[-1])
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+NEAR_DOUBLE = Parameters(a=0.3, b=1.0, c=1.2, r=1.1)
+PARAMS_A = Parameters(a=0.2, b=1.0, c=1.0, r=1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 19])
+@pytest.mark.parametrize(
+    "params, L_range, p_radius",
+    [(PARAMS_A, (0.05, 10.0), (0.3, 3.0)),
+     # every real draw lands on the near-double root: the multiplicity branch
+     (NEAR_DOUBLE, (0.05, 10.0), (0.3766703343468792, 0.3766703343468792)),
+     # e^{iL xi} overflows: w holds inf and NaN, and the pairwise maximum
+     # must keep Python's max semantics (inf vs NaN dispersions)
+     (PARAMS_A, (300.0, 3000.0), (0.3, 3.0))],
+    ids=["reference", "near-double-root", "overflowing-w"],
+)
+def test_ucp_sweep_matches_per_draw_oracle(seed, params, L_range, p_radius):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = ucp_sweep(160, params, seed=seed, L_range=L_range, p_radius=p_radius)
+        want = _oracle_sweep(160, params, seed, L_range, p_radius)
+    assert len(got) == len(want)
+    for v, (L, p, tag, dispersion, verdict, detail, girard) in zip(got, want):
+        assert _bits(v.L) == _bits(L) and _bits(v.p) == _bits(p)
+        assert v.case_tag is tag and v.verdict is verdict
+        assert _bits(v.dispersion) == _bits(dispersion)
+        for key in ("roots", "w", "min_separation"):
+            assert (key in v.detail) == (key in detail)
+            if key in detail:
+                assert _bits(v.detail[key]) == _bits(detail[key]), key
+        if girard is not None:
+            assert np.max(v.detail["girard_residuals"]) <= 1e-8
+            assert np.max(girard) <= 1e-8
+    if params is NEAR_DOUBLE:
+        assert any(v.detail.get("multiplicity") for v in got)
+
+
+def test_single_point_kernels_match_oracle():
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        params = random_valid_params(rng)
+        p = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        L = float(rng.uniform(0.1, 8.0))
+        poly = build_P(p, params)
+        assert _bits(poly.coeffs) == _bits(_oracle_P(p, params))
+        roots, _ = _oracle_roots(poly.coeffs)
+        assert _bits(roots_P(poly).roots) == _bits(roots)
+        v = ucp_certificate(L, p, params)
+        tag, dispersion, verdict, _ = _oracle_from_roots(L, p, roots)
+        assert (v.case_tag, v.verdict) == (tag, verdict)
+        assert _bits(v.dispersion) == _bits(dispersion)
+
+
+def test_r0_grid_matches_scalar_oracle():
+    L, re, im = (a.ravel() for a in np.meshgrid(
+        [0.5, 1.0, np.pi, 5.0], np.linspace(-10, 10, 9), np.linspace(-10, 10, 9),
+        indexing="ij"))
+    s = np.empty(L.size, dtype=complex)
+    s.real, s.imag = re, im
+    assert np.any(s == 0)
+    rep = r0_eigencheck(L, s)
+    want = np.array([_oracle_r0(Lk, sk) for Lk, sk in zip(L.tolist(), s.tolist())])
+    assert _bits(rep.sigma_min) == _bits(want)
+    assert np.array_equal(rep.certified, want > 1e-8)
+    for k in (0, int(np.argmin(np.abs(s))), L.size - 1):
+        one = r0_eigencheck(float(L[k]), complex(s[k]))
+        assert type(one.sigma_min) is float and type(one.certified) is bool
+        assert one.sigma_min == want[k]
