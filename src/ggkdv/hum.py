@@ -442,10 +442,12 @@ def resolved_mode_count(g: Grid) -> int:
     A spatial mode k pi / L oscillates at frequency ~ (k pi / L)^3; modes
     beyond the Nyquist-resolved band saturate the discrete trace norms at
     mesh-dependent values, so quotient and constant estimates sample only
-    the resolved band (which widens under refinement).
+    the resolved band (which widens under refinement).  The band is capped
+    at N + 1 modes, the most the spatial grid can carry; without the cap a
+    tiny T asks for astronomically many.
     """
-    k = int((np.pi / g.dt) ** (1.0 / 3.0) * g.L / np.pi)
-    return max(2, k)
+    k = (np.pi / g.dt) ** (1.0 / 3.0) * g.L / np.pi
+    return int(min(max(2.0, k), g.N + 1))
 
 
 def random_final_state(rng: np.random.Generator, p: Parameters, g: Grid) -> StatePair:

@@ -2,8 +2,9 @@
 
 A scenario is a YAML mapping with a ``command`` plus the sections that
 command needs.  Unknown keys anywhere are hard errors.  Artifacts (CSV and
-run.json) are built in memory and written atomically (temp file + rename),
-so error paths leave no partial output.  Float formatting is fixed at 17
+run.json) are formatted chunk by chunk, straight into one temp file each,
+and renamed only once every artifact is written, so a failure while
+formatting or writing leaves no output.  Float formatting is fixed at 17
 significant digits for reproducibility.
 """
 
@@ -204,7 +205,13 @@ class Scenario:
             except ValueError:
                 raise ScenarioError(f"unknown configuration {spec!r}", field="config")
         if isinstance(spec, dict) and "mask" in spec and len(spec) == 1:
-            return ControlConfig(kind=ControlKind.CUSTOM, mask=tuple(spec["mask"]))
+            mask = spec["mask"]
+            # bool("false") and bool(0.5) are both True: take booleans only
+            if (not isinstance(mask, list) or len(mask) != 6
+                    or not all(isinstance(m, bool) for m in mask) or not any(mask)):
+                raise ScenarioError("mask must be 6 booleans with at least one "
+                                    f"true, got {mask!r}", field="config.mask")
+            return ControlConfig(kind=ControlKind.CUSTOM, mask=tuple(mask))
         raise ScenarioError("config must be a name or {mask: [6 booleans]}",
                             field="config")
 
@@ -351,32 +358,47 @@ def _bc_from_section(sc: Scenario, g: Grid) -> pde.BoundarySignals:
 # -- CSV helpers --------------------------------------------------------------
 
 
-def _csv(header: list, blocks) -> str:
-    """CSV text of ``blocks`` of rows, each a list of equal-length columns.
+def _csv(header: list, cols: list):
+    """Chunks of the CSV text of equal-length columns: the header, then the
+    rows.
 
-    Numeric columns are written with ``%.16e``, string columns as they are.
-    Each block is formatted by one ``%`` operation, so a trajectory streams
-    one time level at a time instead of becoming one list of Python floats.
+    Numeric columns are written with ``%.16e``, string columns as they are;
+    the rows are formatted by one ``%`` operation.
     """
-    parts = [",".join(header) + "\n"]
-    for block in blocks:
-        cols = [np.asarray(c) for c in block]
-        row = ",".join("%s" if c.dtype.kind == "U" else _FLOAT_FMT for c in cols)
-        values = itertools.chain.from_iterable(zip(*(c.tolist() for c in cols)))
-        parts.append((row + "\n") * len(cols[0]) % tuple(values))
-    return "".join(parts)
+    yield ",".join(header) + "\n"
+    cols = [np.asarray(c) for c in cols]
+    row = ",".join("%s" if c.dtype.kind == "U" else _FLOAT_FMT for c in cols)
+    values = itertools.chain.from_iterable(zip(*(c.tolist() for c in cols)))
+    yield (row + "\n") * len(cols[0]) % tuple(values)
+
+
+def _trajectory_csv(traj: pde.Trajectory):
+    """Chunks of trajectory.csv, one per time level.
+
+    Each ``x`` is formatted once, into the row tail ``,<x>,%.16e,%.16e``, and
+    each ``t`` once per level, so a level is one ``%`` operation over its
+    interleaved (u, v) values.
+    """
+    g = traj.grid
+    yield "t,x,u,v\n"
+    tails = [",%s,%s,%s\n" % (_FLOAT_FMT % x, _FLOAT_FMT, _FLOAT_FMT)
+             for x in g.x.tolist()]
+    # level n as rows (u_i, v_i), i.e. z[n] with its two halves interleaved
+    uv = traj.z.reshape(g.nt, 2, g.nx).transpose(0, 2, 1)
+    for t, level in zip(g.t.tolist(), uv):
+        ts = _FLOAT_FMT % t
+        yield (ts + ts.join(tails)) % tuple(level.ravel().tolist())
 
 
 def _trajectory_artifacts(traj: pde.Trajectory, traces: pde.TraceBundle) -> dict:
-    """trajectory.csv, one block per time level, and traces.csv."""
-    t, x = traj.grid.t, traj.grid.x
-    levels = ([np.full(len(x), t[n]), x, traj.u[n], traj.v[n]] for n in range(len(t)))
-    return {"trajectory.csv": _csv(["t", "x", "u", "v"], levels),
-            "traces.csv": _csv(["t"] + traces.column_names(), [[t] + traces.columns()])}
+    """trajectory.csv and traces.csv, as chunk generators."""
+    return {"trajectory.csv": _trajectory_csv(traj),
+            "traces.csv": _csv(["t"] + traces.column_names(),
+                               [traj.grid.t] + traces.columns())}
 
 
-def _controls_csv(signals: pde.BoundarySignals, g: Grid) -> str:
-    return _csv(["t"] + list(SIGNAL_NAMES), [[g.t, *signals.as_array()]])
+def _controls_csv(signals: pde.BoundarySignals, g: Grid):
+    return _csv(["t"] + list(SIGNAL_NAMES), [g.t, *signals.as_array()])
 
 
 # -- command runners ----------------------------------------------------------
@@ -448,7 +470,7 @@ def _run_observe(sc: Scenario):
         summary["feasible_three_control"] = rep.feasible_three_control(p)
     index = [str(i) for i in range(len(rep.quotients))]
     return summary, {"observability.csv": _csv(["sample", "quotient"],
-                                               [[index, rep.quotients]])}
+                                               [index, rep.quotients])}
 
 
 def _run_ucp_sweep(sc: Scenario):
@@ -461,14 +483,14 @@ def _run_ucp_sweep(sc: Scenario):
         "confirmed": int(n - inconclusive),
     }
     header = ["L", "re_p", "im_p", "case_tag", "dispersion", "verdict"]
-    body = _csv(header, [[
+    body = _csv(header, [
         [v.L for v in verdicts],
         [v.p.real for v in verdicts],
         [v.p.imag for v in verdicts],
         [str(v.case_tag.value) for v in verdicts],
         [v.dispersion if np.isfinite(v.dispersion) else 1e308 for v in verdicts],
         [str(v.verdict.value) for v in verdicts],
-    ]])
+    ])
     return summary, {"ucp.csv": body}
 
 
@@ -484,7 +506,7 @@ def _run_r0_check(sc: Scenario):
     summary = {"sigma_min": smin_all, "certified": bool(smin_all > tol),
                "points": int(L.size)}
     return summary, {"r0.csv": _csv(["re_s", "im_s", "L", "sigma_min"],
-                                    [[re, im, L, rep.sigma_min]])}
+                                    [re, im, L, rep.sigma_min])}
 
 
 _RUNNERS = {
@@ -506,31 +528,47 @@ class RunResult:
     message: str = ""
 
 
-def _atomic_write(directory: str, artifacts: dict):
+def _atomic_write(directory: str, artifacts: dict) -> dict:
+    """Stream every artifact's chunks into its own temp file, then rename
+    them all; returns name -> the text written.
+
+    Any exception before the renames unlinks every temp file, so a failure
+    while formatting or writing leaves nothing behind.  A failed rename
+    leaves the artifacts renamed before it in place.
+    """
     os.makedirs(directory, exist_ok=True)
-    for name, text in artifacts.items():
-        # os.open applies the umask to 0o666, as open() does; mkstemp
-        # would force mode 0600 on every artifact
-        tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
-        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-        try:
+    pending, texts = [], {}
+    try:
+        for name, chunks in artifacts.items():
+            # os.open applies the umask to 0o666, as open() does; mkstemp
+            # would force mode 0600 on every artifact
+            tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            pending.append((tmp, os.path.join(directory, name)))
+            parts = []
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # encode a slice at a time, never a copy of a whole trajectory
-                step = 1 << 20
-                for i in range(0, len(text), step):
-                    fh.write(text[i:i + step])
-            os.replace(tmp, os.path.join(directory, name))
-        except BaseException:
+                for chunk in chunks:
+                    fh.write(chunk)
+                    parts.append(chunk)
+            texts[name] = "".join(parts)
+        for tmp, path in pending:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in pending:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
+        raise
+    return texts
 
 
 def run_scenario(path: str, output_dir: str = None, seed: int = None) -> RunResult:
     """Run one scenario file; returns the exit code and artifact map.
 
-    Exit codes: 0 success, 2 parse/validation error, 3 numerical failure,
-    4 three-control feasibility failure.
+    Exit codes: 0 success, 2 parse/validation error or unwritable output
+    directory, 3 numerical failure, 4 three-control feasibility failure.
+    Every runner finishes its numerical work before it returns; its
+    artifacts are chunk generators that only format, consumed by the write.
+    ``RunResult.artifacts`` maps each artifact name to the text written.
     """
     try:
         sc = parse_scenario(path)
@@ -553,7 +591,10 @@ def run_scenario(path: str, output_dir: str = None, seed: int = None) -> RunResu
         "summary": summary,
     }
     artifacts = dict(artifacts)
-    artifacts["run.json"] = json.dumps(run_json, sort_keys=True, indent=2) + "\n"
+    artifacts["run.json"] = [json.dumps(run_json, sort_keys=True, indent=2) + "\n"]
     out_dir = output_dir or sc.raw.get("output_dir") or "."
-    _atomic_write(out_dir, artifacts)
-    return RunResult(0, summary, artifacts)
+    try:
+        texts = _atomic_write(out_dir, artifacts)
+    except OSError as exc:
+        return RunResult(2, {}, {}, message=f"cannot write artifacts: {exc}")
+    return RunResult(0, summary, texts)

@@ -1,10 +1,13 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ggkdv
 from ggkdv.cli import main as cli_main
 from ggkdv.errors import ScenarioError
 from ggkdv.scenario import (
@@ -353,10 +356,14 @@ config: FOUR_I
         MINIMAL_SIMULATE + 'initial: {u: "exp(", v: "0"}\n',
         UCP_BASE + "ucp: {samples: 8, L_min: 5, L_max: 1}\n",
         UCP_BASE + "ucp: {samples: 8, p_min: 5, p_max: 1}\n",
+        OBSERVE_BASE.replace("config: FOUR_I", "config: {mask: [false, false, "
+                             "false, false, false, false]}"),
+        OBSERVE_BASE.replace("config: FOUR_I", 'config: {mask: ["false", '
+                             '"false", 0, 0, 0, 1]}'),
     ],
     ids=["r0-axis", "observe-samples", "tol", "seed", "initial-list",
          "ucp-samples", "picard-max", "bc-syntax", "initial-syntax",
-         "ucp-L-range", "ucp-p-range"],
+         "ucp-L-range", "ucp-p-range", "mask-all-false", "mask-not-booleans"],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
     path = write(tmp_path, text)
@@ -414,3 +421,51 @@ def test_artifacts_honour_umask(tmp_path, umask):
     # the write-then-rename leaves no temporary files behind
     assert sorted(os.listdir(out)) == ["plain.txt", "run.json", "traces.csv",
                                        "trajectory.csv"]
+
+
+def test_custom_mask_of_booleans_parses():
+    sc = parse_scenario_text(OBSERVE_BASE.replace(
+        "config: FOUR_I", "config: {mask: [true, false, false, false, false, true]}"))
+    assert sc.config().mask == (True, False, False, False, False, True)
+
+
+def test_observe_at_tiny_horizon_finishes(tmp_path):
+    # without the cap at N + 1 modes, T = 1e-300 asks for ~1e100 sampled
+    # modes and never returns; a subprocess bounds the wait
+    path = write(tmp_path, OBSERVE_BASE.replace(
+        "grid: {L: 1.0, N: 16, T: 0.25, M: 16}",
+        "grid: {L: 1.0, N: 16, M: 32, T: 1.0e-300}"))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ggkdv.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ggkdv.cli", "run", path,
+         "--output-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (0, 2, 3, 4), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_unusable_output_dir_exits_2(tmp_path, capsys):
+    path = write(tmp_path, MINIMAL_SIMULATE)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    assert cli_main(["run", path, "--output-dir", str(afile / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error: cannot write artifacts:") == 1
+    assert afile.read_text() == "not a directory"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "scen.yaml"]
+
+
+@pytest.mark.parametrize("squatted", ["trajectory.csv", "run.json"])
+def test_failed_rename_leaves_no_temp_files(tmp_path, capsys, squatted):
+    # a directory squatting on an artifact's name fails its rename, after
+    # every temp file was written; the artifacts renamed before it stay
+    path = write(tmp_path, MINIMAL_SIMULATE)
+    out = tmp_path / "out"
+    (out / squatted).mkdir(parents=True)
+    assert cli_main(["run", path, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "cannot write artifacts" in err
+    order = ["trajectory.csv", "traces.csv", "run.json"]
+    assert sorted(os.listdir(out)) == sorted(order[:order.index(squatted) + 1])
+    assert not any((out / squatted).iterdir())
