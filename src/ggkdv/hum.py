@@ -54,6 +54,7 @@ from .pde import (
     TraceBundle,
     Trajectory,
     _first_derivative,
+    extract_traces,
     nonlinear_forcing,
     solve_adjoint_backward,
     solve_linear_forward,
@@ -476,20 +477,16 @@ def random_final_state(rng: np.random.Generator, p: Parameters, g: Grid) -> Stat
     return s
 
 
-def _adjoint_quotient(cfg: ControlConfig, final: StatePair, p: Parameters,
-                      g: Grid, scheme: SchemeConfig):
-    """The observability quotient of ``final`` and the adjoint trajectory
-    it came from; (None, None) for zero final data, which is not marched."""
-    nrm = x_norm(final, p, g)
-    if nrm < 1e-14:
-        return None, None
-    traj, traces = solve_adjoint_backward(p, g, final, scheme=scheme)
-    cb = combos_from_traces(traces, p)
+def _quotient(cfg: ControlConfig, z: np.ndarray, nrm: float, p: Parameters,
+              g: Grid) -> float:
+    """The observability quotient of the adjoint trajectory ``z`` (M+1, 2nx)
+    marched from final data of X-norm ``nrm``."""
+    cb = combos_from_traces(extract_traces(z, g), p)
     total = 0.0
     for i, name in enumerate(SIGNAL_NAMES):
         if cfg.mask[i]:
             total += sobolev_trace_norm(cb[i], TRACE_CLASS[name], g.T) ** 2
-    return total / nrm**2, traj.z
+    return total / nrm**2
 
 
 def observability_quotient(
@@ -498,9 +495,16 @@ def observability_quotient(
 ):
     """(sum of squared active combination norms) / ||final||_X^2.
 
-    Returns None for zero final data (not a valid quotient sample).
+    Returns None for zero final data (not a valid quotient sample), which
+    is not marched.
     """
-    return _adjoint_quotient(cfg, final, p, g, scheme)[0]
+    nrm = x_norm(final, p, g)
+    if nrm < 1e-14:
+        return None
+    validate_params(p)
+    final.check(g)
+    ad = stepper(p, g, "adjoint", (scheme or SchemeConfig()).theta)
+    return _quotient(cfg, ad.run(np.concatenate([final.u, final.v])), nrm, p, g)
 
 
 def estimate_observability(
@@ -516,39 +520,41 @@ def estimate_observability(
     For unit-norm random final data the report records the smallest observed
     quotient and, for each derivative order j, the largest H^{(1-j)/3}(0,T)
     norm of the adjoint traces over every grid abscissa (the discrete
-    surrogate of the hidden-regularity constants C_j).
+    surrogate of the hidden-regularity constants C_j).  All samples are
+    drawn first and marched as one block; each is then read from its slice.
+    Raises NumericalError when a quotient or constant is not finite.
     """
     validate_params(p)
     if nsamples < 1:
         raise ValueError("nsamples must be >= 1")
     rng = np.random.default_rng(seed)
+    finals = [random_final_state(rng, p, g) for _ in range(nsamples)]
+    ad = stepper(p, g, "adjoint", (scheme or SchemeConfig()).theta)
+    block = ad.run(np.stack([np.concatenate([f.u, f.v]) for f in finals], axis=1))
     D1 = _first_derivative(g.nx, g.dx)[1]
     D2 = second_derivative_matrix(g.nx, g.dx).T.tocsr()
-    quots = []
+    quots = np.empty(nsamples)
     c_hidden = np.zeros(3)
-    rejected = 0
-    for _ in range(nsamples):
-        final = random_final_state(rng, p, g)
-        q, states = _adjoint_quotient(cfg, final, p, g, scheme)
-        if q is None:
-            rejected += 1
-            continue
-        quots.append(q)
-        for var in (0, 1):
-            blk = states[:, var * g.nx : (var + 1) * g.nx]
-            for j, deriv in ((0, blk), (1, blk @ D1), (2, blk @ D2)):
-                norms = sobolev_norms_batch(deriv, (1.0 - j) / 3.0, g.T)
-                c_hidden[j] = max(c_hidden[j], float(np.max(norms)))
-    quots = np.array(quots)
+    # overflow only happens on a degenerate time grid; the check below turns
+    # it into a clean error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (final, states) in enumerate(zip(finals, block)):
+            quots[k] = _quotient(cfg, states, x_norm(final, p, g), p, g)
+            for var in (0, 1):
+                blk = states[:, var * g.nx : (var + 1) * g.nx]
+                for j, deriv in ((0, blk), (1, blk @ D1), (2, blk @ D2)):
+                    norms = sobolev_norms_batch(deriv, (1.0 - j) / 3.0, g.T)
+                    c_hidden[j] = np.maximum(c_hidden[j], np.max(norms))
+    if not (np.all(np.isfinite(quots)) and np.all(np.isfinite(c_hidden))):
+        raise NumericalError("observability estimates lost finiteness")
     return ObservabilityReport(
         config=cfg,
         L=g.L,
         T=g.T,
-        quotient_min=float(np.min(quots)) if len(quots) else float("nan"),
-        sample_count=len(quots),
+        quotient_min=float(np.min(quots)),
+        sample_count=nsamples,
         c_hidden=c_hidden,
         quotients=quots,
-        rejected=rejected,
     )
 
 

@@ -266,24 +266,34 @@ class Stepper:
     def run(self, z0: np.ndarray, bc: np.ndarray = None, forcing: np.ndarray = None):
         """March M steps from ``z0``; returns states with ascending time.
 
+        ``z0`` is one (2 nx,) state, giving (M+1, 2 nx), or a (2 nx, k)
+        block of k states marched together, one multi-RHS solve per level,
+        giving (k, M+1, 2 nx): column j's trajectory is the contiguous
+        ``out[j]``, with the bytes of a march of that column alone.
         ``bc`` is a (6, M+1) array (forward only; level-0 entries are the
         initial data's own traces and are not read).  ``forcing`` is a
         (M+1, 2 nx) array of stacked (p, q) samples applied on PDE rows.
+        Both apply to every column of a block.
         """
         g = self.g
         theta = self.theta
-        out = np.empty((g.nt, 2 * self.nx))
         z = np.asarray(z0, dtype=float).copy()
+        cols = (1,) * (z.ndim - 1)  # bc and forcing broadcast over a block
+        out = np.empty(z.shape[1:] + (g.nt, 2 * self.nx))
         if self.direction == "forward":
-            out[0] = z
+            start, levels = 0, range(1, g.nt)
         else:
-            out[g.M] = z
+            start, levels = g.M, range(g.M - 1, -1, -1)
             if forcing is not None:
                 raise ValueError("the adjoint system is marched homogeneously")
+        out[..., start, :] = z.T
         if forcing is not None:
             forc = np.asarray(forcing, dtype=float).copy()
             forc[:, self.bc_rows] = 0.0
-        for n in range(g.M):
+            forc = forc.reshape(forc.shape + cols)
+        if bc is not None:
+            bc = np.asarray(bc).reshape(np.shape(bc) + cols)
+        for n, level in enumerate(levels):
             rhs = self.B @ z
             if forcing is not None:
                 rhs += theta * forc[n + 1] + (1.0 - theta) * forc[n]
@@ -294,10 +304,7 @@ class Stepper:
             z = self.lu.solve(rhs)
             if not np.all(np.isfinite(z)):
                 raise NumericalError("solution lost finiteness", time_level=n + 1)
-            if self.direction == "forward":
-                out[n + 1] = z
-            else:
-                out[g.M - 1 - n] = z
+            out[..., level, :] = z.T
         return out
 
     # -- block sweeps that assemble the HUM Gramian ---------------------------

@@ -4,7 +4,9 @@ import pytest
 from ggkdv.core import (SIGNAL_NAMES, ControlConfig, Grid, Parameters, StatePair,
                         trapezoid_weights, x_inner, x_norm)
 from ggkdv import hum, pde
-from ggkdv.errors import ConstraintViolation, FeasibilityError, NonConvergence
+from ggkdv.errors import (ConstraintViolation, FeasibilityError, NonConvergence,
+                          NumericalError)
+from ggkdv.fdops import second_derivative_matrix
 from ggkdv.hum import (
     GramianOperator,
     combos_from_traces,
@@ -23,7 +25,7 @@ from ggkdv.pde import (
     solve_adjoint_backward,
     solve_linear_forward,
 )
-from ggkdv.tracenorm import riesz_map, sobolev_trace_norm
+from ggkdv.tracenorm import riesz_map, sobolev_norms_batch, sobolev_trace_norm
 
 P = Parameters(a=0.2, b=1.0, c=1.0, r=1.0)
 FOUR_I = ControlConfig.of("FOUR_I")
@@ -462,8 +464,35 @@ def test_observability_marches_each_sample_once(monkeypatch):
     g = Grid(L=1.0, N=24, T=0.5, M=48)
     runs = count_calls(monkeypatch, "run")
     rep = estimate_observability(FOUR_I, 5, P, g, seed=11)
-    assert rep.sample_count == 5 and len(runs) == 5
+    # one block march: a single Stepper.run call carrying all five columns
+    assert rep.sample_count == 5 and len(runs) == 1
+    assert runs[0][0].shape == (2 * g.nx, 5)
     rng = np.random.default_rng(11)
     for q in rep.quotients:
         final = random_final_state(rng, P, g)
         assert observability_quotient(FOUR_I, final, P, g) == q
+
+
+def test_observability_constants_match_per_sample_marches():
+    # c_hidden from the block march equals per-sample marches, bit for bit
+    g = Grid(L=1.0, N=24, T=0.5, M=48)
+    rep = estimate_observability(FOUR_I, 5, P, g, seed=11)
+    D1 = pde._first_derivative(g.nx, g.dx)[1]
+    D2 = second_derivative_matrix(g.nx, g.dx).T.tocsr()
+    rng = np.random.default_rng(11)
+    want = np.zeros(3)
+    for _ in range(5):
+        z = solve_adjoint_backward(P, g, random_final_state(rng, P, g))[0].z
+        for var in (0, 1):
+            blk = z[:, var * g.nx : (var + 1) * g.nx]
+            for j, deriv in ((0, blk), (1, blk @ D1), (2, blk @ D2)):
+                norms = sobolev_norms_batch(deriv, (1.0 - j) / 3.0, g.T)
+                want[j] = max(want[j], float(np.max(norms)))
+    assert np.array_equal(rep.c_hidden, want)
+
+
+def test_observability_rejects_non_finite_estimates():
+    # at T = 1e-300 the trace norms overflow; the report must not carry them
+    g = Grid(L=1.0, N=16, T=1.0e-300, M=32)
+    with pytest.raises(NumericalError, match="finite"):
+        estimate_observability(FOUR_I, 3, P, g)

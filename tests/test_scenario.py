@@ -444,6 +444,19 @@ def test_observe_at_tiny_horizon_finishes(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_observe_with_non_finite_estimates_exits_3(tmp_path, capsys):
+    # T = 1e-300 overflows the trace norms: exit 3, no files, no traceback
+    path = write(tmp_path, OBSERVE_BASE.replace(
+        "grid: {L: 1.0, N: 16, T: 0.25, M: 16}",
+        "grid: {L: 1.0, N: 16, M: 32, T: 1.0e-300}") + "observe: {samples: 3}\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", path, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("error:") == 1 and "finite" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unusable_output_dir_exits_2(tmp_path, capsys):
     path = write(tmp_path, MINIMAL_SIMULATE)
     afile = tmp_path / "afile"
