@@ -28,10 +28,7 @@ __all__ = [
     "StatePair",
     "ControlKind",
     "ControlConfig",
-    "DiagonalForm",
     "validate_params",
-    "dispersion_matrix",
-    "diagonalize",
     "x_norm",
     "x_inner",
     "trapezoid_weights",
@@ -217,66 +214,6 @@ class ControlConfig:
 
     def active_names(self):
         return tuple(n for n, m in zip(SIGNAL_NAMES, self.mask) if m)
-
-
-def dispersion_matrix(p: Parameters) -> np.ndarray:
-    """Matrix of the third-derivative coupling, [[1, a], [a b / c, 1 / c]]."""
-    return np.array([[1.0, p.a], [p.a * p.b / p.c, 1.0 / p.c]])
-
-
-@dataclass(frozen=True)
-class DiagonalForm:
-    """Eigen-decomposition of the dispersion coupling matrix.
-
-    ``from_diagonal`` holds the (unit-norm) eigenvector columns, so that
-
-        from_diagonal @ diag(lambda_plus, lambda_minus) @ to_diagonal
-
-    reproduces the dispersion matrix and ``to_diagonal`` maps physical
-    variables to the decoupled ones.
-
-    A closed form for the decoupled speeds circulates as
-    -1/2 ((1/c - 1) +- sqrt((1/c - 1)^2 + 4 a^2 b / c)); at a = 0, c = 2 it
-    yields {0, 1/2} while the matrix itself has eigenvalues {1, 1/2}, so this
-    module always diagonalizes the matrix directly and reports the closed
-    form only here, as a caution.
-    """
-
-    lambda_plus: float
-    lambda_minus: float
-    to_diagonal: np.ndarray
-    from_diagonal: np.ndarray
-
-
-def diagonalize(p: Parameters) -> DiagonalForm:
-    """Diagonalize the dispersion matrix of a valid parameter set.
-
-    Both eigenvalues are real: the discriminant (1 - 1/c)^2 + 4 a^2 b / c is
-    nonnegative whenever b, c > 0.  Eigenvalues are returned in descending
-    order; eigenvector columns are normalized to unit Euclidean norm with
-    their first nonzero component positive, so the output is deterministic.
-    """
-    validate_params(p)
-    E = dispersion_matrix(p)
-    lam, vec = np.linalg.eig(E)
-    lam = lam.real
-    vec = vec.real
-    order = np.argsort(-lam)
-    lam = lam[order]
-    vec = vec[:, order]
-    for j in range(2):
-        col = vec[:, j]
-        col /= np.linalg.norm(col)
-        lead = col[0] if abs(col[0]) > 1e-14 else col[1]
-        if lead < 0:
-            col = -col
-        vec[:, j] = col
-    return DiagonalForm(
-        lambda_plus=float(lam[0]),
-        lambda_minus=float(lam[1]),
-        to_diagonal=np.linalg.inv(vec),
-        from_diagonal=vec,
-    )
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:

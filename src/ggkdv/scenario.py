@@ -1,7 +1,10 @@
 """Scenario files: parse, validate, dispatch, and artifact emission.
 
 A scenario is a YAML mapping with a ``command`` plus the sections that
-command needs.  Unknown keys anywhere are hard errors.  Artifacts (CSV and
+command needs, all declared in one table (``_TABLE``).  Unknown keys
+anywhere are hard errors.  ``validate`` and ``run`` share one parse, which
+checks every value and samples the state and ``bc`` expressions on the
+grid, so ``validate`` rejects every input that ``run`` would.  Artifacts (CSV and
 run.json) are formatted chunk by chunk, straight into one temp file each,
 and renamed only once every artifact is written, so a failure while
 formatting or writing leaves no output.  Float formatting is fixed at 17
@@ -15,6 +18,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import yaml
@@ -48,311 +52,319 @@ COMMANDS = ("simulate", "adjoint", "control", "nonlinear-control",
 
 _FLOAT_FMT = "%.16e"
 
-_SCHEMA = {
-    "command": None,
-    "seed": None,
-    "output_dir": None,
-    "params": {"a", "b", "c", "r", "a1", "a2"},
-    "grid": {"L", "N", "T", "M"},
-    "scheme": {"theta", "picard_tol", "picard_max"},
-    "config": None,
-    "initial": {"u", "v", "file"},
-    "final": {"u", "v", "file"},
-    "target": {"u", "v", "file"},
-    "bc": set(SIGNAL_NAMES),
-    "tol": None,
-    "delta": None,
-    "observe": {"samples"},
-    "ucp": {"samples", "L_min", "L_max", "p_min", "p_max", "tol"},
-    "r0": {"re", "im", "lengths", "tol"},
-}
 
-_REQUIRED = {
-    "simulate": ("params", "grid"),
-    "adjoint": ("params", "grid", "final"),
-    "control": ("params", "grid", "config", "target"),
-    "nonlinear-control": ("params", "grid", "config", "target"),
-    "observe": ("params", "grid", "config"),
-    "ucp-sweep": ("params",),
-    "r0-check": (),
-}
+# -- the scenario schema ------------------------------------------------------
 
 
-def _real(value, field: str, positive: bool = True) -> float:
-    """``value`` as a finite float, positive unless ``positive`` is False."""
+def _number(value, field: str, integral=False, minimum=None, positive=False):
+    """``value`` as a finite float, or an int if ``integral``, at least
+    ``minimum`` and above 0 if ``positive``.
+
+    The one rule for numbers: a YAML int or float, or a string that
+    ``float`` reads (PyYAML reads ``1e-3`` as one), but never a boolean.
+    An integer field takes 3 or 3.0, not 2.7.
+    """
     try:
+        if isinstance(value, bool):
+            raise ValueError
         num = float(value)
+        if integral:
+            if not num.is_integer():
+                raise ValueError
+            num = value if isinstance(value, int) else int(num)
     except (TypeError, ValueError, OverflowError):
         num = math.nan
-    if isinstance(value, bool) or not math.isfinite(num) or (positive and num <= 0):
-        kind = "positive finite" if positive else "finite"
-        raise ScenarioError(f"expected a {kind} number, got {value!r}", field=field)
-    return num
-
-
-def _integer(value, field: str, minimum: int = None) -> int:
-    """``value`` as an int of at least ``minimum``; 2.7 is an error, not 2."""
-    try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError
-        num = int(value)
-    except (TypeError, ValueError):
-        num = None
-    if num is None or (minimum is not None and num < minimum):
+    if (not math.isfinite(num) or (positive and num <= 0)
+            or (minimum is not None and num < minimum)):
+        kind = ("an integer" if integral else
+                "a positive finite number" if positive else "a finite number")
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ScenarioError(f"expected an integer{bound}, got {value!r}", field=field)
+        raise ScenarioError(f"expected {kind}{bound}, got {value!r}", field=field)
     return num
 
 
-def _axis(value, field: str) -> tuple:
-    """An r0 sampling axis [lo, hi, points]."""
-    if not isinstance(value, list) or len(value) != 3:
-        raise ScenarioError(f"expected [lo, hi, points], got {value!r}", field=field)
-    return (_real(value[0], field, False), _real(value[1], field, False),
-            _integer(value[2], field, 1))
+_POSITIVE = partial(_number, positive=True)
+_INTEGER = partial(_number, integral=True)
+_COUNT = partial(_number, integral=True, minimum=1)
 
 
-def _lengths(value, field: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ScenarioError(f"expected a nonempty list, got {value!r}", field=field)
-    return [_real(v, field) for v in value]
+def _items(value, field: str, checks) -> tuple:
+    """``value``, a nonempty list, as the tuple of its checked items: item i
+    through ``checks[i]``, or every item through ``checks`` if it is one
+    check."""
+    count = len(checks) if isinstance(checks, tuple) else None
+    if not isinstance(value, list) or not value or count not in (None, len(value)):
+        raise ScenarioError(f"expected a list of {count or 'one or more'} numbers, "
+                            f"got {value!r}", field=field)
+    each = checks if count else (checks,) * len(value)
+    return tuple(check(item, field) for check, item in zip(each, value))
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A validated scenario; ``raw`` preserves the file's exact content.
-
-    Runners read values only through the accessors, which check type and
-    range; parsing calls them all, so ``validate`` rejects what ``run`` would.
-    """
-
-    raw: dict
-
-    def _get(self, path: str, default, check, *args):
-        """The value at ``path`` ("tol", "ucp.samples"), passed through ``check``."""
-        section, _, key = path.rpartition(".")
-        d = (self.raw.get(section) or {}) if section else self.raw
-        return check(d.get(key, default), path, *args)
-
-    @property
-    def command(self) -> str:
-        return self.raw["command"]
-
-    @property
-    def seed(self) -> int:
-        return self._get("seed", 0, _integer, 0)
-
-    @property
-    def tol(self) -> float:
-        return self._get("tol", 1e-3, _real)
-
-    @property
-    def delta(self) -> float:
-        return self._get("delta", 0.1, _real)
-
-    @property
-    def observe_samples(self) -> int:
-        return self._get("observe.samples", 20, _integer, 1)
-
-    def ucp(self) -> dict:
-        """Keyword arguments of ``spectral.ucp_sweep``."""
-        def real(key, default):
-            return self._get(f"ucp.{key}", default, _real)
-
-        def span(name, lo, hi):
-            bounds = (real(f"{name}_min", lo), real(f"{name}_max", hi))
-            if bounds[0] > bounds[1]:
-                raise ScenarioError(f"{name}_min {bounds[0]!r} exceeds {name}_max "
-                                    f"{bounds[1]!r}", field=f"ucp.{name}_min")
-            return bounds
-        return {"nsamples": self._get("ucp.samples", 200, _integer, 1),
-                "L_range": span("L", 0.05, 10.0),
-                "p_radius": span("p", 0.3, 3.0),
-                "tol": real("tol", 1e-6)}
-
-    def r0(self) -> tuple:
-        """(re axis, im axis, lengths, tol) of the r = 0 eigencheck grid."""
-        return (self._get("r0.re", [-10.0, 10.0, 9], _axis),
-                self._get("r0.im", [-10.0, 10.0, 9], _axis),
-                self._get("r0.lengths", [0.5, 1.0, float(np.pi), 5.0], _lengths),
-                self._get("r0.tol", 1e-8, _real))
-
-    def params(self) -> Parameters:
-        d = self.raw["params"]
-        return Parameters(
-            a=float(d["a"]), b=float(d["b"]), c=float(d["c"]), r=float(d["r"]),
-            a1=float(d.get("a1", 0.0)), a2=float(d.get("a2", 0.0)),
-        )
-
-    def grid(self) -> Grid:
-        d = self.raw["grid"]
-        return Grid(L=float(d["L"]), N=_integer(d["N"], "grid.N"), T=float(d["T"]),
-                    M=_integer(d["M"], "grid.M"))
-
-    def scheme(self) -> pde.SchemeConfig:
-        d = self.raw.get("scheme") or {}
-        return pde.SchemeConfig(
-            theta=float(d.get("theta", 0.5)),
-            picard_tol=float(d.get("picard_tol", 1e-8)),
-            picard_max=self._get("scheme.picard_max", 40, _integer),
-        )
-
-    def config(self) -> ControlConfig:
-        spec = self.raw["config"]
-        if isinstance(spec, str):
-            try:
-                return ControlConfig.of(spec)
-            except ValueError:
-                raise ScenarioError(f"unknown configuration {spec!r}", field="config")
-        if isinstance(spec, dict) and "mask" in spec and len(spec) == 1:
-            mask = spec["mask"]
-            # bool("false") and bool(0.5) are both True: take booleans only
-            if (not isinstance(mask, list) or len(mask) != 6
-                    or not all(isinstance(m, bool) for m in mask) or not any(mask)):
-                raise ScenarioError("mask must be 6 booleans with at least one "
-                                    f"true, got {mask!r}", field="config.mask")
-            return ControlConfig(kind=ControlKind.CUSTOM, mask=tuple(mask))
-        raise ScenarioError("config must be a name or {mask: [6 booleans]}",
-                            field="config")
+_LINSPACE = partial(_items, checks=(_number, _number, _COUNT))  # [lo, hi, points]
 
 
-def _check_keys(raw: dict):
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a mapping")
-    for key, val in raw.items():
-        if key not in _SCHEMA:
-            raise ScenarioError("unknown key", field=key)
-        sub = _SCHEMA[key]
-        if sub is None or val is None:
-            continue
-        if not isinstance(val, dict):
-            raise ScenarioError("must be a mapping", field=key)
-        for k2 in val:
-            if k2 not in sub:
-                raise ScenarioError("unknown key", field=f"{key}.{k2}")
+def _string(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"expected a string, got {value!r}", field=field)
+    return value
 
 
-def parse_scenario_text(text: str) -> Scenario:
+def _command(value, field: str) -> str:
+    if value not in COMMANDS:
+        raise ScenarioError(f"must be one of {', '.join(COMMANDS)}", field=field)
+    return value
+
+
+def _expression(value, field: str):
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"YAML parse failure: {exc}")
-    if raw is None:
-        raise ScenarioError("empty scenario")
-    _check_keys(raw)
-    command = raw.get("command")
-    if command not in COMMANDS:
-        raise ScenarioError(
-            f"command must be one of {', '.join(COMMANDS)}", field="command"
-        )
-    for section in _REQUIRED[command]:
-        if section not in raw:
-            raise ScenarioError("required section missing", field=section)
-    sc = Scenario(raw=raw)
-    # eagerly validate the typed sections the command will use, so bad
-    # values surface as validation errors (exit 2), not runtime failures
-    builders = (
-        ("params", lambda: validate_params(sc.params())),
-        ("grid", sc.grid),
-        ("config", sc.config),
-        ("scheme", sc.scheme),
-        ("seed", lambda: sc.seed),
-        ("tol", lambda: sc.tol),
-        ("delta", lambda: sc.delta),
-        ("observe", lambda: sc.observe_samples),
-        ("ucp", sc.ucp),
-        ("r0", sc.r0),
-        ("initial", lambda: _expressions(sc, "initial")),
-        ("final", lambda: _expressions(sc, "final")),
-        ("target", lambda: _expressions(sc, "target")),
-        ("bc", lambda: _expressions(sc, "bc")),
-    )
-    for section, build in builders:
-        if section not in raw:
-            continue
+        return compile_expression(str(value))
+    except ExpressionError as exc:
+        raise ScenarioError(str(exc), field=field)
+
+
+def _config(value, field: str) -> ControlConfig:
+    """A configuration name, or ``{mask: [...]}`` of six booleans."""
+    if isinstance(value, str):
         try:
-            build()
-        except ScenarioError:
-            raise
-        except KeyError as exc:
-            raise ScenarioError(f"missing key {exc}", field=section)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(str(exc), field=section)
-    return sc
+            return ControlConfig.of(value)
+        except ValueError:
+            raise ScenarioError(f"unknown configuration {value!r}", field=field)
+    mask = value.get("mask") if isinstance(value, dict) and len(value) == 1 else None
+    # bool("false") and bool(0.5) are both True: take booleans only
+    if (not isinstance(mask, list) or len(mask) != 6
+            or not all(isinstance(m, bool) for m in mask) or not any(mask)):
+        raise ScenarioError("expected a configuration name or {mask: [6 booleans, "
+                            f"at least one true]}}, got {value!r}", field=field)
+    return ControlConfig(kind=ControlKind.CUSTOM, mask=tuple(mask))
 
 
-def parse_scenario(path: str) -> Scenario:
+def _checked(field: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; the ValueError of a type's own domain
+    check becomes a ScenarioError of ``field``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario: {exc}")
-    return parse_scenario_text(text)
-
-
-def serialize_scenario(sc: Scenario) -> str:
-    return yaml.safe_dump(sc.raw, sort_keys=True)
-
-
-# -- data construction -------------------------------------------------------
-
-
-def _state_from_section(sc: Scenario, section: str, g: Grid) -> StatePair:
-    spec = sc.raw.get(section)
-    if spec is None:
-        return StatePair.zeros(g)
-    if "file" in spec:
-        return _state_from_file(spec["file"], g, section)
-    fns = _expressions(sc, section)
-    return StatePair(*(_sample(fns[var], g.x, section) for var in "uv"))
-
-
-def _expressions(sc: Scenario, section: str) -> dict:
-    """The compiled expressions of a state or ``bc`` section by key, "0"
-    where one is missing.  A state read from ``file`` has none."""
-    spec = sc.raw.get(section) or {}
-    if "file" in spec:
-        if "u" in spec or "v" in spec:
-            raise ScenarioError("give either file or u/v expressions, not both",
-                                field=section)
-        return {}
-    bc, fns = section == "bc", {}
-    for key in (SIGNAL_NAMES if bc else "uv"):
-        try:
-            fns[key] = compile_expression(str(spec.get(key, "0")))
-        except ExpressionError as exc:
-            raise ScenarioError(str(exc), field=f"bc.{key}" if bc else section)
-    return fns
+        return build(*args, **kwargs)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(str(exc), field=field)
 
 
 def _sample(fn, points: np.ndarray, field: str) -> np.ndarray:
-    """The compiled expression ``fn`` evaluated at ``points``."""
+    """The compiled expression ``fn`` at each of ``points``, one point at a
+    time (numpy's sin and exp may round differently); zeros if ``fn`` is
+    None."""
+    if fn is None:
+        return np.zeros(len(points))
     try:
         return np.array([fn(v) for v in points])
     except ExpressionError as exc:
         raise ScenarioError(str(exc), field=field)
 
 
-def _state_from_file(path: str, g: Grid, section: str) -> StatePair:
+def _state_from_file(path: str, g: Grid, field: str) -> StatePair:
     try:
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
-        raise ScenarioError(f"cannot read state file: {exc}", field=section)
+        raise ScenarioError(f"cannot read state file: {exc}", field=field)
     except ValueError as exc:
-        raise ScenarioError(f"bad state file: {exc}", field=section)
+        raise ScenarioError(f"bad state file: {exc}", field=field)
     if rows.shape != (g.nx, 2):
-        raise ScenarioError(
-            f"state file must have {g.nx} rows and columns u,v", field=section
-        )
+        raise ScenarioError(f"state file must have {g.nx} rows and columns u,v",
+                            field=field)
     return StatePair(rows[:, 0].copy(), rows[:, 1].copy())
 
 
-def _bc_from_section(sc: Scenario, g: Grid) -> pde.BoundarySignals:
-    if sc.raw.get("bc") is None:
-        return pde.BoundarySignals.zeros(g)
-    fns = _expressions(sc, "bc")
-    return pde.BoundarySignals(*(_sample(fns[name], g.t, f"bc.{name}")
-                                 for name in SIGNAL_NAMES))
+def _state(u, v, file):
+    """The sampler (grid, field) -> StatePair of a state section."""
+    if file is not None and (u is not None or v is not None):
+        raise ValueError("give either file or u/v expressions, not both")
+
+    def sample(g: Grid, field: str) -> StatePair:
+        if file is not None:
+            state = _state_from_file(file, g, field)
+        else:
+            state = StatePair(_sample(u, g.x, f"{field}.u"), _sample(v, g.x, f"{field}.v"))
+        state.check(g)
+        return state
+    return sample
+
+
+def _signals(**fns):
+    """The sampler (grid, field) -> BoundarySignals of the ``bc`` section."""
+    return lambda g, field: pde.BoundarySignals(
+        *(_sample(fns[name], g.t, f"{field}.{name}") for name in SIGNAL_NAMES))
+
+
+def _ucp(samples, L_min, L_max, p_min, p_max, tol) -> dict:
+    """Keyword arguments of ``spectral.ucp_sweep``."""
+    for name, lo, hi in (("L", L_min, L_max), ("p", p_min, p_max)):
+        if lo > hi:
+            raise ValueError(f"{name}_min {lo!r} exceeds {name}_max {hi!r}")
+    return {"nsamples": samples, "L_range": (L_min, L_max),
+            "p_radius": (p_min, p_max), "tol": tol}
+
+
+class _Section:
+    """A mapping of its own keys, each a (check, default) row like the
+    table's; the checked values build ``build(**values)``, which keeps its
+    domain checks."""
+
+    def __init__(self, build, **fields):
+        self.build, self.fields = build, fields
+
+
+@dataclass(frozen=True)
+class _NeededBy:
+    """The default of a key that has none: the commands that need it given,
+    or None for every scenario."""
+
+    commands: tuple = None
+
+
+_MUST = _NeededBy()
+_GRIDDED = ("simulate", "adjoint", "control", "nonlinear-control", "observe")
+_STATE = {"u": (_expression, None), "v": (_expression, None), "file": (_string, None)}
+
+# The scenario schema: each top-level key's check and default.  A missing or
+# null key takes its default, which passes through the check; None is no
+# value, and _NeededBy is an error for the commands it names (no value for the
+# others).  A _Section checks its keys the same way, then builds its type.
+_TABLE = {
+    "command": (_command, _MUST),
+    "seed": (partial(_number, integral=True, minimum=0), 0),
+    "output_dir": (_string, None),
+    "tol": (_POSITIVE, 1e-3),
+    "delta": (_POSITIVE, 0.1),
+    "config": (_config, _NeededBy(("control", "nonlinear-control", "observe"))),
+    "params": (_Section(lambda **kw: validate_params(Parameters(**kw)),
+                        a=(_number, _MUST), b=(_number, _MUST), c=(_number, _MUST),
+                        r=(_number, _MUST), a1=(_number, 0.0), a2=(_number, 0.0)),
+               _NeededBy(_GRIDDED + ("ucp-sweep",))),
+    "grid": (_Section(Grid, L=(_number, _MUST), N=(_INTEGER, _MUST),
+                      T=(_number, _MUST), M=(_INTEGER, _MUST)),
+             _NeededBy(_GRIDDED)),
+    "scheme": (_Section(pde.SchemeConfig, theta=(_number, 0.5),
+                        picard_tol=(_number, 1e-8), picard_max=(_INTEGER, 40)), {}),
+    "initial": (_Section(_state, **_STATE), {}),
+    "final": (_Section(_state, **_STATE), _NeededBy(("adjoint",))),
+    "target": (_Section(_state, **_STATE), _NeededBy(("control", "nonlinear-control"))),
+    "bc": (_Section(_signals, **{name: (_expression, None) for name in SIGNAL_NAMES}), {}),
+    "observe": (_Section(lambda samples: samples, samples=(_COUNT, 20)), {}),
+    "ucp": (_Section(_ucp, samples=(_COUNT, 200), L_min=(_POSITIVE, 0.05),
+                     L_max=(_POSITIVE, 10.0), p_min=(_POSITIVE, 0.3),
+                     p_max=(_POSITIVE, 3.0), tol=(_POSITIVE, 1e-6)), {}),
+    "r0": (_Section(lambda re, im, lengths, tol: (re, im, lengths, tol),
+                    re=(_LINSPACE, [-10, 10, 9]), im=(_LINSPACE, [-10, 10, 9]),
+                    lengths=(partial(_items, checks=_POSITIVE), [0.5, 1.0, math.pi, 5.0]),
+                    tol=(_POSITIVE, 1e-8)), {}),
+}
+
+
+def _fields(mapping, table: dict, command, section: str = None) -> dict:
+    """The checked value of every key of ``table`` in ``mapping``: one pass
+    over keys, types, ranges and required keys, sections built in turn."""
+    if not isinstance(mapping, dict):
+        raise ScenarioError("must be a mapping", field=section or "scenario")
+    prefix = f"{section}." if section else ""
+    for key in mapping:
+        if key not in table:
+            raise ScenarioError("unknown key", field=f"{prefix}{key}")
+    values = {}
+    for key, (check, default) in table.items():
+        field, value = prefix + key, mapping.get(key)
+        if value is None and isinstance(default, _NeededBy):
+            if default.commands is None or command in default.commands:
+                raise ScenarioError("required key missing", field=field)
+            default = None
+        value = default if value is None else value
+        if value is None:
+            values[key] = None
+        elif isinstance(check, _Section):
+            values[key] = _checked(field, check.build,
+                                   **_fields(value, check.fields, command, field))
+        else:
+            values[key] = check(value, field)
+    return values
+
+
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """A checked scenario, one typed attribute per key of the schema table.
+
+    ``raw`` is the file's mapping verbatim (run.json echoes it), and two
+    scenarios are equal when their ``raw`` are.  ``params``, ``grid`` and
+    ``config`` are None when not given.  ``initial``, ``final``, ``target``
+    and ``bc`` are sampled on the grid, zeros where not given, and are None
+    without a grid (``final`` and ``target`` also when not given).
+    ``observe`` is the sample count, ``ucp`` the keyword arguments of
+    ``spectral.ucp_sweep`` and ``r0`` the tuple (re axis, im axis, lengths,
+    tol), each axis (lo, hi, points).
+    """
+
+    raw: dict
+    command: str
+    seed: int
+    output_dir: str | None
+    tol: float
+    delta: float
+    config: ControlConfig | None
+    params: Parameters | None
+    grid: Grid | None
+    scheme: pde.SchemeConfig
+    initial: StatePair | None
+    final: StatePair | None
+    target: StatePair | None
+    bc: pde.BoundarySignals | None
+    observe: int
+    ucp: dict
+    r0: tuple
+
+    def __eq__(self, other):
+        return isinstance(other, Scenario) and self.raw == other.raw
+
+
+def _scenario(raw) -> Scenario:
+    """The Scenario of a loaded mapping, checked against the table and
+    sampled on its grid; every input error is a ScenarioError."""
+    values = _fields(raw, _TABLE, raw.get("command") if isinstance(raw, dict) else None)
+    for key in ("initial", "final", "target", "bc"):
+        if values["grid"] is None or values[key] is None:
+            values[key] = None
+        else:
+            values[key] = _checked(key, values[key], values["grid"], key)
+    return Scenario(raw=raw, **values)
+
+
+def _load(path: str):
+    """The YAML mapping of the scenario file at ``path``, unchecked."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario: {exc}")
+    return _load_text(text)
+
+
+def _load_text(text: str):
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"YAML parse failure: {exc}")
+    if raw is None:
+        raise ScenarioError("empty scenario")
+    return raw
+
+
+def parse_scenario_text(text: str) -> Scenario:
+    return _scenario(_load_text(text))
+
+
+def parse_scenario(path: str) -> Scenario:
+    return _scenario(_load(path))
+
+
+def serialize_scenario(sc: Scenario) -> str:
+    return yaml.safe_dump(sc.raw, sort_keys=True)
 
 
 # -- CSV helpers --------------------------------------------------------------
@@ -405,34 +417,29 @@ def _controls_csv(signals: pde.BoundarySignals, g: Grid):
 
 
 def _run_simulate(sc: Scenario):
-    p, g = sc.params(), sc.grid()
-    init = _state_from_section(sc, "initial", g)
-    bc = _bc_from_section(sc, g)
-    traj, traces = pde.solve_linear_forward(p, g, init, bc, scheme=sc.scheme())
+    p, g = sc.params, sc.grid
+    traj, traces = pde.solve_linear_forward(p, g, sc.initial, sc.bc, scheme=sc.scheme)
     summary = {
         "terminal_x_norm": x_norm(traj.final_state, p, g),
-        "initial_x_norm": x_norm(init, p, g),
+        "initial_x_norm": x_norm(sc.initial, p, g),
     }
     return summary, _trajectory_artifacts(traj, traces)
 
 
 def _run_adjoint(sc: Scenario):
-    p, g = sc.params(), sc.grid()
-    final = _state_from_section(sc, "final", g)
-    traj, traces = pde.solve_adjoint_backward(p, g, final, scheme=sc.scheme())
+    p, g = sc.params, sc.grid
+    traj, traces = pde.solve_adjoint_backward(p, g, sc.final, scheme=sc.scheme)
     summary = {
-        "final_x_norm": x_norm(final, p, g),
+        "final_x_norm": x_norm(sc.final, p, g),
         "initial_x_norm": x_norm(traj.initial_state, p, g),
     }
     return summary, _trajectory_artifacts(traj, traces)
 
 
 def _run_control(sc: Scenario):
-    p, g = sc.params(), sc.grid()
-    cfg = sc.config()
-    init = _state_from_section(sc, "initial", g)
-    target = _state_from_section(sc, "target", g)
-    res = hum.solve_control(cfg, init, target, sc.tol, p, g, scheme=sc.scheme())
+    p, g, target = sc.params, sc.grid, sc.target
+    res = hum.solve_control(sc.config, sc.initial, target, sc.tol, p, g,
+                            scheme=sc.scheme)
     err = x_norm(StatePair(res.achieved.u - target.u, res.achieved.v - target.v), p, g)
     tnorm = max(x_norm(target, p, g), 1e-30)
     summary = {
@@ -445,36 +452,30 @@ def _run_control(sc: Scenario):
 
 
 def _run_nonlinear_control(sc: Scenario):
-    p, g = sc.params(), sc.grid()
-    cfg = sc.config()
-    init = _state_from_section(sc, "initial", g)
-    target = _state_from_section(sc, "target", g)
-    res = hum.solve_nonlinear_control(init, target, cfg, sc.delta, p, g,
-                                      scheme=sc.scheme(), tol=sc.tol)
+    res = hum.solve_nonlinear_control(sc.initial, sc.target, sc.config, sc.delta,
+                                      sc.params, sc.grid, scheme=sc.scheme, tol=sc.tol)
     summary = {
         "outer_iterations": res.iterations,
         "terminal_relative_error": res.terminal_error,
         "outer_history": [float(v) for v in res.history],
         "control_norms": {k: float(v) for k, v in res.controls.norms.items()},
     }
-    return summary, {"controls.csv": _controls_csv(res.controls.signals, g)}
+    return summary, {"controls.csv": _controls_csv(res.controls.signals, sc.grid)}
 
 
 def _run_observe(sc: Scenario):
-    p, g = sc.params(), sc.grid()
-    cfg = sc.config()
-    rep = hum.estimate_observability(cfg, sc.observe_samples, p, g, seed=sc.seed,
-                                     scheme=sc.scheme())
+    rep = hum.estimate_observability(sc.config, sc.observe, sc.params, sc.grid,
+                                     seed=sc.seed, scheme=sc.scheme)
     summary = rep.as_json_dict()
-    if cfg.is_three_control:
-        summary["feasible_three_control"] = rep.feasible_three_control(p)
+    if sc.config.is_three_control:
+        summary["feasible_three_control"] = rep.feasible_three_control(sc.params)
     index = [str(i) for i in range(len(rep.quotients))]
     return summary, {"observability.csv": _csv(["sample", "quotient"],
                                                [index, rep.quotients])}
 
 
 def _run_ucp_sweep(sc: Scenario):
-    verdicts = spectral.ucp_sweep(params=sc.params(), seed=sc.seed, **sc.ucp())
+    verdicts = spectral.ucp_sweep(params=sc.params, seed=sc.seed, **sc.ucp)
     n = len(verdicts)
     inconclusive = sum(v.verdict is spectral.Verdict.INCONCLUSIVE for v in verdicts)
     summary = {
@@ -495,7 +496,7 @@ def _run_ucp_sweep(sc: Scenario):
 
 
 def _run_r0_check(sc: Scenario):
-    (re_lo, re_hi, re_n), (im_lo, im_hi, im_n), lengths, tol = sc.r0()
+    (re_lo, re_hi, re_n), (im_lo, im_hi, im_n), lengths, tol = sc.r0
     L, re, im = (axis.ravel() for axis in np.meshgrid(
         lengths, np.linspace(re_lo, re_hi, re_n), np.linspace(im_lo, im_hi, im_n),
         indexing="ij"))
@@ -571,11 +572,10 @@ def run_scenario(path: str, output_dir: str = None, seed: int = None) -> RunResu
     ``RunResult.artifacts`` maps each artifact name to the text written.
     """
     try:
-        sc = parse_scenario(path)
-        if seed is not None:
-            raw = dict(sc.raw)
-            raw["seed"] = int(seed)
-            sc = Scenario(raw=raw)
+        raw = _load(path)
+        if seed is not None and isinstance(raw, dict):
+            raw = dict(raw, seed=seed)
+        sc = _scenario(raw)
         summary, artifacts = _RUNNERS[sc.command](sc)
     except (ScenarioError, ExpressionError) as exc:
         return RunResult(2, {}, {}, message=str(exc))
@@ -592,7 +592,7 @@ def run_scenario(path: str, output_dir: str = None, seed: int = None) -> RunResu
     }
     artifacts = dict(artifacts)
     artifacts["run.json"] = [json.dumps(run_json, sort_keys=True, indent=2) + "\n"]
-    out_dir = output_dir or sc.raw.get("output_dir") or "."
+    out_dir = output_dir or sc.output_dir or "."
     try:
         texts = _atomic_write(out_dir, artifacts)
     except OSError as exc:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConstraintViolation
+
 __all__ = [
     "sobolev_trace_norm",
     "sobolev_inner",
@@ -38,7 +40,7 @@ def _check(series: np.ndarray, T: float) -> np.ndarray:
     if series.ndim != 1:
         raise ValueError("series must be 1-d")
     if len(series) < 4:
-        raise ValueError("series too short (< 4 samples)")
+        raise ConstraintViolation("series too short (< 4 samples)")
     if not np.all(np.isfinite(series)):
         raise ValueError("series contains NaN or Inf")
     if not (T > 0 and np.isfinite(T)):
@@ -93,7 +95,7 @@ def sobolev_norms_batch(block: np.ndarray, s: float, T: float) -> np.ndarray:
     """H^s norms of many series at once; ``block`` has series in columns."""
     block = np.asarray(block, dtype=float)
     if block.shape[0] < 4:
-        raise ValueError("series too short (< 4 samples)")
+        raise ConstraintViolation("series too short (< 4 samples)")
     M = block.shape[0] - 1
     dt = T / M
     ext = np.concatenate([block, block[-2:0:-1, :]], axis=0)

@@ -10,8 +10,6 @@ from ggkdv.core import (
     Grid,
     Parameters,
     StatePair,
-    diagonalize,
-    dispersion_matrix,
     validate_params,
     x_inner,
     x_norm,
@@ -121,53 +119,6 @@ def test_x_inner_dimension_mismatch():
     bad = StatePair(np.zeros(5), np.zeros(5))
     with pytest.raises(ValueError):
         x_inner(bad, bad, p, g)
-
-
-def test_diagonalize_decoupled():
-    # a = 0, b = 1, c = 2: matrix diag(1, 1/2)
-    d = diagonalize(Parameters(a=0.0, b=1.0, c=2.0, r=0.0))
-    assert d.lambda_plus == pytest.approx(1.0, abs=1e-14)
-    assert d.lambda_minus == pytest.approx(0.5, abs=1e-14)
-
-
-def test_diagonalize_identity_case():
-    d = diagonalize(Parameters(a=0.0, b=1.0, c=1.0, r=0.0))
-    assert d.lambda_plus == d.lambda_minus == pytest.approx(1.0)
-    np.testing.assert_allclose(d.to_diagonal, np.eye(2), atol=1e-14)
-
-
-def test_diagonalize_coupled_example():
-    # characteristic polynomial lambda^2 - 2 lambda + (1 - 1/2)
-    d = diagonalize(Parameters(a=1.0, b=0.5, c=1.0, r=0.0))
-    assert d.lambda_plus == pytest.approx(1.0 + np.sqrt(0.5), rel=1e-14)
-    assert d.lambda_minus == pytest.approx(1.0 - np.sqrt(0.5), rel=1e-14)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_diagonalize_reconstructs_matrix(seed):
-    rng = np.random.default_rng(seed)
-    while True:
-        p = Parameters(
-            a=rng.uniform(-1.5, 1.5),
-            b=rng.uniform(0.1, 3.0),
-            c=rng.uniform(0.1, 3.0),
-            r=rng.uniform(-2, 2),
-        )
-        if 1 - p.a**2 * p.b > 1e-3:
-            break
-    d = diagonalize(p)
-    E = dispersion_matrix(p)
-    rebuilt = d.from_diagonal @ np.diag([d.lambda_plus, d.lambda_minus]) @ d.to_diagonal
-    np.testing.assert_allclose(rebuilt, E, atol=1e-12)
-    np.testing.assert_allclose(d.from_diagonal @ d.to_diagonal, np.eye(2), atol=1e-12)
-    # unit columns, leading nonzero entry positive
-    for j in range(2):
-        col = d.from_diagonal[:, j]
-        assert np.linalg.norm(col) == pytest.approx(1.0, rel=1e-12)
-        lead = col[0] if abs(col[0]) > 1e-14 else col[1]
-        assert lead > 0
-    if p.a**2 * p.b > 1e-8:
-        assert d.lambda_plus != pytest.approx(d.lambda_minus, abs=1e-12)
 
 
 def test_control_config_masks():

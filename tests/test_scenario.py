@@ -6,8 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 import ggkdv
+from ggkdv import scenario
 from ggkdv.cli import main as cli_main
 from ggkdv.errors import ScenarioError
 from ggkdv.scenario import (
@@ -360,10 +362,19 @@ config: FOUR_I
                              "false, false, false, false]}"),
         OBSERVE_BASE.replace("config: FOUR_I", 'config: {mask: ["false", '
                              '"false", 0, 0, 0, 1]}'),
+        MINIMAL_SIMULATE.replace("L: 1.0", "L: true"),
+        MINIMAL_SIMULATE.replace("r: 1.0", "r: true"),
+        MINIMAL_SIMULATE + "scheme: {picard_tol: true}\n",
+        MINIMAL_SIMULATE + "output_dir: 5\n",
+        MINIMAL_SIMULATE + 'initial: {u: "1/(x-x)"}\n',
+        MINIMAL_SIMULATE + 'initial: {u: "exp(1000)"}\n',
+        MINIMAL_SIMULATE + "initial: {file: nope.csv}\n",
     ],
     ids=["r0-axis", "observe-samples", "tol", "seed", "initial-list",
          "ucp-samples", "picard-max", "bc-syntax", "initial-syntax",
-         "ucp-L-range", "ucp-p-range", "mask-all-false", "mask-not-booleans"],
+         "ucp-L-range", "ucp-p-range", "mask-all-false", "mask-not-booleans",
+         "grid-bool", "params-bool", "scheme-bool", "output-dir-int",
+         "initial-div-zero", "initial-overflow", "initial-missing-file"],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
     path = write(tmp_path, text)
@@ -374,6 +385,55 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
     assert "Traceback" not in err
     assert err.count("invalid scenario") == 1 and err.count("error:") == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_scenario_file_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "scen.yaml"
+    path.write_bytes(b"\xff\xfecommand: simulate\n")
+    out = tmp_path / "out"
+    assert cli_main(["validate", str(path)]) == 2
+    assert cli_main(["run", str(path), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("cannot read scenario") == 2
+    assert not out.exists()
+
+
+def test_numeric_string_is_a_number():
+    # PyYAML reads 1e-3 (no dot) as a string; numeric fields still take it
+    assert yaml.safe_load("tol: 1e-3") == {"tol": "1e-3"}
+    assert parse_scenario_text(MINIMAL_SIMULATE + "tol: 1e-3\n").tol == 0.001
+
+
+def test_seed_override_is_checked_like_the_file_seed(tmp_path, capsys):
+    # simulate never reads the seed, but run.json echoes it
+    path = write(tmp_path, MINIMAL_SIMULATE.replace("seed: 3\n", ""))
+    out = tmp_path / "out"
+    assert cli_main(["run", path, "--seed", "-3", "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: seed: ")
+    assert not out.exists()
+
+
+def test_seed_override_parses_once(tmp_path, monkeypatch):
+    calls = []
+    parse = scenario._scenario
+    monkeypatch.setattr(scenario, "_scenario", lambda raw: calls.append(raw) or parse(raw))
+    path = write(tmp_path, MINIMAL_SIMULATE)
+    result = run_scenario(path, output_dir=str(tmp_path / "out"), seed=9)
+    assert result.exit_code == 0
+    assert len(calls) == 1 and calls[0]["seed"] == 9
+    assert json.loads((tmp_path / "out" / "run.json").read_text())["seed"] == 9
+
+
+def test_integer_output_dir_exits_2_without_override(tmp_path, capsys, monkeypatch):
+    # the output directory comes from the scenario itself
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, MINIMAL_SIMULATE + "output_dir: 5\n")
+    assert cli_main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: output_dir: ")
+    assert sorted(os.listdir(tmp_path)) == ["scen.yaml"]
 
 
 def test_equal_ucp_bounds_are_valid(tmp_path):
@@ -426,7 +486,7 @@ def test_artifacts_honour_umask(tmp_path, umask):
 def test_custom_mask_of_booleans_parses():
     sc = parse_scenario_text(OBSERVE_BASE.replace(
         "config: FOUR_I", "config: {mask: [true, false, false, false, false, true]}"))
-    assert sc.config().mask == (True, False, False, False, False, True)
+    assert sc.config.mask == (True, False, False, False, False, True)
 
 
 def test_observe_at_tiny_horizon_finishes(tmp_path):
@@ -455,6 +515,17 @@ def test_observe_with_non_finite_estimates_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.count("error:") == 1 and "finite" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_too_few_time_levels_for_trace_norms_exit_3(tmp_path, capsys):
+    # M = 2 is a valid grid, but the trace norms need 4 time levels
+    path = write(tmp_path, OBSERVE_BASE.replace("M: 16", "M: 2"))
+    out = tmp_path / "out"
+    assert cli_main(["validate", path]) == 0
+    assert cli_main(["run", path, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error: series too short" in err
+    assert not out.exists()
 
 
 def test_unusable_output_dir_exits_2(tmp_path, capsys):
