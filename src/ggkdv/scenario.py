@@ -7,13 +7,13 @@ checks every value and samples the state and ``bc`` expressions on the
 grid, so ``validate`` rejects every input that ``run`` would.  Artifacts (CSV and
 run.json) are formatted chunk by chunk, straight into one temp file each,
 and renamed only once every artifact is written, so a failure while
-formatting or writing leaves no output.  Float formatting is fixed at 17
-significant digits for reproducibility.
+formatting or writing leaves no output.  Every float is written as Python's
+``%.16e`` would write it (17 significant digits), by the array kernel of
+``emit``.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 import yaml
 
-from . import hum, pde, spectral
+from . import emit, hum, pde, spectral, tracenorm
 from .core import (
     SIGNAL_NAMES,
     ControlConfig,
@@ -50,7 +50,9 @@ __all__ = ["Scenario", "parse_scenario", "parse_scenario_text",
 COMMANDS = ("simulate", "adjoint", "control", "nonlinear-control",
             "observe", "ucp-sweep", "r0-check")
 
-_FLOAT_FMT = "%.16e"
+# values formatted per CSV chunk, a few trajectory time levels: larger chunks
+# format a little faster but raise the peak resident set
+_CHUNK = 2048
 
 
 # -- the scenario schema ------------------------------------------------------
@@ -175,13 +177,14 @@ def _state_from_file(path: str, g: Grid, field: str) -> StatePair:
 
 
 def _state(u, v, file):
-    """The sampler (grid, field) -> StatePair of a state section."""
+    """The sampler (grid, field, base) -> StatePair of a state section; a
+    relative ``file`` is read from the directory ``base``."""
     if file is not None and (u is not None or v is not None):
         raise ValueError("give either file or u/v expressions, not both")
 
-    def sample(g: Grid, field: str) -> StatePair:
+    def sample(g: Grid, field: str, base: str) -> StatePair:
         if file is not None:
-            state = _state_from_file(file, g, field)
+            state = _state_from_file(os.path.join(base, file), g, field)
         else:
             state = StatePair(_sample(u, g.x, f"{field}.u"), _sample(v, g.x, f"{field}.v"))
         state.check(g)
@@ -190,8 +193,9 @@ def _state(u, v, file):
 
 
 def _signals(**fns):
-    """The sampler (grid, field) -> BoundarySignals of the ``bc`` section."""
-    return lambda g, field: pde.BoundarySignals(
+    """The sampler (grid, field, base) -> BoundarySignals of the ``bc``
+    section; ``base`` is unused."""
+    return lambda g, field, base: pde.BoundarySignals(
         *(_sample(fns[name], g.t, f"{field}.{name}") for name in SIGNAL_NAMES))
 
 
@@ -222,7 +226,9 @@ class _NeededBy:
 
 
 _MUST = _NeededBy()
-_GRIDDED = ("simulate", "adjoint", "control", "nonlinear-control", "observe")
+# the commands that take a control configuration and trace norms
+_TRACED = ("control", "nonlinear-control", "observe")
+_GRIDDED = ("simulate", "adjoint") + _TRACED
 _STATE = {"u": (_expression, None), "v": (_expression, None), "file": (_string, None)}
 
 # The scenario schema: each top-level key's check and default.  A missing or
@@ -235,7 +241,7 @@ _TABLE = {
     "output_dir": (_string, None),
     "tol": (_POSITIVE, 1e-3),
     "delta": (_POSITIVE, 0.1),
-    "config": (_config, _NeededBy(("control", "nonlinear-control", "observe"))),
+    "config": (_config, _NeededBy(_TRACED)),
     "params": (_Section(lambda **kw: validate_params(Parameters(**kw)),
                         a=(_number, _MUST), b=(_number, _MUST), c=(_number, _MUST),
                         r=(_number, _MUST), a1=(_number, 0.0), a2=(_number, 0.0)),
@@ -323,15 +329,22 @@ class Scenario:
         return isinstance(other, Scenario) and self.raw == other.raw
 
 
-def _scenario(raw) -> Scenario:
+def _scenario(raw, base: str = "") -> Scenario:
     """The Scenario of a loaded mapping, checked against the table and
-    sampled on its grid; every input error is a ScenarioError."""
+    sampled on its grid, state files read relative to the directory
+    ``base``; every input error is a ScenarioError."""
     values = _fields(raw, _TABLE, raw.get("command") if isinstance(raw, dict) else None)
+    g = values["grid"]
+    if (values["command"] in _TRACED and g is not None
+            and g.nt < tracenorm.MIN_SAMPLES):
+        raise ScenarioError(f"{values['command']} needs at least "
+                            f"{tracenorm.MIN_SAMPLES - 1} time steps for its trace "
+                            f"norms, got {g.M}", field="grid.M")
     for key in ("initial", "final", "target", "bc"):
-        if values["grid"] is None or values[key] is None:
+        if g is None or values[key] is None:
             values[key] = None
         else:
-            values[key] = _checked(key, values[key], values["grid"], key)
+            values[key] = _checked(key, values[key], g, key, base)
     return Scenario(raw=raw, **values)
 
 
@@ -356,11 +369,15 @@ def _load_text(text: str):
 
 
 def parse_scenario_text(text: str) -> Scenario:
+    """The Scenario of YAML text; state files are read relative to the
+    working directory."""
     return _scenario(_load_text(text))
 
 
 def parse_scenario(path: str) -> Scenario:
-    return _scenario(_load(path))
+    """The Scenario of the file at ``path``; state files are read relative
+    to its directory."""
+    return _scenario(_load(path), os.path.dirname(path))
 
 
 def serialize_scenario(sc: Scenario) -> str:
@@ -370,36 +387,37 @@ def serialize_scenario(sc: Scenario) -> str:
 # -- CSV helpers --------------------------------------------------------------
 
 
-def _csv(header: list, cols: list):
-    """Chunks of the CSV text of equal-length columns: the header, then the
-    rows.
+def _cells(col: np.ndarray) -> np.ndarray:
+    return emit.string_cells(col) if col.dtype.kind in "US" else emit.format_e16(col)
 
-    Numeric columns are written with ``%.16e``, string columns as they are;
-    the rows are formatted by one ``%`` operation.
+
+def _csv(header: list, cols: list):
+    """Chunks of the CSV text of equal-length columns: the header, then
+    about ``_CHUNK`` values at a time.
+
+    Numeric columns are written as ``%.16e``, string columns as they are.
     """
     yield ",".join(header) + "\n"
     cols = [np.asarray(c) for c in cols]
-    row = ",".join("%s" if c.dtype.kind == "U" else _FLOAT_FMT for c in cols)
-    values = itertools.chain.from_iterable(zip(*(c.tolist() for c in cols)))
-    yield (row + "\n") * len(cols[0]) % tuple(values)
+    step = max(1, _CHUNK // len(cols))
+    for start in range(0, len(cols[0]), step):
+        part = [_cells(c[start:start + step]) for c in cols]
+        yield emit.csv_rows((len(part[0]),), part)
 
 
 def _trajectory_csv(traj: pde.Trajectory):
-    """Chunks of trajectory.csv, one per time level.
-
-    Each ``x`` is formatted once, into the row tail ``,<x>,%.16e,%.16e``, and
-    each ``t`` once per level, so a level is one ``%`` operation over its
-    interleaved (u, v) values.
-    """
+    """Chunks of trajectory.csv, a few time levels each: the ``t`` and ``x``
+    columns are formatted once, and each chunk formats about ``_CHUNK``
+    values of (u, v)."""
     g = traj.grid
     yield "t,x,u,v\n"
-    tails = [",%s,%s,%s\n" % (_FLOAT_FMT % x, _FLOAT_FMT, _FLOAT_FMT)
-             for x in g.x.tolist()]
-    # level n as rows (u_i, v_i), i.e. z[n] with its two halves interleaved
-    uv = traj.z.reshape(g.nt, 2, g.nx).transpose(0, 2, 1)
-    for t, level in zip(g.t.tolist(), uv):
-        ts = _FLOAT_FMT % t
-        yield (ts + ts.join(tails)) % tuple(level.ravel().tolist())
+    t_cells = emit.format_e16(g.t)[:, None]
+    x_cells = emit.format_e16(g.x)
+    step = max(1, _CHUNK // (2 * g.nx))
+    for start in range(0, g.nt, step):
+        uv = emit.format_e16(traj.z[start:start + step])
+        yield emit.csv_rows((len(uv), g.nx), [t_cells[start:start + step], x_cells,
+                                              uv[:, :g.nx], uv[:, g.nx:]])
 
 
 def _trajectory_artifacts(traj: pde.Trajectory, traces: pde.TraceBundle) -> dict:
@@ -575,7 +593,7 @@ def run_scenario(path: str, output_dir: str = None, seed: int = None) -> RunResu
         raw = _load(path)
         if seed is not None and isinstance(raw, dict):
             raw = dict(raw, seed=seed)
-        sc = _scenario(raw)
+        sc = _scenario(raw, os.path.dirname(path))
         summary, artifacts = _RUNNERS[sc.command](sc)
     except (ScenarioError, ExpressionError) as exc:
         return RunResult(2, {}, {}, message=str(exc))

@@ -33,14 +33,16 @@ __all__ = [
 ]
 
 _VALID_S = (-1.0 / 3.0, 0.0, 1.0 / 3.0)
+# the fewest time samples a trace series may have
+MIN_SAMPLES = 4
 
 
 def _check(series: np.ndarray, T: float) -> np.ndarray:
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
         raise ValueError("series must be 1-d")
-    if len(series) < 4:
-        raise ConstraintViolation("series too short (< 4 samples)")
+    if len(series) < MIN_SAMPLES:
+        raise ConstraintViolation(f"series too short (< {MIN_SAMPLES} samples)")
     if not np.all(np.isfinite(series)):
         raise ValueError("series contains NaN or Inf")
     if not (T > 0 and np.isfinite(T)):
@@ -94,8 +96,8 @@ def riesz_map(series, s: float, T: float) -> np.ndarray:
 def sobolev_norms_batch(block: np.ndarray, s: float, T: float) -> np.ndarray:
     """H^s norms of many series at once; ``block`` has series in columns."""
     block = np.asarray(block, dtype=float)
-    if block.shape[0] < 4:
-        raise ConstraintViolation("series too short (< 4 samples)")
+    if block.shape[0] < MIN_SAMPLES:
+        raise ConstraintViolation(f"series too short (< {MIN_SAMPLES} samples)")
     M = block.shape[0] - 1
     dt = T / M
     ext = np.concatenate([block, block[-2:0:-1, :]], axis=0)

@@ -215,6 +215,25 @@ initial: {{file: "{state}"}}
     assert result.summary["initial_x_norm"] > 0
 
 
+def test_state_file_is_read_beside_the_scenario(tmp_path, capsys, monkeypatch):
+    scen_dir, elsewhere = tmp_path / "dir", tmp_path / "elsewhere"
+    scen_dir.mkdir()
+    elsewhere.mkdir()
+    (scen_dir / "state.csv").write_text("u,v\n" + "0.5,0.25\n" * 18)
+    text = MINIMAL_SIMULATE + "initial: {file: state.csv}\n"
+    path = write(scen_dir, text)
+    monkeypatch.chdir(elsewhere)
+    assert cli_main(["validate", path]) == 0
+    assert cli_main(["run", path, "--output-dir", "out"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (elsewhere / "out" / "trajectory.csv").exists()
+    # text has no directory of its own: its files are read from the cwd
+    with pytest.raises(ScenarioError, match="cannot read state file"):
+        parse_scenario_text(text)
+    monkeypatch.chdir(scen_dir)
+    assert parse_scenario_text(text).initial.u[0] == 0.5
+
+
 @pytest.mark.parametrize("both", ['u: "sin(x)"', 'v: "0"'])
 def test_state_file_excludes_expressions(tmp_path, capsys, both):
     state = tmp_path / "state.csv"
@@ -418,7 +437,8 @@ def test_seed_override_is_checked_like_the_file_seed(tmp_path, capsys):
 def test_seed_override_parses_once(tmp_path, monkeypatch):
     calls = []
     parse = scenario._scenario
-    monkeypatch.setattr(scenario, "_scenario", lambda raw: calls.append(raw) or parse(raw))
+    monkeypatch.setattr(scenario, "_scenario",
+                        lambda raw, base: calls.append(raw) or parse(raw, base))
     path = write(tmp_path, MINIMAL_SIMULATE)
     result = run_scenario(path, output_dir=str(tmp_path / "out"), seed=9)
     assert result.exit_code == 0
@@ -515,17 +535,6 @@ def test_observe_with_non_finite_estimates_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
     assert err.count("error:") == 1 and "finite" in err
     assert not out.exists() or not any(out.iterdir())
-
-
-def test_too_few_time_levels_for_trace_norms_exit_3(tmp_path, capsys):
-    # M = 2 is a valid grid, but the trace norms need 4 time levels
-    path = write(tmp_path, OBSERVE_BASE.replace("M: 16", "M: 2"))
-    out = tmp_path / "out"
-    assert cli_main(["validate", path]) == 0
-    assert cli_main(["run", path, "--output-dir", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and "error: series too short" in err
-    assert not out.exists()
 
 
 def test_unusable_output_dir_exits_2(tmp_path, capsys):

@@ -12,6 +12,7 @@ import random
 import shutil
 import tempfile
 
+import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,3 +146,23 @@ def test_generated_scenarios_keep_the_exit_code_contract(raw):
         assert (checked == 2) == (code == 2), (check_err, run_err)
     finally:
         shutil.rmtree(root)
+
+
+@pytest.mark.parametrize("command", ["control", "nonlinear-control", "observe",
+                                     "simulate", "adjoint"])
+def test_trace_norm_commands_reject_two_time_steps(tmp_path, command):
+    # M = 2 gives 3 time levels; the trace norms need 4
+    raw = {"command": command, "params": {"a": 0.2, "b": 1.0, "c": 1.0, "r": 1.0},
+           "grid": {"L": 1.0, "N": 8, "T": 0.25, "M": 2}, "config": "FOUR_I",
+           "target": {"u": "1e-3*sin(x)"}, "final": {"u": "1e-3*sin(x)"}}
+    path, out = tmp_path / "scen.yaml", tmp_path / "out"
+    path.write_text(yaml.safe_dump(raw))
+    checked, check_err = cli("validate", str(path))
+    code, run_err = cli("run", str(path), "--output-dir", str(out))
+    assert "Traceback" not in check_err + run_err
+    if command in ("simulate", "adjoint"):
+        assert checked == code == 0
+    else:
+        assert checked == code == 2
+        assert "grid.M" in check_err and "grid.M" in run_err
+        assert not out.exists()
