@@ -210,7 +210,9 @@ class ControlConfig:
 
     @property
     def is_three_control(self) -> bool:
-        return self.kind in (ControlKind.THREE_V, ControlKind.THREE_VI)
+        """Whether the mask is a three-control pattern, whatever the kind."""
+        return self.mask in (_KIND_MASKS[ControlKind.THREE_V],
+                             _KIND_MASKS[ControlKind.THREE_VI])
 
     def active_names(self):
         return tuple(n for n, m in zip(SIGNAL_NAMES, self.mask) if m)

@@ -51,17 +51,15 @@ from .fdops import boundary_stencils, second_derivative_matrix
 from .pde import (
     BoundarySignals,
     SchemeConfig,
-    TraceBundle,
     Trajectory,
     _first_derivative,
-    extract_traces,
     nonlinear_forcing,
     solve_adjoint_backward,
     solve_linear_forward,
     solve_nonlinear,
     stepper,
 )
-from .tracenorm import riesz_map, sobolev_norms_batch, sobolev_trace_norm
+from .tracenorm import riesz_columns, sobolev_norms_batch, sobolev_trace_norm
 
 __all__ = [
     "ControlBundle",
@@ -75,13 +73,15 @@ __all__ = [
     "estimate_observability",
     "solve_nonlinear_control",
     "random_final_state",
-    "observability_quotient",
 ]
 
 # fractional class of each control's paired trace combination; the control
 # signal itself (Dirichlet / Neumann / second derivative) has the opposite one
 TRACE_CLASS = dict(zip(SIGNAL_NAMES, (-1 / 3, 0.0, 1 / 3) * 2))
 CONTROL_CLASS = {name: 0.0 - s for name, s in TRACE_CLASS.items()}
+# the CGLS iteration cap, and the samples of the three-control gate
+MAXITER = 500
+FEASIBILITY_SAMPLES = 8
 
 
 def _coefficients(p: Parameters) -> dict:
@@ -189,37 +189,26 @@ def combo_read_vectors(p: Parameters, g: Grid) -> np.ndarray:
     )
 
 
-def combos_from_traces(traces: TraceBundle, p: Parameters) -> np.ndarray:
-    """The six trace combinations (6, M+1) from an adjoint trace bundle."""
-    a, b = p.a, p.b
-    t = traces
-    return np.stack(
-        [
-            t.series(0, 2, "0") + a * t.series(1, 2, "0"),
-            t.series(0, 1, "L") + a * t.series(1, 1, "L"),
-            t.series(0, 0, "L") + a * t.series(1, 0, "L"),
-            a * b * t.series(0, 2, "0") + t.series(1, 2, "0"),
-            a * b * t.series(0, 1, "L") + t.series(1, 1, "L"),
-            a * b * t.series(0, 0, "L") + t.series(1, 0, "L"),
-        ]
-    )
+def _active(cfg: ControlConfig) -> list:
+    return [i for i in range(6) if cfg.mask[i]]
 
 
-def _signals_from_combos(cb: np.ndarray, cfg: ControlConfig, p: Parameters, T: float):
+def _controls_in_place(rows: np.ndarray, active: list, p: Parameters, T: float):
+    """Turn each combination history ``rows[k]`` of signal ``active[k]``
+    (time along its first axis) into the control history coef_i R_i of
+    that signal, in place."""
     coef = _coefficients(p)
-    sig = np.zeros_like(cb)
-    for i, name in enumerate(SIGNAL_NAMES):
-        if not cfg.mask[i]:
-            continue
-        s = TRACE_CLASS[name]
-        sig[i] = coef[name] * (cb[i] if s == 0.0 else riesz_map(cb[i], s, T))
-    return sig
+    for row, i in zip(rows, active):
+        name = SIGNAL_NAMES[i]
+        riesz_columns(row, TRACE_CLASS[name], T)
+        row *= coef[name]
 
 
 def controls_from_adjoint(
-    cfg: ControlConfig, traces: TraceBundle, p: Parameters
+    cfg: ControlConfig, traj: Trajectory, p: Parameters
 ) -> ControlBundle:
-    """Boundary controls read off adjoint traces, masked to the configuration.
+    """Boundary controls read off an adjoint trajectory, masked to the
+    configuration.
 
     Inactive signals are identically zero.  Active ones are the scaled
     (Riesz-weighted, for the fractional classes) trace combinations, so the
@@ -227,15 +216,18 @@ def controls_from_adjoint(
     class norms of the active combinations.
     """
     validate_params(p)
-    T = traces.grid.T
-    cb = combos_from_traces(traces, p)
-    sig = _signals_from_combos(cb, cfg, p, T)
-    signals = BoundarySignals.from_array(sig)
+    g = traj.grid
+    active = _active(cfg)
+    sig = np.zeros((6, g.nt))
+    rows = combo_read_vectors(p, g)[active] @ traj.z.T
+    _controls_in_place(rows, active, p, g.T)
+    sig[active] = rows
     norms = {
-        name: sobolev_trace_norm(sig[i], CONTROL_CLASS[name], T)
+        name: sobolev_trace_norm(sig[i], CONTROL_CLASS[name], g.T)
         for i, name in enumerate(SIGNAL_NAMES)
     }
-    return ControlBundle(signals=signals, config=cfg, norms=norms)
+    return ControlBundle(signals=BoundarySignals.from_array(sig), config=cfg,
+                         norms=norms)
 
 
 class GramianOperator:
@@ -256,15 +248,10 @@ class GramianOperator:
         self.w_stacked = np.concatenate([(p.b / p.c) * w, w])
         fw = stepper(p, g, "forward", theta)
         ad = stepper(p, g, "adjoint", theta)
-        active = [i for i in range(6) if cfg.mask[i]]
+        active = _active(cfg)
         # Theta, turned in place into the control histories coef_i R_i Theta_i
         d = ad.readout_transpose(combo_read_vectors(p, g)[active])
-        coef = _coefficients(p)
-        for row, i in zip(d, active):
-            name = SIGNAL_NAMES[i]
-            if TRACE_CLASS[name] != 0.0:
-                _riesz_columns(row, TRACE_CLASS[name], g.T)
-            row *= coef[name]
+        _controls_in_place(d, active, p, g.T)
         self.G = fw.input_transpose(d, active).T
         if not np.all(np.isfinite(self.G)):
             raise NumericalError("Gramian assembly lost finiteness")
@@ -287,20 +274,6 @@ def gramian_operator(cfg: ControlConfig, p: Parameters, g: Grid,
     """The assembled Gramian of a key, shared by all callers (read-only);
     pass the arguments positionally, so that equal keys share one entry."""
     return GramianOperator(cfg, p, g, theta)
-
-
-def _riesz_columns(block: np.ndarray, s: float, T: float):
-    """``riesz_map`` of class ``s`` down each column of ``block`` (M+1, m),
-    in place, 32 columns at a time, so that the transforms of the reflected
-    series never hold a copy of the whole block."""
-    M = block.shape[0] - 1
-    om = 2.0 * np.pi * np.fft.rfftfreq(2 * M, d=T / M)
-    w = ((1.0 + om**2) ** s)[:, None]
-    for j in range(0, block.shape[1], 32):
-        cols = block[:, j:j + 32]
-        ext = np.concatenate([cols, cols[-2:0:-1]])
-        spec = np.fft.rfft(ext, axis=0) * w
-        cols[:] = np.fft.irfft(spec, n=2 * M, axis=0)[: M + 1]
 
 
 def gramian_apply(
@@ -377,9 +350,7 @@ def solve_control(
     p: Parameters,
     g: Grid,
     scheme: SchemeConfig = None,
-    maxiter: int = 500,
     x0: StatePair = None,
-    feasibility_samples: int = 8,
     check_feasibility: bool = True,
 ) -> ControlResult:
     """Steer ``init`` to ``target`` at time T with the masked boundary controls.
@@ -393,7 +364,7 @@ def solve_control(
     init.check(g)
     target.check(g)
     if cfg.is_three_control and check_feasibility:
-        rep = estimate_observability(cfg, feasibility_samples, p, g, scheme=scheme)
+        rep = estimate_observability(cfg, FEASIBILITY_SAMPLES, p, g, scheme=scheme)
         if not rep.feasible_three_control(p):
             gap = 1.0 - p.a**2 * p.b
             raise FeasibilityError(
@@ -413,10 +384,10 @@ def solve_control(
                              StatePair.zeros(g))
     z0 = np.concatenate([x0.u, x0.v]) if x0 is not None else None
     op = gramian_operator(cfg, p, g, theta)
-    xsol, iters, hist = _cgls(op, rhs, tol, maxiter, x0=z0)
+    xsol, iters, hist = _cgls(op, rhs, tol, MAXITER, x0=z0)
     adjoint_final = StatePair(xsol[: g.nx].copy(), xsol[g.nx :].copy())
-    _, traces = solve_adjoint_backward(p, g, adjoint_final, scheme=scheme)
-    bundle = controls_from_adjoint(cfg, traces, p)
+    adjoint, _ = solve_adjoint_backward(p, g, adjoint_final, scheme=scheme)
+    bundle = controls_from_adjoint(cfg, adjoint, p)
     traj, _ = solve_linear_forward(p, g, init, bundle.signals, scheme=scheme)
     return ControlResult(
         controls=bundle,
@@ -480,31 +451,17 @@ def random_final_state(rng: np.random.Generator, p: Parameters, g: Grid) -> Stat
 def _quotient(cfg: ControlConfig, z: np.ndarray, nrm: float, p: Parameters,
               g: Grid) -> float:
     """The observability quotient of the adjoint trajectory ``z`` (M+1, 2nx)
-    marched from final data of X-norm ``nrm``."""
-    cb = combos_from_traces(extract_traces(z, g), p)
-    total = 0.0
-    for i, name in enumerate(SIGNAL_NAMES):
-        if cfg.mask[i]:
-            total += sobolev_trace_norm(cb[i], TRACE_CLASS[name], g.T) ** 2
-    return total / nrm**2
-
-
-def observability_quotient(
-    cfg: ControlConfig, final: StatePair, p: Parameters, g: Grid,
-    scheme: SchemeConfig = None,
-):
-    """(sum of squared active combination norms) / ||final||_X^2.
-
-    Returns None for zero final data (not a valid quotient sample), which
-    is not marched.
-    """
-    nrm = x_norm(final, p, g)
-    if nrm < 1e-14:
-        return None
-    validate_params(p)
-    final.check(g)
-    ad = stepper(p, g, "adjoint", (scheme or SchemeConfig()).theta)
-    return _quotient(cfg, ad.run(np.concatenate([final.u, final.v])), nrm, p, g)
+    marched from final data of X-norm ``nrm``.  Each active term is the
+    trapezoid pairing of the control read off ``z`` with its combination
+    c_i, <coef_i R_i c_i, c_i> / coef_i, which is ||c_i||^2 in the class of
+    c_i (an exact identity of the discrete Riesz map)."""
+    active = _active(cfg)
+    combos = combo_read_vectors(p, g)[active] @ z.T
+    controls = combos.copy()
+    _controls_in_place(controls, active, p, g.T)
+    coef = np.array([_coefficients(p)[SIGNAL_NAMES[i]] for i in active])
+    pairs = (controls * combos) @ trapezoid_weights(g.nt, g.dt) / coef
+    return float(np.sum(pairs)) / nrm**2
 
 
 def estimate_observability(
@@ -568,7 +525,6 @@ def solve_nonlinear_control(
     scheme: SchemeConfig = None,
     tol: float = 1e-3,
     self_terms: bool = True,
-    outer_max: int = None,
 ) -> NonlinearControlResult:
     """Fixed-point loop steering the full nonlinear system to ``target``.
 
@@ -584,7 +540,6 @@ def solve_nonlinear_control(
         raise ConstraintViolation(
             f"data too large: ||init|| + ||target|| = {sizes:.3g} > delta = {delta:.3g}"
         )
-    outer_max = outer_max or scheme.picard_max
     fw = stepper(p, g, "forward", scheme.theta)
     adjusted = target.copy()
     warm = None
@@ -593,7 +548,7 @@ def solve_nonlinear_control(
     traj = None
     tnorm = max(x_norm(target, p, g), 1e-30)
     converged = False
-    for it in range(1, outer_max + 1):
+    for it in range(1, scheme.picard_max + 1):
         result = solve_control(cfg, init, adjusted, tol, p, g, scheme=scheme,
                                x0=warm, check_feasibility=(it == 1))
         warm = result.adjoint_final
@@ -627,7 +582,7 @@ def solve_nonlinear_control(
             )
     if not converged and history and history[-1] > 10 * scheme.picard_tol:
         raise NonConvergence(
-            f"outer fixed point did not settle in {outer_max} sweeps; "
+            f"outer fixed point did not settle in {scheme.picard_max} sweeps; "
             f"history {history}",
             history=history,
         )

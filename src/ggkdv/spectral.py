@@ -50,7 +50,6 @@ __all__ = [
     "roots_P",
     "lambert_solve",
     "ucp_certificate",
-    "certificate_from_roots",
     "ucp_sweep",
     "degree_certificate",
     "r0_eigencheck",
@@ -71,17 +70,14 @@ class Verdict(enum.Enum):
 
 @dataclass
 class PolyP:
-    """Degree-6 polynomial of the Fourier reduction, leading coefficient first.
-
-    ``normalized`` selects between Q itself and P(xi) = Q(-xi)/(1 - a^2 b),
-    whose leading coefficient is one.  A stack of polynomials has one row of
-    ``coeffs`` per value of ``p``, then a complex array.
+    """The monic degree-6 polynomial P(xi) = Q(-xi)/(1 - a^2 b) of the
+    Fourier reduction, leading coefficient first.  A stack of polynomials
+    has one row of ``coeffs`` per value of ``p``, then a complex array.
     """
 
     coeffs: np.ndarray
     p: complex
     params: Parameters
-    normalized: bool
 
 
 @dataclass
@@ -161,9 +157,8 @@ def build_P(p, params: Parameters) -> PolyP:
     coeffs = _ODD_SIGNS * q / gap
     coeffs[:, 0] = 1.0  # exact, complex division rounds the leading entry
     if stacked:
-        return PolyP(coeffs=coeffs, p=np.array(ps, dtype=complex), params=params,
-                     normalized=True)
-    return PolyP(coeffs=coeffs[0], p=complex(p), params=params, normalized=True)
+        return PolyP(coeffs=coeffs, p=np.array(ps, dtype=complex), params=params)
+    return PolyP(coeffs=coeffs[0], p=complex(p), params=params)
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -247,8 +242,6 @@ def roots_P(poly: PolyP) -> RootSet:
     A stack of polynomials (2-D ``coeffs``) gives one row of each field per
     polynomial, from one stacked eigenvalue call.
     """
-    if not poly.normalized:
-        poly = build_P(poly.p, poly.params)
     coeffs = np.atleast_2d(poly.coeffs)
     roots = _polish_roots(coeffs, _companion_roots(coeffs))
     residuals = np.abs(_horner(coeffs, roots))
@@ -383,21 +376,15 @@ def _certify(Ls: list, ps: list, params: Parameters, tol: float) -> list:
     return out
 
 
-def certificate_from_roots(L: float, p: complex, roots: np.ndarray,
-                           tol: float = 1e-6) -> UcpVerdict:
-    """Dispersion analysis of a given root set of P (nonzero p).
+def _verdicts_from_roots(Ls: list, ps: list, roots: np.ndarray,
+                         tol: float) -> list:
+    """Dispersion verdicts of every row of the (n, m) ``roots`` of P (nonzero
+    p), with the row's length in ``Ls`` and its p in ``ps``.
 
     Near-coincident roots void the simple-root argument and yield an
     INCONCLUSIVE verdict with a multiplicity flag instead of a dispersion
     claim.
     """
-    roots = np.asarray(roots, dtype=complex)
-    return _verdicts_from_roots([L], [complex(p)], roots[None, :], tol)[0]
-
-
-def _verdicts_from_roots(Ls: list, ps: list, roots: np.ndarray,
-                         tol: float) -> list:
-    """``certificate_from_roots`` of every row of the (n, m) ``roots``."""
     L = np.array(Ls, dtype=float)[:, None]
     min_sep = _first_extreme(_pair_distances(roots), np.less)
     top = np.max(np.abs(roots), axis=1)

@@ -8,7 +8,10 @@ t = 0, T), and the norm is computed from DFT coefficients,
     ||f||_{H^s}^2 = dt/(4M) * sum_k (1 + w_k^2)^s |F_k|^2,
 
 with w_k the angular frequencies of the reflected grid.  At s = 0 this is
-exactly the composite trapezoid rule for the L^2(0, T) norm.
+exactly the composite trapezoid rule for the L^2(0, T) norm.  Every norm,
+inner product and Riesz map here comes from one kernel, the real FFT of the
+reflected series down the columns of a block, so a single series has the
+bits of its column in a block.
 
 The polarized inner product and the Riesz map
 
@@ -29,6 +32,7 @@ __all__ = [
     "sobolev_trace_norm",
     "sobolev_inner",
     "riesz_map",
+    "riesz_columns",
     "sobolev_norms_batch",
 ]
 
@@ -37,7 +41,7 @@ _VALID_S = (-1.0 / 3.0, 0.0, 1.0 / 3.0)
 MIN_SAMPLES = 4
 
 
-def _check(series: np.ndarray, T: float) -> np.ndarray:
+def _check(series: np.ndarray, s: float, T: float) -> np.ndarray:
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
         raise ValueError("series must be 1-d")
@@ -47,50 +51,68 @@ def _check(series: np.ndarray, T: float) -> np.ndarray:
         raise ValueError("series contains NaN or Inf")
     if not (T > 0 and np.isfinite(T)):
         raise ValueError("T must be positive and finite")
+    if s not in _VALID_S:
+        raise ValueError("s must be one of -1/3, 0, 1/3")
     return series
 
 
-def _weights(M: int, dt: float, s: float) -> np.ndarray:
-    om = 2.0 * np.pi * np.fft.fftfreq(2 * M, d=dt)
-    return (1.0 + om**2) ** s
+def _spectrum(block: np.ndarray, s: float, T: float):
+    """The rfft down each column of the even reflection of ``block`` (M+1,
+    ...), and the weights (1 + w^2)^s of its M+1 angular frequencies."""
+    M = block.shape[0] - 1
+    ext = np.concatenate([block, block[-2:0:-1]])
+    om = 2.0 * np.pi * np.fft.rfftfreq(2 * M, d=T / M)
+    return np.fft.rfft(ext, axis=0), (1.0 + om**2) ** s
 
 
-def _reflect(series: np.ndarray) -> np.ndarray:
-    return np.concatenate([series, series[-2:0:-1]])
+def _spectral_sum(w: np.ndarray, power: np.ndarray, T: float) -> np.ndarray:
+    """dt/(4M) times the sum of ``w * power`` over the full reflected
+    spectrum, from its half spectrum (the spectrum of a real series)."""
+    M = len(w) - 1
+    mult = np.full(M + 1, 2.0)
+    mult[0] = 1.0
+    mult[M] = 1.0
+    return (w * mult) @ power * (T / M) / (4 * M)
 
 
 def sobolev_inner(f, g, s: float, T: float) -> float:
     """Polarized H^s(0,T) inner product of two sampled series."""
-    f = _check(f, T)
-    g = _check(g, T)
+    f = _check(f, s, T)
+    g = _check(g, s, T)
     if len(f) != len(g):
         raise ValueError("series length mismatch")
-    if s not in _VALID_S:
-        raise ValueError("s must be one of -1/3, 0, 1/3")
-    M = len(f) - 1
-    dt = T / M
-    F = np.fft.fft(_reflect(f))
-    G = np.fft.fft(_reflect(g))
-    w = _weights(M, dt, s)
-    return float(np.real(np.sum(w * F * np.conj(G))) * dt / (4 * M))
+    F, w = _spectrum(f, s, T)
+    G, _ = _spectrum(g, s, T)
+    return float(_spectral_sum(w, (F * np.conj(G)).real, T))
 
 
 def sobolev_trace_norm(series, s: float, T: float) -> float:
     """H^s(0,T) norm of a sampled series, s in {-1/3, 0, 1/3}."""
-    return float(np.sqrt(max(sobolev_inner(series, series, s, T), 0.0)))
+    series = _check(series, s, T)
+    return float(sobolev_norms_batch(series[:, None], s, T)[0])
 
 
 def riesz_map(series, s: float, T: float) -> np.ndarray:
     """Apply the H^s Riesz multiplier (1 + w^2)^s in reflected frequency."""
-    series = _check(series, T)
-    if s not in _VALID_S:
-        raise ValueError("s must be one of -1/3, 0, 1/3")
-    M = len(series) - 1
-    dt = T / M
+    out = _check(series, s, T).copy()
+    riesz_columns(out, s, T)
+    return out
+
+
+def riesz_columns(block: np.ndarray, s: float, T: float) -> None:
+    """``riesz_map`` of class ``s`` down each column of ``block`` (M+1, m),
+    or of a 1-d series, in place; s = 0 is the identity.  Columns are
+    transformed 32 at a time, so that the transforms of the reflected
+    series never hold a copy of the whole block."""
     if s == 0.0:
-        return series.copy()
-    F = np.fft.fft(_reflect(series)) * _weights(M, dt, s)
-    return np.fft.ifft(F).real[: M + 1]
+        return
+    if block.ndim == 1:
+        block = block[:, None]
+    M = block.shape[0] - 1
+    for j in range(0, block.shape[1], 32):
+        cols = block[:, j:j + 32]
+        F, w = _spectrum(cols, s, T)
+        cols[:] = np.fft.irfft(F * w[:, None], n=2 * M, axis=0)[: M + 1]
 
 
 def sobolev_norms_batch(block: np.ndarray, s: float, T: float) -> np.ndarray:
@@ -98,15 +120,6 @@ def sobolev_norms_batch(block: np.ndarray, s: float, T: float) -> np.ndarray:
     block = np.asarray(block, dtype=float)
     if block.shape[0] < MIN_SAMPLES:
         raise ConstraintViolation(f"series too short (< {MIN_SAMPLES} samples)")
-    M = block.shape[0] - 1
-    dt = T / M
-    ext = np.concatenate([block, block[-2:0:-1, :]], axis=0)
-    F = np.fft.rfft(ext, axis=0)
-    om = 2.0 * np.pi * np.fft.rfftfreq(2 * M, d=dt)
-    w = (1.0 + om**2) ** s
-    # full-spectrum sum from the half spectrum of a real signal
-    mult = np.full(M + 1, 2.0)
-    mult[0] = 1.0
-    mult[M] = 1.0
-    sq = (w * mult) @ np.abs(F) ** 2 * dt / (4 * M)
+    F, w = _spectrum(block, s, T)
+    sq = _spectral_sum(w, np.abs(F) ** 2, T)
     return np.sqrt(np.maximum(sq, 0.0))

@@ -9,12 +9,10 @@ from ggkdv.errors import (ConstraintViolation, FeasibilityError, NonConvergence,
 from ggkdv.fdops import second_derivative_matrix
 from ggkdv.hum import (
     GramianOperator,
-    combos_from_traces,
     controls_from_adjoint,
     estimate_observability,
     gramian_apply,
     gramian_operator,
-    observability_quotient,
     random_final_state,
     solve_control,
     solve_nonlinear_control,
@@ -50,8 +48,8 @@ def gaussian_target(g, eps=1e-2):
 
 def test_zero_traces_give_zero_controls():
     g = Grid(L=1.0, N=24, T=1.0, M=32)
-    _, traces = solve_adjoint_backward(P, g, StatePair.zeros(g))
-    bundle = controls_from_adjoint(FOUR_I, traces, P)
+    traj, _ = solve_adjoint_backward(P, g, StatePair.zeros(g))
+    bundle = controls_from_adjoint(FOUR_I, traj, P)
     assert all(np.max(np.abs(getattr(bundle.signals, n))) == 0.0
                for n in ("h0", "h1", "h2", "g0", "g1", "g2"))
     assert all(v == 0.0 for v in bundle.norms.values())
@@ -64,8 +62,8 @@ def test_control_formulas_decoupled_coefficients():
     g = Grid(L=1.0, N=32, T=1.0, M=64)
     rng = np.random.default_rng(0)
     final = shaped_random_state(rng, g)
-    _, traces = solve_adjoint_backward(p0, g, final)
-    bundle = controls_from_adjoint(ControlConfig.of("FOUR_II"), traces, p0)
+    traj, traces = solve_adjoint_backward(p0, g, final)
+    bundle = controls_from_adjoint(ControlConfig.of("FOUR_II"), traj, p0)
     np.testing.assert_allclose(bundle.signals.h1,
                                traces.series(0, 1, "L"), atol=1e-13)
     np.testing.assert_allclose(bundle.signals.g1,
@@ -80,10 +78,10 @@ def test_control_formulas_decoupled_coefficients():
 def test_inactive_signals_masked_to_zero():
     g = Grid(L=1.0, N=24, T=1.0, M=32)
     rng = np.random.default_rng(1)
-    _, traces = solve_adjoint_backward(P, g, shaped_random_state(rng, g))
+    traj, _ = solve_adjoint_backward(P, g, shaped_random_state(rng, g))
     for kind in ("FOUR_I", "FOUR_II", "FOUR_III", "FOUR_IV", "THREE_V", "THREE_VI"):
         cfg = ControlConfig.of(kind)
-        bundle = controls_from_adjoint(cfg, traces, P)
+        bundle = controls_from_adjoint(cfg, traj, P)
         for name, active in zip(("h0", "h1", "h2", "g0", "g1", "g2"), cfg.mask):
             mag = np.max(np.abs(getattr(bundle.signals, name)))
             if active:
@@ -107,8 +105,8 @@ def test_duality_pairing_is_sum_of_squared_trace_norms():
         xh = g.x / g.L
         f = 30 * xh**2 * (1 - xh) ** 3
         final = StatePair(f, 0.5 * f)
-        traj, traces = solve_adjoint_backward(P, g, final)
-        cb = combos_from_traces(traces, P)
+        traj, _ = solve_adjoint_backward(P, g, final)
+        cb = hum.combo_read_vectors(P, g) @ traj.z.T
         expected = sum(
             sobolev_trace_norm(cb[i], classes[n], g.T) ** 2
             for i, n in enumerate(("h0", "h1", "h2", "g0", "g1", "g2"))
@@ -212,11 +210,6 @@ def test_cross_configuration_same_target():
     assert x_norm(d, P, g) <= 4e-3 * x_norm(target, P, g) * 2
 
 
-def test_observability_quotient_rejects_zero():
-    g = Grid(L=1.0, N=24, T=1.0, M=32)
-    assert observability_quotient(FOUR_I, StatePair.zeros(g), P, g) is None
-
-
 def test_observability_report_and_monotonicity():
     g = Grid(L=1.0, N=32, T=1.0, M=64)
     rep4 = estimate_observability(FOUR_I, 4, P, g, seed=11)
@@ -242,7 +235,8 @@ def test_three_control_runs_when_feasible():
     p = Parameters(a=0.9, b=1.2, c=1.0, r=1.0)
     target = gaussian_target(g, eps=1e-3)
     res = solve_control(ControlConfig.of("THREE_V"), StatePair.zeros(g),
-                        target, 1e-2, p, g, maxiter=400)
+                        target, 1e-2, p, g)
+    assert res.iterations <= 400
     err = x_norm(StatePair(res.achieved.u - target.u, res.achieved.v - target.v), p, g)
     assert err / x_norm(target, p, g) <= 5e-2
 
@@ -308,8 +302,8 @@ def test_report_json_serialization():
     assert len(parsed["c_hidden"]) == 3
 
     rng = np.random.default_rng(0)
-    _, traces = solve_adjoint_backward(P, g, shaped_random_state(rng, g))
-    bundle = controls_from_adjoint(FOUR_I, traces, P)
+    traj, _ = solve_adjoint_backward(P, g, shaped_random_state(rng, g))
+    bundle = controls_from_adjoint(FOUR_I, traj, P)
     blob = json.dumps(bundle.as_json_dict(), sort_keys=True)
     parsed = json.loads(blob)
     assert parsed["mask"] == [True, True, True, False, True, False]
@@ -388,7 +382,11 @@ def sparse_apply(op, z):
     ad = pde.stepper(p, g, "adjoint", 0.5)
     fw = pde.stepper(p, g, "forward", 0.5)
     cb = hum.combo_read_vectors(p, g) @ ad.run(z).T
-    sig = hum._signals_from_combos(cb, cfg, p, g.T)
+    coef = hum._coefficients(p)
+    sig = np.zeros_like(cb)
+    for i, name in enumerate(SIGNAL_NAMES):
+        if cfg.mask[i]:
+            sig[i] = coef[name] * riesz_map(cb[i], hum.TRACE_CLASS[name], g.T)
     return fw.run(np.zeros(2 * g.nx), bc=sig)[-1]
 
 
@@ -439,6 +437,25 @@ def test_assembled_gramian_matches_sparse_sweeps(kind):
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("kind", ["FOUR_I", "FOUR_II", "FOUR_III", "FOUR_IV",
+                                  "THREE_V", "THREE_VI"])
+def test_returned_controls_steer_like_the_gramian(kind):
+    # the controls solve_control returns, read off an adjoint march and
+    # marched forward from rest, land where the assembled Gramian does
+    cfg = ControlConfig.of(kind)
+    g = Grid(L=1.0, N=48, T=1.0, M=192)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        xs = shaped_random_state(rng, g)
+        adjoint, _ = solve_adjoint_backward(P, g, xs)
+        bundle = controls_from_adjoint(cfg, adjoint, P)
+        traj, _ = solve_linear_forward(P, g, StatePair.zeros(g), bundle.signals)
+        got = np.concatenate([traj.final_state.u, traj.final_state.v])
+        want = gramian_apply(cfg, xs, P, g)
+        want = np.concatenate([want.u, want.v])
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
 def test_observability_builds_first_derivative_once(monkeypatch):
     # the observe grid's D1 and its transpose come from one cached assembly,
     # shared by the adjoint stepper and the hidden-regularity norms
@@ -467,10 +484,13 @@ def test_observability_marches_each_sample_once(monkeypatch):
     # one block march: a single Stepper.run call carrying all five columns
     assert rep.sample_count == 5 and len(runs) == 1
     assert runs[0][0].shape == (2 * g.nx, 5)
+    # each quotient equals that of its sample marched alone
+    ad = pde.stepper(P, g, "adjoint", 0.5)
     rng = np.random.default_rng(11)
     for q in rep.quotients:
         final = random_final_state(rng, P, g)
-        assert observability_quotient(FOUR_I, final, P, g) == q
+        z = ad.run(np.concatenate([final.u, final.v]))
+        assert hum._quotient(FOUR_I, z, x_norm(final, P, g), P, g) == q
 
 
 def test_observability_constants_match_per_sample_marches():

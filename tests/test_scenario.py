@@ -147,6 +147,25 @@ target: {u: "1e-3*gaussian(0.5,0.1)", v: "0"}
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mask", ["[true, true, false, true, false, false]",
+                                  "[true, false, false, true, true, false]"])
+def test_custom_three_control_mask_takes_the_feasibility_gate(tmp_path, mask):
+    # a custom mask equal to THREE_V or THREE_VI is a three-control run
+    path = write(
+        tmp_path,
+        f"""
+command: control
+params: {{a: 0.9, b: 1.2, c: 0.05, r: 1.0}}
+grid: {{L: 1, N: 24, T: 1, M: 64}}
+config: {{mask: {mask}}}
+target: {{u: "1e-3*gaussian(0.5,0.1)", v: "0"}}
+""",
+    )
+    result = run_scenario(path, output_dir=str(tmp_path / "out"))
+    assert result.exit_code == 4
+    assert not (tmp_path / "out").exists()
+
+
 def test_ucp_sweep_command(tmp_path):
     path = write(
         tmp_path,

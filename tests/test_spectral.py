@@ -231,10 +231,10 @@ def test_r0_eigencheck_sweep():
 
 
 def test_multiple_roots_inconclusive():
-    from ggkdv.spectral import certificate_from_roots
+    from ggkdv.spectral import _verdicts_from_roots
 
     roots = np.array([1.0, 1.0 + 5e-9, -2.0, -0.5, 0.25 + 1j, 0.25 - 1j])
-    v = certificate_from_roots(1.0, 0.7 + 0.2j, roots)
+    v = _verdicts_from_roots([1.0], [0.7 + 0.2j], roots[None, :], 1e-6)[0]
     assert v.verdict is Verdict.INCONCLUSIVE
     assert v.detail["multiplicity"] is True
     assert v.detail["min_separation"] <= 1e-8
@@ -315,7 +315,7 @@ def _oracle_roots(coeffs):
 
 
 def _oracle_from_roots(L, p, roots, tol=1e-6):
-    """(case_tag, dispersion, verdict, detail) of certificate_from_roots."""
+    """(case_tag, dispersion, verdict, detail) of the verdict on one root set."""
     tag = _oracle_classify(p)
     detail = {"roots": roots}
     min_sep = min(abs(x - y) for x, y in itertools.combinations(roots, 2))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ggkdv.tracenorm import (
+    riesz_columns,
     riesz_map,
     sobolev_inner,
     sobolev_norms_batch,
@@ -124,6 +125,21 @@ def test_batch_matches_single():
             assert batch[j] == pytest.approx(
                 sobolev_trace_norm(block[:, j], s, T), rel=1e-12
             )
+
+
+def test_single_series_are_batch_columns():
+    # one kernel: a single series' norm is the one-column batch, and its
+    # Riesz map is its column of a block map, bit for bit, in either chunk
+    rng = np.random.default_rng(13)
+    block = rng.standard_normal((49, 40))
+    T = 1.1
+    for s in (-1 / 3, 0.0, 1 / 3):
+        mapped = block.copy()
+        riesz_columns(mapped, s, T)
+        for j in (3, 35):
+            f = block[:, j]
+            assert sobolev_trace_norm(f, s, T) == sobolev_norms_batch(f[:, None], s, T)[0]
+            assert np.array_equal(riesz_map(f, s, T), mapped[:, j])
 
 
 def test_short_series_rejected():
