@@ -11,7 +11,10 @@ the element, like a non-finite one, is formatted by Python's ``%`` alone
 ties such as 2^-25 are in that set.
 
 A field is a NUL-padded row of ``CELL`` bytes; ``csv_rows`` lays fields
-out as CSV rows and drops the padding.
+out as CSV rows and drops the padding in one ``bytes.translate`` pass.
+Callers format about 8,192 values a call, where numpy's fixed per-call
+costs no longer dominate (``scenario._CHUNK`` lists the peak memory of each
+size tried).
 """
 
 from __future__ import annotations
@@ -75,7 +78,8 @@ def _scaled(m, ex, e10):
     table = np.zeros((3, int(k.max()) + 1))
     present = np.flatnonzero(np.bincount(k))
     table[:, present] = np.transpose([_power_of_ten(kmin + j) for j in present.tolist()])
-    hi, lo, s = table[0, k], table[1, k], table[2, k].astype(np.int64)
+    # int32 shifts: numpy's ldexp loop for int64 exponents is about 9x slower
+    hi, lo, s = table[0, k], table[1, k], table[2, k].astype(np.int32)
     p = m * hi
     # Dekker: m·hi = p + err exactly (m and hi both lie in [0.5, 2))
     mh, ml = _split(m)
@@ -163,4 +167,4 @@ def csv_rows(shape: tuple, fields: list) -> str:
         buf[..., stop] = ord(",")
         start = stop + 1
     buf[..., -1] = ord("\n")
-    return buf[buf != 0].tobytes().decode("ascii")
+    return buf.tobytes().translate(None, b"\0").decode("ascii")

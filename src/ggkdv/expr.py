@@ -3,7 +3,11 @@
 Grammar: numeric literals, the free variable ``x``, the operators
 + - * / ^ (caret is right-associative power), parentheses, the functions
 sin, cos, exp, and gaussian(center, width) = exp(-((x - center)/width)^2).
-Parse and evaluation errors carry the character position.
+Parse and evaluation errors carry the character position.  An
+expression nests at most ``MAX_DEPTH`` levels: a parenthesis, a function's
+arguments, a sign or an exponent opens a level, and each further term of a
+sum or product adds one to the tree.  The parser and the evaluator recurse
+once per level, so deeper input is an error, not a ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -12,9 +16,11 @@ import math
 
 from .errors import ExpressionError
 
-__all__ = ["evaluate", "compile_expression"]
+__all__ = ["evaluate", "compile_expression", "MAX_DEPTH"]
 
 _FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "gaussian": 2}
+# a parenthesis costs the parser 5 frames, well within Python's 1,000
+MAX_DEPTH = 100
 
 
 def _tokenize(text: str):
@@ -66,6 +72,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -80,13 +87,26 @@ class _Parser:
         if tok != symbol:
             raise ExpressionError(f"expected {symbol!r}", position=at)
 
+    @staticmethod
+    def node(at, kind, *fields):
+        """The tree node ``(kind, *fields, height)``; its children are the
+        nodes among ``fields`` and in a list among them."""
+        height = 1
+        for field in fields:
+            for child in field if isinstance(field, list) else [field]:
+                if isinstance(child, tuple):
+                    height = max(height, child[-1] + 1)
+        if height > MAX_DEPTH:
+            raise _too_deep(at)
+        return (kind, *fields, height)
+
     # expression := term (('+'|'-') term)*
     def expression(self):
         node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op, _ = self.next()
+            op, at = self.next()
             rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
+            node = self.node(at, "add" if op == "+" else "sub", node, rhs)
         return node
 
     # term := unary (('*'|'/') unary)*
@@ -95,19 +115,25 @@ class _Parser:
         while self.peek()[0] in ("*", "/"):
             op, at = self.next()
             rhs = self.unary()
-            node = ("mul" if op == "*" else "div", node, rhs, at)
+            node = self.node(at, "mul" if op == "*" else "div", node, rhs, at)
         return node
 
-    # unary := ('+'|'-') unary | power
+    # unary := ('+'|'-') unary | power; every nesting passes here
     def unary(self):
-        tok, _ = self.peek()
+        tok, at = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _too_deep(at)
         if tok == "-":
             self.next()
-            return ("neg", self.unary())
-        if tok == "+":
+            node = self.node(at, "neg", self.unary())
+        elif tok == "+":
             self.next()
-            return self.unary()
-        return self.power()
+            node = self.unary()
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     # power := atom ('^' unary)?   (right-associative)
     def power(self):
@@ -115,17 +141,17 @@ class _Parser:
         if self.peek()[0] == "^":
             _, at = self.next()
             exponent = self.unary()
-            node = ("pow", node, exponent, at)
+            node = self.node(at, "pow", node, exponent, at)
         return node
 
     def atom(self):
         tok, at = self.next()
         if isinstance(tok, tuple) and tok[0] == "num":
-            return ("num", tok[1])
+            return self.node(at, "num", tok[1])
         if isinstance(tok, tuple) and tok[0] == "name":
             name = tok[1]
             if name == "x":
-                return ("var",)
+                return self.node(at, "var")
             if name in _FUNCTIONS:
                 self.expect("(")
                 args = [self.expression()]
@@ -138,13 +164,18 @@ class _Parser:
                         f"{name} expects {_FUNCTIONS[name]} argument(s)",
                         position=at,
                     )
-                return ("call", name, args, at)
+                return self.node(at, "call", name, args, at)
             raise ExpressionError(f"unknown name {name!r}", position=at)
         if tok == "(":
             node = self.expression()
             self.expect(")")
             return node
         raise ExpressionError("expected a value", position=at)
+
+
+def _too_deep(at: int) -> ExpressionError:
+    return ExpressionError(f"expression nested more than {MAX_DEPTH} levels deep",
+                           position=at)
 
 
 def _eval(node, x: float) -> float:

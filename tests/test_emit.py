@@ -1,13 +1,16 @@
-"""Byte equality of the chunked CSV emitter against a row-by-row oracle,
-and the streamed artifact write."""
+"""Byte equality of the chunked CSV emitter against a row-by-row oracle, at
+the default chunk size and across chunk seams; ``emit.csv_rows`` against a
+pure-Python join; and the streamed artifact write."""
 
 import io
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ggkdv import scenario, spectral
+from ggkdv import emit, scenario, spectral
 from ggkdv.core import SIGNAL_NAMES, ControlConfig, Grid, Parameters, StatePair
 from ggkdv.hum import estimate_observability
 from ggkdv.pde import BoundarySignals, solve_linear_forward
@@ -39,57 +42,143 @@ def small_run():
     return traj, traces, bc
 
 
-def test_trajectory_and_traces_csv_match_oracle():
+# Each case builds (chunk stream, oracle text) pairs; the tests below check
+# them at the default chunk size and across chunk seams.
+
+
+def trajectory_cases():
     traj, traces, _ = small_run()
     g = traj.grid
-    got = {name: "".join(chunks)
-           for name, chunks in scenario._trajectory_artifacts(traj, traces).items()}
+    arts = scenario._trajectory_artifacts(traj, traces)
     rows = ((g.t[n], g.x[i], traj.z[n, i], traj.z[n, g.nx + i])
             for n in range(g.nt) for i in range(g.nx))
-    assert got["trajectory.csv"] == oracle_csv(["t", "x", "u", "v"], rows)
     cols = traces.columns()
-    rows = ((g.t[n], *(c[n] for c in cols)) for n in range(g.nt))
-    assert got["traces.csv"] == oracle_csv(["t"] + traces.column_names(), rows)
+    trace_rows = ((g.t[n], *(c[n] for c in cols)) for n in range(g.nt))
+    return [(arts["trajectory.csv"], oracle_csv(["t", "x", "u", "v"], rows)),
+            (arts["traces.csv"],
+             oracle_csv(["t"] + traces.column_names(), trace_rows))]
 
 
-def test_controls_csv_matches_oracle():
+def controls_cases():
     _, _, bc = small_run()
-    g = G
     arr = bc.as_array()
-    rows = ((g.t[n], *(arr[i, n] for i in range(6))) for n in range(g.nt))
-    want = oracle_csv(["t"] + list(SIGNAL_NAMES), rows)
-    assert "".join(scenario._controls_csv(bc, g)) == want
+    rows = ((G.t[n], *(arr[i, n] for i in range(6))) for n in range(G.nt))
+    return [(scenario._controls_csv(bc, G), oracle_csv(["t"] + list(SIGNAL_NAMES), rows))]
 
 
-def test_observability_csv_matches_oracle():
-    rep = estimate_observability(ControlConfig.of("FOUR_I"), 3, P, G, seed=4)
+def observability_cases(samples=3):
+    rep = estimate_observability(ControlConfig.of("FOUR_I"), samples, P, G, seed=4)
     rows = ((str(i), q) for i, q in enumerate(rep.quotients))
-    want = oracle_csv(["sample", "quotient"], rows)
     index = [str(i) for i in range(len(rep.quotients))]
-    assert "".join(scenario._csv(["sample", "quotient"], [index, rep.quotients])) == want
+    return [(scenario._csv(["sample", "quotient"], [index, rep.quotients]),
+             oracle_csv(["sample", "quotient"], rows))]
 
 
-def test_mixed_string_and_float_columns_match_oracle():
+def mixed_cases(repeat=1):
     rows = [(0.5, -0.0, 1e308, "axis", 1e-300, "confirmed"),
-            (3, 2.5e-17, -1e308, "generic", float("inf"), "inconclusive")]
+            (3, 2.5e-17, -1e308, "generic", float("inf"), "inconclusive")] * repeat
     header = ["a", "b", "c", "tag", "d", "verdict"]
-    got = "".join(scenario._csv(header, [list(c) for c in zip(*rows)]))
-    assert got == oracle_csv(header, rows)
-    assert "-0.0000000000000000e+00" in got
+    return [(scenario._csv(header, [list(c) for c in zip(*rows)]),
+             oracle_csv(header, rows))]
 
 
-def test_ucp_csv_matches_oracle(tmp_path):
-    path = tmp_path / "ucp.yaml"
-    path.write_text("command: ucp-sweep\nseed: 3\n"
-                    "params: {a: 0.2, b: 1.0, c: 1.0, r: 1.0}\nucp: {samples: 24}\n")
-    result = scenario.run_scenario(str(path), output_dir=str(tmp_path / "out"))
-    assert result.exit_code == 0
-    verdicts = spectral.ucp_sweep(24, P, seed=3)
+UCP = ("command: ucp-sweep\nseed: 3\n"
+       "params: {a: 0.2, b: 1.0, c: 1.0, r: 1.0}\nucp: {samples: %d}\n")
+
+
+def ucp_oracle(samples):
+    verdicts = spectral.ucp_sweep(samples, P, seed=3)
     rows = ((v.L, v.p.real, v.p.imag, str(v.case_tag.value),
              v.dispersion if np.isfinite(v.dispersion) else 1e308,
              str(v.verdict.value)) for v in verdicts)
     header = ["L", "re_p", "im_p", "case_tag", "dispersion", "verdict"]
-    assert result.artifacts["ucp.csv"] == oracle_csv(header, rows)
+    return oracle_csv(header, rows)
+
+
+def ucp_cases(samples=24):
+    _, arts = scenario._RUNNERS["ucp-sweep"](scenario.parse_scenario_text(UCP % samples))
+    return [(arts["ucp.csv"], ucp_oracle(samples))]
+
+
+def test_trajectory_and_traces_csv_match_oracle():
+    for chunks, want in trajectory_cases():
+        assert "".join(chunks) == want
+
+
+def test_controls_csv_matches_oracle():
+    for chunks, want in controls_cases():
+        assert "".join(chunks) == want
+
+
+def test_observability_csv_matches_oracle():
+    for chunks, want in observability_cases():
+        assert "".join(chunks) == want
+
+
+def test_mixed_string_and_float_columns_match_oracle():
+    for chunks, want in mixed_cases():
+        got = "".join(chunks)
+        assert got == want
+        assert "-0.0000000000000000e+00" in got
+
+
+def test_ucp_csv_matches_oracle(tmp_path):
+    path = tmp_path / "ucp.yaml"
+    path.write_text(UCP % 24)
+    result = scenario.run_scenario(str(path), output_dir=str(tmp_path / "out"))
+    assert result.exit_code == 0
+    assert result.artifacts["ucp.csv"] == ucp_oracle(24)
+
+
+# 48 values a chunk: 2 of the 13 trajectory levels (24 values each), 3
+# traces rows (13 columns) and 6 controls rows (7 columns); the observability,
+# mixed and ucp cases get enough rows for three chunks
+SEAM_CHUNK = 48
+
+
+@pytest.mark.parametrize("cases", [
+    trajectory_cases, controls_cases, lambda: observability_cases(50),
+    lambda: mixed_cases(9), lambda: ucp_cases(20),
+], ids=["trajectory-traces", "controls", "observability", "mixed", "ucp"])
+def test_chunk_seams_match_oracle(monkeypatch, cases):
+    monkeypatch.setattr(scenario, "_CHUNK", SEAM_CHUNK)
+    for chunks, want in cases():
+        header, *body = list(chunks)
+        # at least 3 chunks, the last one ragged
+        assert len(body) >= 3
+        assert body[-1].count("\n") < body[0].count("\n")
+        assert header + "".join(body) == want
+
+
+@st.composite
+def row_layouts(draw):
+    """A row shape of 1 or 2 axes, and NUL-padded uint8 fields for it: each
+    of the full shape, one per row (broadcast along the second axis) or
+    one per column (broadcast along the first), 1 to 6 bytes wide, with
+    0 to ``width`` non-NUL ASCII bytes before the padding."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    fields = []
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(1, 6))
+        field_shape = draw(st.sampled_from(
+            [shape, shape[:1] + (1,) * (len(shape) - 1), shape[1:]]))
+        count = int(np.prod(field_shape))
+        cells = draw(st.lists(st.lists(st.integers(1, 127), max_size=width),
+                              min_size=count, max_size=count))
+        fields.append(np.array([c + [0] * (width - len(c)) for c in cells], dtype=np.uint8)
+                      .reshape(field_shape + (width,)))
+    return shape, fields
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_layouts())
+def test_csv_rows_is_a_join_without_the_nuls(layout):
+    shape, fields = layout
+    full = [np.broadcast_to(f, shape + f.shape[-1:]) for f in fields]
+    want = "".join(
+        ",".join(bytes(f[index]).replace(b"\0", b"").decode("ascii") for f in full) + "\n"
+        for index in np.ndindex(*shape))
+    assert emit.csv_rows(shape, fields) == want
 
 
 def test_failing_chunk_stream_leaves_no_files(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ggkdv.errors import ExpressionError
-from ggkdv.expr import compile_expression, evaluate
+from ggkdv.expr import MAX_DEPTH, compile_expression, evaluate
 
 
 def test_zero():
@@ -71,3 +71,23 @@ def test_trailing_garbage():
 
 def test_nested_functions():
     assert evaluate("sin(cos(0)*x)", 1.0) == pytest.approx(math.sin(1.0))
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 200 + "x" + ")" * 200,  # the parser recursed once per parenthesis
+    "+".join(["x"] * 1501),  # parsed in a loop, but evaluated recursively
+    "-" * 2000 + "x",
+    "sin(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+    "^".join(["x"] * (MAX_DEPTH + 1)),
+], ids=["parentheses", "long-sum", "signs", "calls", "powers"])
+def test_too_deep_is_an_expression_error(text):
+    with pytest.raises(ExpressionError, match=f"nested more than {MAX_DEPTH} levels"):
+        compile_expression(text)
+
+
+def test_the_deepest_allowed_expressions_evaluate():
+    inner = MAX_DEPTH - 1  # the value itself is one level
+    assert evaluate("(" * inner + "x" + ")" * inner, 0.5) == 0.5
+    assert evaluate("+".join(["x"] * MAX_DEPTH), 0.5) == MAX_DEPTH / 2
+    assert evaluate("-" * inner + "x", 0.5) == -0.5
+    assert evaluate("x" + "*1" * (MAX_DEPTH - 1), 0.5) == 0.5

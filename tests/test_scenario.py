@@ -407,12 +407,16 @@ config: FOUR_I
         MINIMAL_SIMULATE + 'initial: {u: "1/(x-x)"}\n',
         MINIMAL_SIMULATE + 'initial: {u: "exp(1000)"}\n',
         MINIMAL_SIMULATE + "initial: {file: nope.csv}\n",
+        MINIMAL_SIMULATE + 'initial: {u: "%sx%s"}\n' % ("(" * 200, ")" * 200),
+        MINIMAL_SIMULATE + 'initial: {u: "%s"}\n' % "+".join(["x"] * 1501),
+        MINIMAL_SIMULATE + 'initial: {u: "%sx"}\n' % ("-" * 2000),
     ],
     ids=["r0-axis", "observe-samples", "tol", "seed", "initial-list",
          "ucp-samples", "picard-max", "bc-syntax", "initial-syntax",
          "ucp-L-range", "ucp-p-range", "mask-all-false", "mask-not-booleans",
          "grid-bool", "params-bool", "scheme-bool", "output-dir-int",
-         "initial-div-zero", "initial-overflow", "initial-missing-file"],
+         "initial-div-zero", "initial-overflow", "initial-missing-file",
+         "initial-deep-parens", "initial-long-sum", "initial-deep-signs"],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
     path = write(tmp_path, text)

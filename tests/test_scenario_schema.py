@@ -62,7 +62,9 @@ EDGE = {
     "scheme.theta": 0.3, "observe.samples": 0, "ucp.L_min": 20.0,
     "r0.lengths": [], "file": "nope.csv",
 }
-BAD_EXPRESSIONS = st.sampled_from(["1/(x-x)", "exp(1000)", "1e308*10", "sin("])
+BAD_EXPRESSIONS = st.sampled_from(["1/(x-x)", "exp(1000)", "1e308*10", "sin(",
+                                   "(" * 200 + "x" + ")" * 200,
+                                   "+".join(["x"] * 1501), "-" * 2000 + "x"])
 UNKNOWN = ["zz", 1, True]  # keys that are not in the table
 # Wrong-typed values: booleans, null, strings, lists, integers.
 WRONG = st.one_of(st.booleans(), st.none(), st.integers(-3, 3),
