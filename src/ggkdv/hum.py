@@ -342,6 +342,51 @@ def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, maxiter: int,
     )
 
 
+def _steer(
+    cfg: ControlConfig,
+    init: StatePair,
+    target: StatePair,
+    tol: float,
+    p: Parameters,
+    g: Grid,
+    scheme: SchemeConfig = None,
+    x0: StatePair = None,
+    check_feasibility: bool = True,
+) -> tuple:
+    """The controls of ``solve_control``, without its verification march.
+
+    Returns (ControlBundle, iterations, residuals, adjoint final data).
+    """
+    validate_params(p)
+    init.check(g)
+    target.check(g)
+    if cfg.is_three_control and check_feasibility:
+        rep = estimate_observability(cfg, FEASIBILITY_SAMPLES, p, g, scheme=scheme)
+        if not rep.feasible_three_control(p):
+            gap = 1.0 - p.a**2 * p.b
+            raise FeasibilityError(
+                f"three-control condition failed: C1 (1 - a^2 b) = "
+                f"{rep.c1_squared * gap:.4g} not inside (0, c = {p.c:.4g})"
+            )
+    theta = (scheme or SchemeConfig()).theta
+    z_init = np.concatenate([init.u, init.v])
+    rhs = np.concatenate([target.u, target.v])
+    if np.any(z_init):  # the homogeneous march keeps a zero state at zero
+        rhs = rhs - stepper(p, g, "forward", theta).run(z_init)[-1]
+    if x_norm(StatePair(rhs[: g.nx], rhs[g.nx :]), p, g) < 1e-14:
+        bundle = ControlBundle(
+            signals=BoundarySignals.zeros(g), config=cfg,
+            norms={n: 0.0 for n in SIGNAL_NAMES},
+        )
+        return bundle, 0, [0.0], StatePair.zeros(g)
+    z0 = np.concatenate([x0.u, x0.v]) if x0 is not None else None
+    op = gramian_operator(cfg, p, g, theta)
+    xsol, iters, hist = _cgls(op, rhs, tol, MAXITER, x0=z0)
+    adjoint_final = StatePair(xsol[: g.nx].copy(), xsol[g.nx :].copy())
+    adjoint, _ = solve_adjoint_backward(p, g, adjoint_final, scheme=scheme)
+    return controls_from_adjoint(cfg, adjoint, p), iters, hist, adjoint_final
+
+
 def solve_control(
     cfg: ControlConfig,
     init: StatePair,
@@ -360,34 +405,8 @@ def solve_control(
     ``tol``; the achieved state is re-verified with a plain forward solve
     using the returned controls.
     """
-    validate_params(p)
-    init.check(g)
-    target.check(g)
-    if cfg.is_three_control and check_feasibility:
-        rep = estimate_observability(cfg, FEASIBILITY_SAMPLES, p, g, scheme=scheme)
-        if not rep.feasible_three_control(p):
-            gap = 1.0 - p.a**2 * p.b
-            raise FeasibilityError(
-                f"three-control condition failed: C1 (1 - a^2 b) = "
-                f"{rep.c1_squared * gap:.4g} not inside (0, c = {p.c:.4g})"
-            )
-    theta = (scheme or SchemeConfig()).theta
-    rhs = (np.concatenate([target.u, target.v])
-           - stepper(p, g, "forward", theta).run(np.concatenate([init.u, init.v]))[-1])
-    if x_norm(StatePair(rhs[: g.nx], rhs[g.nx :]), p, g) < 1e-14:
-        bundle = ControlBundle(
-            signals=BoundarySignals.zeros(g), config=cfg,
-            norms={n: 0.0 for n in SIGNAL_NAMES},
-        )
-        traj, _ = solve_linear_forward(p, g, init, bundle.signals, scheme=scheme)
-        return ControlResult(bundle, traj.final_state, 0, [0.0],
-                             StatePair.zeros(g))
-    z0 = np.concatenate([x0.u, x0.v]) if x0 is not None else None
-    op = gramian_operator(cfg, p, g, theta)
-    xsol, iters, hist = _cgls(op, rhs, tol, MAXITER, x0=z0)
-    adjoint_final = StatePair(xsol[: g.nx].copy(), xsol[g.nx :].copy())
-    adjoint, _ = solve_adjoint_backward(p, g, adjoint_final, scheme=scheme)
-    bundle = controls_from_adjoint(cfg, adjoint, p)
+    bundle, iters, hist, adjoint_final = _steer(
+        cfg, init, target, tol, p, g, scheme, x0, check_feasibility)
     traj, _ = solve_linear_forward(p, g, init, bundle.signals, scheme=scheme)
     return ControlResult(
         controls=bundle,
@@ -544,16 +563,17 @@ def solve_nonlinear_control(
     adjusted = target.copy()
     warm = None
     history = []
-    result = None
+    controls = None
     traj = None
     tnorm = max(x_norm(target, p, g), 1e-30)
     converged = False
     for it in range(1, scheme.picard_max + 1):
-        result = solve_control(cfg, init, adjusted, tol, p, g, scheme=scheme,
-                               x0=warm, check_feasibility=(it == 1))
-        warm = result.adjoint_final
+        # solve_control's verification march is left out: its achieved
+        # state would not be read
+        controls, _, _, warm = _steer(cfg, init, adjusted, tol, p, g, scheme,
+                                      warm, check_feasibility=(it == 1))
         try:
-            traj, _ = solve_nonlinear(p, g, init, result.controls.signals,
+            traj, _ = solve_nonlinear(p, g, init, controls.signals,
                                       scheme=scheme, self_terms=self_terms)
         except (NonConvergence, NumericalError) as exc:
             raise NonConvergence(
@@ -589,7 +609,7 @@ def solve_nonlinear_control(
     terminal = traj.final_state
     err = x_norm(StatePair(terminal.u - target.u, terminal.v - target.v), p, g)
     return NonlinearControlResult(
-        controls=result.controls,
+        controls=controls,
         iterations=it,
         history=history,
         terminal_error=err / tnorm,

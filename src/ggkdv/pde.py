@@ -218,8 +218,8 @@ class Stepper:
         if direction == "adjoint":
             Lop = -Lop
         Mdiag = sp.diags(np.concatenate([np.ones(nx), c * np.ones(nx)]))
-        A = (Mdiag / dt - theta * Lop).tolil()
-        B = (Mdiag / dt + (1.0 - theta) * Lop).tolil()
+        A = (Mdiag / dt - theta * Lop).tocsr()
+        B = (Mdiag / dt + (1.0 - theta) * Lop).tocsr()
 
         st = boundary_stencils(nx, dx)
         rows = []
@@ -247,18 +247,15 @@ class Stepper:
                     np.concatenate([a * b * wr2, wr2, [r]]),
                 )
             )
-        for row, cols, wts in rows:
-            A.rows[row] = list(np.asarray(cols, dtype=int))
-            A.data[row] = list(np.asarray(wts, dtype=float))
-            B.rows[row] = []
-            B.data[row] = []
+        self.bc_rows = [row for row, _, _ in rows]
+        A = _replace_rows(A, {row: (cols, wts) for row, cols, wts in rows})
+        empty = (np.array([], dtype=int), np.array([]))
+        self.B = _replace_rows(B, dict.fromkeys(self.bc_rows, empty))
         try:
             self.lu = spla.splu(A.tocsc())
         except RuntimeError as exc:
             raise NumericalError(f"singular step matrix: {exc}", time_level=0)
-        self.B = B.tocsr()
         self.BT = self.B.T.tocsr()
-        self.bc_rows = [row for row, _, _ in rows]
         self.nx = nx
 
     # -- marching ---------------------------------------------------------
@@ -293,18 +290,24 @@ class Stepper:
             forc = forc.reshape(forc.shape + cols)
         if bc is not None:
             bc = np.asarray(bc).reshape(np.shape(bc) + cols)
-        for n, level in enumerate(levels):
-            rhs = self.B @ z
-            if forcing is not None:
-                rhs += theta * forc[n + 1] + (1.0 - theta) * forc[n]
-            if bc is not None:
-                rhs[self.bc_rows] = bc[:, n + 1]
-            else:
-                rhs[self.bc_rows] = 0.0
-            z = self.lu.solve(rhs)
-            if not np.all(np.isfinite(z)):
-                raise NumericalError("solution lost finiteness", time_level=n + 1)
-            out[..., level, :] = z.T
+        # B's boundary rows are empty and the forcing's are zeroed, so the
+        # right-hand side is zero there unless bc says otherwise.  A march
+        # that overflows runs on to the end; the scan below names the first
+        # non-finite level in march order, counted in steps.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, level in enumerate(levels):
+                rhs = self.B @ z
+                if forcing is not None:
+                    rhs += theta * forc[n + 1] + (1.0 - theta) * forc[n]
+                if bc is not None:
+                    rhs[self.bc_rows] = bc[:, n + 1]
+                z = self.lu.solve(rhs)
+                out[..., level, :] = z.T
+        finite = np.isfinite(out).all(axis=-1).reshape(-1, g.nt).all(axis=0)
+        bad = np.flatnonzero(~finite[levels])
+        if bad.size:
+            raise NumericalError("solution lost finiteness",
+                                 time_level=int(bad[0]) + 1)
         return out
 
     # -- block sweeps that assemble the HUM Gramian ---------------------------
@@ -367,6 +370,27 @@ def _first_derivative(nx: int, dx: float) -> tuple:
     """D1 and its CSR transpose, built once per (nx, dx); read-only."""
     D1 = first_derivative_matrix(nx, dx)
     return D1, D1.T.tocsr()
+
+
+def _replace_rows(M: sp.csr_matrix, new: dict) -> sp.csr_matrix:
+    """``M`` with each row ``new`` names replaced by its (cols, weights).
+
+    The entries are kept in the given order, duplicates and zeros included,
+    as assigning a LIL row's lists does.
+    """
+    indices, data, lengths = [], [], np.diff(M.indptr)
+    start = 0
+    for row in sorted(new):
+        cols, wts = new[row]
+        indices += [M.indices[M.indptr[start]:M.indptr[row]], cols]
+        data += [M.data[M.indptr[start]:M.indptr[row]], wts]
+        lengths[row] = len(cols)
+        start = row + 1
+    indices.append(M.indices[M.indptr[start]:])
+    data.append(M.data[M.indptr[start]:])
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
+                         shape=M.shape)
 
 
 def _stack(s: StatePair) -> np.ndarray:

@@ -516,3 +516,95 @@ def test_observability_rejects_non_finite_estimates():
     g = Grid(L=1.0, N=16, T=1.0e-300, M=32)
     with pytest.raises(NumericalError, match="finite"):
         estimate_observability(FOUR_I, 3, P, g)
+
+
+def marched_solve_control(cfg, init, target, tol, p, g, scheme=None, x0=None):
+    """solve_control marching every step: the free evolution even from rest,
+    and the verification.  Returns (controls, achieved, iterations,
+    residuals, adjoint final data)."""
+    theta = (scheme or SchemeConfig()).theta
+    rhs = (np.concatenate([target.u, target.v])
+           - pde.stepper(p, g, "forward", theta).run(np.concatenate([init.u, init.v]))[-1])
+    z0 = np.concatenate([x0.u, x0.v]) if x0 is not None else None
+    xsol, iters, hist = hum._cgls(gramian_operator(cfg, p, g, theta), rhs, tol,
+                                  hum.MAXITER, x0=z0)
+    final = StatePair(xsol[: g.nx].copy(), xsol[g.nx :].copy())
+    adjoint, _ = solve_adjoint_backward(p, g, final, scheme=scheme)
+    bundle = controls_from_adjoint(cfg, adjoint, p)
+    traj, _ = solve_linear_forward(p, g, init, bundle.signals, scheme=scheme)
+    return bundle, traj.final_state, iters, hist, final
+
+
+def marched_nonlinear_control(init, target, cfg, p, g, scheme, tol):
+    """The outer loop of solve_nonlinear_control on marched_solve_control;
+    returns (controls, outer history, terminal error)."""
+    fw = pde.stepper(p, g, "forward", scheme.theta)
+    adjusted, warm, history = target.copy(), None, []
+    tnorm = x_norm(target, p, g)
+    for _ in range(scheme.picard_max):
+        bundle, _, _, _, warm = marched_solve_control(cfg, init, adjusted, tol, p, g,
+                                                      scheme, warm)
+        traj, _ = pde.solve_nonlinear(p, g, init, bundle.signals, scheme=scheme)
+        ups = fw.run(np.zeros(2 * g.nx), forcing=-pde.nonlinear_forcing(traj.z, p, g))[-1]
+        new = StatePair(target.u + ups[: g.nx], target.v + ups[g.nx :])
+        history.append(x_norm(StatePair(new.u - adjusted.u, new.v - adjusted.v), p, g)
+                       / tnorm)
+        adjusted = new
+        if history[-1] <= scheme.picard_tol:
+            break
+    end = traj.final_state
+    return bundle, history, x_norm(StatePair(end.u - target.u, end.v - target.v), p, g) / tnorm
+
+
+def assert_same_controls(got, want):
+    assert got.signals.as_array().tobytes() == want.signals.as_array().tobytes()
+    assert got.norms == want.norms
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.05])
+def test_solve_control_marches_the_free_evolution_only_from_a_nonzero_state(
+        monkeypatch, scale):
+    g = Grid(L=1.0, N=48, T=1.0, M=96)
+    init = shaped_random_state(np.random.default_rng(6), g, scale=scale)
+    target = gaussian_target(g)
+    want = marched_solve_control(FOUR_I, init, target, 5e-3, P, g)
+    runs = count_calls(monkeypatch, "run")
+    res = solve_control(FOUR_I, init, target, 5e-3, P, g)
+    # adjoint and verification; the free evolution too from a nonzero state
+    assert len(runs) == (2 if scale == 0.0 else 3)
+    assert_same_controls(res.controls, want[0])
+    for got, ref in ((res.achieved, want[1]), (res.adjoint_final, want[4])):
+        assert np.concatenate([got.u, got.v]).tobytes() == np.concatenate([ref.u, ref.v]).tobytes()
+    assert (res.iterations, res.residuals) == (want[2], want[3])
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-4])
+def test_nonlinear_control_makes_no_discarded_march(monkeypatch, scale):
+    p = Parameters(a=0.2, b=1.0, c=1.0, r=1.0, a1=0.4, a2=0.3)
+    g = Grid(L=1.0, N=24, T=1.0, M=64)
+    init = shaped_random_state(np.random.default_rng(9), g, scale=scale)
+    target = gaussian_target(g, eps=1e-3)
+    scheme = SchemeConfig(picard_tol=1e-6)
+    controls, history, err = marched_nonlinear_control(init, target, FOUR_I, p, g,
+                                                       scheme, 1e-3)
+    runs = count_calls(monkeypatch, "run")
+    sweeps = []
+    picard = hum.solve_nonlinear
+
+    def counting(*args, **kwargs):
+        out = picard(*args, **kwargs)
+        sweeps.append(len(out[0].picard_history))
+        return out
+
+    monkeypatch.setattr(hum, "solve_nonlinear", counting)
+    res = solve_nonlinear_control(init, target, FOUR_I, 0.1, p, g, scheme=scheme,
+                                  tol=1e-3)
+    assert res.iterations == len(sweeps) >= 2
+    # per outer iteration: the adjoint march, the Picard marches (one more
+    # than its sweeps) and the Duhamel march; the free evolution only from
+    # a nonzero state, and never a verification march
+    free = 0 if scale == 0.0 else 1
+    assert len(runs) == sum(3 + free + s for s in sweeps)
+    assert_same_controls(res.controls, controls)
+    assert res.history == history
+    assert res.terminal_error == err
