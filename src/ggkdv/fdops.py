@@ -61,6 +61,11 @@ def fd_weights(x0: float | np.ndarray, nodes: np.ndarray, m: int) -> np.ndarray:
     return np.moveaxis(w[m], 0, -1)
 
 
+def _require_samples(nx: int, need: int, what: str) -> None:
+    if nx < need:
+        raise ValueError(f"{what} needs at least {need} grid samples, got {nx}")
+
+
 def _csr(cols: np.ndarray, weights: np.ndarray) -> sp.csr_matrix:
     """Square CSR matrix whose row i holds ``weights[i]`` at ``cols[i]``.
 
@@ -88,11 +93,13 @@ def _banded_stencils(nx: int, dx: float, m: int, width: int) -> tuple:
 
 def first_derivative_matrix(nx: int, dx: float) -> sp.csr_matrix:
     """Second-order d/dx (3-point stencils)."""
+    _require_samples(nx, 3, "first_derivative_matrix")
     return _csr(*_banded_stencils(nx, dx, 1, 1))
 
 
 def second_derivative_matrix(nx: int, dx: float) -> sp.csr_matrix:
     """Second-order d2/dx2 (one-sided rows use 4 points)."""
+    _require_samples(nx, 4, "second_derivative_matrix")
     cols, wts = _banded_stencils(nx, dx, 2, 1)
     # 3-point one-sided stencils are only first order; widen the edge rows.
     # The other rows get a zero fourth weight, which _csr leaves out.
@@ -107,6 +114,7 @@ def second_derivative_matrix(nx: int, dx: float) -> sp.csr_matrix:
 
 def third_derivative_matrix(nx: int, dx: float) -> sp.csr_matrix:
     """Second-order d3/dx3 (5-point stencils, one-sided within 2 of an edge)."""
+    _require_samples(nx, 5, "third_derivative_matrix")
     return _csr(*_banded_stencils(nx, dx, 3, 2))
 
 
@@ -117,6 +125,7 @@ def boundary_stencils(nx: int, dx: float) -> dict:
     side in {"left", "right"} and derivative order in {0, 1, 2}.  First
     derivatives use 3 nodes, second derivatives 4 nodes (second order).
     """
+    _require_samples(nx, 4, "boundary_stencils")
     x = np.arange(nx) * dx
     out = {}
     for side, anchor in (("left", 0), ("right", nx - 1)):

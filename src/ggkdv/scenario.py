@@ -493,23 +493,20 @@ def _run_observe(sc: Scenario):
                                                [index, rep.quotients])}
 
 
+_CASE_NAMES = np.array([tag.value for tag in spectral.CASE_TAGS])
+
+
 def _run_ucp_sweep(sc: Scenario):
-    verdicts = spectral.ucp_sweep(params=sc.params, seed=sc.seed, **sc.ucp)
-    n = len(verdicts)
-    inconclusive = sum(v.verdict is spectral.Verdict.INCONCLUSIVE for v in verdicts)
-    summary = {
-        "samples": n,
-        "inconclusive": int(inconclusive),
-        "confirmed": int(n - inconclusive),
-    }
+    sweep = spectral.ucp_sweep(params=sc.params, seed=sc.seed, **sc.ucp)
+    n = len(sweep)
+    confirmed = int(np.count_nonzero(sweep.confirmed))
+    summary = {"samples": n, "inconclusive": n - confirmed, "confirmed": confirmed}
     header = ["L", "re_p", "im_p", "case_tag", "dispersion", "verdict"]
     body = _csv(header, [
-        [v.L for v in verdicts],
-        [v.p.real for v in verdicts],
-        [v.p.imag for v in verdicts],
-        [str(v.case_tag.value) for v in verdicts],
-        [v.dispersion if np.isfinite(v.dispersion) else 1e308 for v in verdicts],
-        [str(v.verdict.value) for v in verdicts],
+        sweep.L, sweep.p.real, sweep.p.imag, _CASE_NAMES[sweep.case_tag],
+        np.where(np.isfinite(sweep.dispersion), sweep.dispersion, 1e308),
+        np.where(sweep.confirmed, spectral.Verdict.OBSTRUCTION_CONFIRMED.value,
+                 spectral.Verdict.INCONCLUSIVE.value),
     ])
     return summary, {"ucp.csv": body}
 

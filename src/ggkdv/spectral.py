@@ -43,6 +43,8 @@ __all__ = [
     "CaseTag",
     "Verdict",
     "UcpVerdict",
+    "UcpSweep",
+    "CASE_TAGS",
     "DegreeReport",
     "EigencheckReport",
     "q_coefficients",
@@ -233,6 +235,12 @@ def _pair_distances(z: np.ndarray) -> np.ndarray:
     return np.hypot(d.real, d.imag)
 
 
+def _row_scale(x: np.ndarray) -> np.ndarray:
+    """max(1, max_j |x_j|) of each row."""
+    top = np.max(np.abs(x), axis=1)
+    return np.where(top > 1.0, top, 1.0)
+
+
 def roots_P(poly: PolyP) -> RootSet:
     """Companion-matrix roots of P with Newton polishing and Vieta checks.
 
@@ -245,8 +253,7 @@ def roots_P(poly: PolyP) -> RootSet:
     coeffs = np.atleast_2d(poly.coeffs)
     roots = _polish_roots(coeffs, _companion_roots(coeffs))
     residuals = np.abs(_horner(coeffs, roots))
-    top = np.max(np.abs(coeffs), axis=1)
-    scale = np.where(top > 1.0, top, 1.0)
+    scale = _row_scale(coeffs)
     worst = np.max(residuals, axis=1)
     failed = np.flatnonzero(worst > 1e-8 * scale)
     if failed.size:
@@ -311,15 +318,64 @@ def lambert_solve(alpha: complex, k: int, tol: float = 1e-10,
     )
 
 
-def _classify(p: complex, tol: float = 1e-12) -> CaseTag:
-    ap = abs(p)
-    if ap < 1e-14:
-        return CaseTag.ZERO
-    if abs(p.imag) <= tol * ap:
-        return CaseTag.REAL
-    if abs(p.real) <= tol * ap:
-        return CaseTag.IMAGINARY
-    return CaseTag.COMPLEX
+# UcpSweep.case_tag holds indices into CASE_TAGS, the order of CaseTag.
+CASE_TAGS = tuple(CaseTag)
+_COMPLEX, _REAL, _IMAGINARY, _ZERO = range(len(CASE_TAGS))
+
+
+def _classify(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """The case of each entry of the complex array ``p``, as indices into
+    CASE_TAGS.  np.hypot rounds |p| as Python's abs of a complex does."""
+    ap = np.hypot(p.real, p.imag)
+    return np.select([ap < 1e-14, np.abs(p.imag) <= tol * ap,
+                      np.abs(p.real) <= tol * ap],
+                     [_ZERO, _REAL, _IMAGINARY], _COMPLEX)
+
+
+@dataclass
+class UcpSweep:
+    """The certificates of n draws (L, p) as arrays, one row per draw.
+
+    ``case_tag`` indexes CASE_TAGS.  ``confirmed`` is the verdict
+    (OBSTRUCTION_CONFIRMED or INCONCLUSIVE) and ``multiple`` flags
+    near-coincident roots, which leave a row unconfirmed with dispersion 0.
+    Rows with p = 0 are confirmed with infinite dispersion and need no roots:
+    their ``roots``, ``w``, ``min_separation`` and ``girard_residuals`` are
+    NaN.  ``verdict(k)`` gives row k as a UcpVerdict with its full detail.
+    """
+
+    L: np.ndarray
+    p: np.ndarray
+    case_tag: np.ndarray
+    dispersion: np.ndarray
+    confirmed: np.ndarray
+    multiple: np.ndarray
+    roots: np.ndarray
+    w: np.ndarray
+    min_separation: np.ndarray
+    girard_residuals: np.ndarray
+    params: Parameters
+    tol: float
+
+    def __len__(self) -> int:
+        return len(self.L)
+
+    def verdict(self, k: int) -> UcpVerdict:
+        """Row k as a UcpVerdict, its detail computed from the row's roots."""
+        L, p = float(self.L[k]), complex(self.p[k])
+        if self.case_tag[k] == _ZERO:
+            gap = 1.0 - self.params.a**2 * self.params.b
+            detail = {
+                "reason": ("xi = 0 is a root of P, so gamma would vanish; "
+                           "gamma is a nonzero constant"),
+                "factor": f"P(xi) = xi^4 ((1 - a^2 b) xi^2 - r) / ({gap:.6g})",
+            }
+            return UcpVerdict(L=L, p=p, case_tag=CaseTag.ZERO,
+                              dispersion=float("inf"),
+                              verdict=Verdict.OBSTRUCTION_CONFIRMED, detail=detail)
+        v = _verdicts_from_roots([L], [p], self.roots[[k]], self.tol)[0]
+        v.detail["girard_residuals"] = self.girard_residuals[k]
+        return v
 
 
 def ucp_certificate(L: float, p: complex, params: Parameters,
@@ -332,97 +388,101 @@ def ucp_certificate(L: float, p: complex, params: Parameters,
     root of P, forcing gamma = 0 against the nonvanishing assumption.
     Near-multiple roots downgrade the verdict to INCONCLUSIVE.
     """
-    return _certify([L], [complex(p)], params, tol)[0]
+    return _certify([L], [complex(p)], params, tol).verdict(0)
 
 
-def _certify(Ls: list, ps: list, params: Parameters, tol: float) -> list:
-    """The UcpVerdict of each draw (Ls[k], ps[k]), p a Python complex.
+def _certify(Ls, ps, params: Parameters, tol: float) -> UcpSweep:
+    """The certificates of the draws (Ls[k], ps[k]).
 
     The roots of every nonzero p come from one stacked ``roots_P`` call.
     """
-    if any(L <= 0 for L in Ls):
+    L = np.asarray(Ls, dtype=float)
+    p = np.asarray(ps, dtype=complex)
+    if np.any(L <= 0):
         raise ValueError("L must be positive")
     validate_params(params)
-    tags = [_classify(p) for p in ps]
-    out = [None] * len(ps)
-    gap = 1.0 - params.a**2 * params.b
-    nonzero = []
-    for k, tag in enumerate(tags):
-        if tag is not CaseTag.ZERO:
-            nonzero.append(k)
-            continue
-        detail = {
-            "reason": ("xi = 0 is a root of P, so gamma would vanish; "
-                       "gamma is a nonzero constant"),
-            "factor": f"P(xi) = xi^4 ((1 - a^2 b) xi^2 - r) / ({gap:.6g})",
-        }
-        out[k] = UcpVerdict(L=Ls[k], p=ps[k], case_tag=tag, dispersion=float("inf"),
-                            verdict=Verdict.OBSTRUCTION_CONFIRMED, detail=detail)
-    if not nonzero:
-        return out
-    poly = build_P([ps[k] for k in nonzero], params)
-    finite = np.isfinite(poly.coeffs).all(axis=1)
-    if not finite.all():
-        k = nonzero[np.argmin(finite)]
-        raise NumericalError(
-            f"P has a non-finite coefficient at L = {Ls[k]!r}, p = {ps[k]!r}"
-        )
-    rs = roots_P(poly)
-    verdicts = _verdicts_from_roots([Ls[k] for k in nonzero],
-                                    [ps[k] for k in nonzero], rs.roots, tol)
-    for k, v, girard in zip(nonzero, verdicts, rs.girard_residuals):
-        v.detail["girard_residuals"] = girard
-        out[k] = v
-    return out
+    n = len(L)
+    case_tag = _classify(p)
+    roots = np.full((n, 6), np.nan, dtype=complex)
+    w = roots.copy()
+    girard = np.full((n, 6), np.nan)
+    min_sep = np.full(n, np.nan)
+    dispersion = np.full(n, np.inf)
+    confirmed = np.ones(n, dtype=bool)
+    multiple = np.zeros(n, dtype=bool)
+    live = np.flatnonzero(case_tag != _ZERO)
+    if live.size:
+        poly = build_P(p[live], params)
+        finite = np.isfinite(poly.coeffs).all(axis=1)
+        if not finite.all():
+            k = live[np.argmin(finite)]
+            raise NumericalError(
+                f"P has a non-finite coefficient at L = {float(L[k])!r}, "
+                f"p = {complex(p[k])!r}"
+            )
+        rs = roots_P(poly)
+        roots[live], girard[live] = rs.roots, rs.girard_residuals
+        (min_sep[live], multiple[live], w[live], _, dispersion[live],
+         confirmed[live]) = _dispersion(L[live], rs.roots, tol)
+    return UcpSweep(L=L, p=p, case_tag=case_tag, dispersion=dispersion,
+                    confirmed=confirmed, multiple=multiple, roots=roots, w=w,
+                    min_separation=min_sep, girard_residuals=girard,
+                    params=params, tol=tol)
+
+
+def _dispersion(L: np.ndarray, roots: np.ndarray, tol: float) -> tuple:
+    """(min_separation, multiple, w, max |w_j|, dispersion, confirmed) of
+    every row of the (n, m) ``roots`` of P, with its length in ``L``.
+
+    Near-coincident roots void the simple-root argument: such a row is
+    flagged multiple and unconfirmed, with dispersion 0.
+    """
+    min_sep = _first_extreme(_pair_distances(roots), np.less)
+    multiple = min_sep < 1e-8 * _row_scale(roots)
+    w = roots**2 * np.exp(1j * L[:, None] * roots)
+    wmax = np.max(np.abs(w), axis=1)
+    dispersion = _first_extreme(_pair_distances(w), np.greater)
+    confirmed = ~multiple & (dispersion > tol * wmax)
+    return (min_sep, multiple, w, wmax, np.where(multiple, 0.0, dispersion),
+            confirmed)
 
 
 def _verdicts_from_roots(Ls: list, ps: list, roots: np.ndarray,
                          tol: float) -> list:
-    """Dispersion verdicts of every row of the (n, m) ``roots`` of P (nonzero
-    p), with the row's length in ``Ls`` and its p in ``ps``.
-
-    Near-coincident roots void the simple-root argument and yield an
-    INCONCLUSIVE verdict with a multiplicity flag instead of a dispersion
-    claim.
-    """
-    L = np.array(Ls, dtype=float)[:, None]
-    min_sep = _first_extreme(_pair_distances(roots), np.less)
-    top = np.max(np.abs(roots), axis=1)
-    scale = np.where(top > 1.0, top, 1.0)
-    multiple = min_sep < 1e-8 * scale
-
-    w = roots**2 * np.exp(1j * L * roots)
-    wmax = np.max(np.abs(w), axis=1)
-    dispersion = _first_extreme(_pair_distances(w), np.greater)
-    confirmed = dispersion > tol * wmax
-    argsum = np.sum(np.angle(0.5j * L * roots), axis=1)
+    """The UcpVerdict of every row of the (n, m) ``roots`` of P (nonzero
+    p), with the row's length in ``Ls`` and its p in ``ps``; a multiple
+    row's detail has the multiplicity flag instead of the w values."""
+    L = np.array(Ls, dtype=float)
+    min_sep, multiple, w, wmax, dispersion, confirmed = _dispersion(L, roots, tol)
+    argsum = np.sum(np.angle(0.5j * L[:, None] * roots), axis=1)
     pi_dist = np.abs(argsum - np.pi * np.round(argsum / np.pi))
     conj_defect = np.max(np.min(
         np.abs(roots[:, :, None] - np.conj(roots)[:, None, :]), axis=2), axis=1)
-    real_count = np.sum(np.abs(roots.imag) < 1e-8 * scale[:, None], axis=1)
+    real_count = np.sum(np.abs(roots.imag) < 1e-8 * _row_scale(roots)[:, None],
+                        axis=1)
+    tags = _classify(np.array(ps, dtype=complex))
 
     out = []
     for k, (Lk, p) in enumerate(zip(Ls, ps)):
-        tag = _classify(p)
+        tag = CASE_TAGS[tags[k]]
         detail: dict = {"roots": roots[k]}
         if multiple[k]:
             detail["multiplicity"] = True
             detail["min_separation"] = min_sep[k]
-            out.append(UcpVerdict(L=Lk, p=p, case_tag=tag, dispersion=0.0,
-                                  verdict=Verdict.INCONCLUSIVE, detail=detail))
-            continue
-        detail["w"] = w[k]
-        detail["w_scale"] = float(wmax[k])
-        if tag is CaseTag.COMPLEX:
-            eta = p**2 / abs(p) ** 2
-            detail["p2_over_abs_p2_imag"] = eta.imag
-            detail["arg_sum"] = float(argsum[k])
-            detail["arg_sum_dist_to_pi_grid"] = float(pi_dist[k])
-        elif tag is CaseTag.REAL:
-            detail["conjugate_closure_defect"] = float(conj_defect[k])
-            detail["real_root_count"] = int(real_count[k])
-        elif tag is CaseTag.IMAGINARY:
-            detail["note"] = "coefficients of R(xi) = P at p = iq are real up to scaling"
+        else:
+            detail["w"] = w[k]
+            detail["w_scale"] = float(wmax[k])
+            if tag is CaseTag.COMPLEX:
+                eta = p**2 / abs(p) ** 2
+                detail["p2_over_abs_p2_imag"] = eta.imag
+                detail["arg_sum"] = float(argsum[k])
+                detail["arg_sum_dist_to_pi_grid"] = float(pi_dist[k])
+            elif tag is CaseTag.REAL:
+                detail["conjugate_closure_defect"] = float(conj_defect[k])
+                detail["real_root_count"] = int(real_count[k])
+            elif tag is CaseTag.IMAGINARY:
+                detail["note"] = ("coefficients of R(xi) = P at p = iq are "
+                                  "real up to scaling")
         verdict = (Verdict.OBSTRUCTION_CONFIRMED if confirmed[k]
                    else Verdict.INCONCLUSIVE)
         out.append(UcpVerdict(L=Lk, p=p, case_tag=tag,
@@ -431,29 +491,59 @@ def _verdicts_from_roots(Ls: list, ps: list, roots: np.ndarray,
     return out
 
 
+# Doubles that 8 consecutive draws take: L, the radius and a third (angle or
+# sign) for each of kinds 0-6, and only L and the radius for kind 7 (p = 0).
+_DRAW_BLOCK = 23
+
+
+def _uniform(u: np.ndarray, low, high) -> np.ndarray:
+    """Generator.uniform(low, high) applied to the standard doubles ``u``:
+    its arithmetic, low + (high - low) u, and its checks."""
+    low, high = float(low), float(high)
+    span = high - low
+    if not np.isfinite(span):
+        raise OverflowError("Range exceeds valid bounds")
+    if span < 0:
+        raise ValueError("range < 0")
+    return low + span * u
+
+
+def _ucp_draws(nsamples: int, seed, L_range, p_radius) -> tuple:
+    """The (L, p) arrays of ``nsamples`` draws, from one block of the seed's
+    stream.
+
+    Draw i has kind i % 8 and takes L, then a log-uniform radius, then, but
+    for kind 7, a third double u: kinds 0-4 have p = radius e^{2 pi i u},
+    kind 5 p = +-radius and kind 6 p = +-i radius (+ where u < 0.5), and
+    kind 7 p = 0.  The doubles have the bits of drawing them one at a time
+    by ``rng.uniform``; p is built from its parts with the products that
+    CPython's complex arithmetic rounds.
+    """
+    kind = np.arange(nsamples) % 8
+    at = _DRAW_BLOCK * (np.arange(nsamples) // 8) + 3 * kind
+    u = np.random.default_rng(seed).random(
+        _DRAW_BLOCK * (nsamples // 8) + 3 * (nsamples % 8))
+    L = _uniform(u[at], *L_range)
+    radius = np.exp(_uniform(u[at + 1], np.log(p_radius[0]), np.log(p_radius[1])))
+    third = u[np.where(kind < 7, at + 2, 0)]
+    sign = np.where(third < 0.5, 1.0, -1.0)
+    turn = np.zeros(nsamples, dtype=complex)
+    turn.imag = 2.0 * np.pi * third
+    unit = np.exp(turn)
+    polar, real, imaginary = kind < 5, kind == 5, kind == 6
+    p = np.empty(nsamples, dtype=complex)
+    p.real = np.select([polar, real, imaginary],
+                       [radius * unit.real, radius * sign, 0.0 * sign], 0.0)
+    p.imag = np.select([polar, imaginary], [radius * unit.imag, radius * sign], 0.0)
+    return L, p
+
+
 def ucp_sweep(nsamples: int, params: Parameters, seed: int = 0,
               L_range=(0.05, 10.0), p_radius=(0.3, 3.0),
-              tol: float = 1e-6) -> list:
+              tol: float = 1e-6) -> UcpSweep:
     """Random (L, p) draws with a share of axis and p = 0 cases included,
-    certified together by one stacked root computation."""
-    rng = np.random.default_rng(seed)
-    Ls, ps = [], []
-    for i in range(nsamples):
-        L = float(rng.uniform(*L_range))
-        kind = i % 8
-        radius = float(np.exp(rng.uniform(np.log(p_radius[0]),
-                                          np.log(p_radius[1]))))
-        if kind == 5:
-            p = radius * (1.0 if rng.uniform() < 0.5 else -1.0)
-        elif kind == 6:
-            p = 1j * radius * (1.0 if rng.uniform() < 0.5 else -1.0)
-        elif kind == 7:
-            p = 0.0
-        else:
-            p = radius * np.exp(2j * np.pi * rng.uniform())
-        Ls.append(L)
-        ps.append(complex(p))
-    return _certify(Ls, ps, params, tol)
+    certified together by one stacked root computation, as a UcpSweep."""
+    return _certify(*_ucp_draws(nsamples, seed, L_range, p_radius), params, tol)
 
 
 @dataclass

@@ -288,8 +288,9 @@ def test_criterion_8_lambert_residuals():
 
 def test_criterion_9_ucp_sweep():
     t0 = time.time()
-    verdicts = ucp_sweep(200, P, seed=11)
-    inconclusive = [v for v in verdicts if v.verdict is Verdict.INCONCLUSIVE]
+    sweep = ucp_sweep(200, P, seed=11)
+    inconclusive = [sweep.verdict(k) for k in np.flatnonzero(~sweep.confirmed)]
+    assert all(v.verdict is Verdict.INCONCLUSIVE for v in inconclusive)
     for v in inconclusive:
         print(f"  INCONCLUSIVE finding: L={v.L:.4f} p={v.p} detail={v.detail}")
     ok = len(inconclusive) == 0 and time.time() - t0 < 30

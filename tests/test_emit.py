@@ -87,7 +87,8 @@ UCP = ("command: ucp-sweep\nseed: 3\n"
 
 
 def ucp_oracle(samples):
-    verdicts = spectral.ucp_sweep(samples, P, seed=3)
+    sweep = spectral.ucp_sweep(samples, P, seed=3)
+    verdicts = (sweep.verdict(k) for k in range(len(sweep)))
     rows = ((v.L, v.p.real, v.p.imag, str(v.case_tag.value),
              v.dispersion if np.isfinite(v.dispersion) else 1e308,
              str(v.verdict.value)) for v in verdicts)
@@ -120,6 +121,13 @@ def test_mixed_string_and_float_columns_match_oracle():
         got = "".join(chunks)
         assert got == want
         assert "-0.0000000000000000e+00" in got
+
+
+@pytest.mark.parametrize("samples", [13, 24])
+def test_ucp_csv_matches_verdict_rows(samples):
+    # 13 draws end on a kind-4 draw, 24 on a kind-7 (p = 0) draw
+    for chunks, want in ucp_cases(samples):
+        assert "".join(chunks) == want
 
 
 def test_ucp_csv_matches_oracle(tmp_path):

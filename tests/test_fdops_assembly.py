@@ -137,11 +137,23 @@ def test_derivative_matrices_have_the_oracle_bytes(name, L):
         try:
             want = ORACLES[name](nx, dx)
         except IndexError:
-            # fewer samples than the stencil needs, at the oracle too
-            with pytest.raises(IndexError):
+            # fewer samples than the stencil needs: the oracle fails on an
+            # index, the builder names its minimum
+            with pytest.raises(ValueError, match="needs at least"):
                 build(nx, dx)
             continue
         assert_same_arrays(build(nx, dx), want)
+
+
+@pytest.mark.parametrize("name, need", [
+    ("first_derivative_matrix", 3), ("second_derivative_matrix", 4),
+    ("third_derivative_matrix", 5), ("boundary_stencils", 4)])
+def test_tiny_grids_name_the_minimum_sample_count(name, need):
+    build = getattr(fdops, name)
+    for nx in range(need):
+        with pytest.raises(ValueError, match=f"{name} needs at least {need} "):
+            build(nx, 0.1)
+    build(need, 0.1)
 
 
 def test_batched_weights_are_the_scalar_calls():

@@ -2,10 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ggkdv import spectral
 from ggkdv.core import Parameters
 from ggkdv.errors import ConstraintViolation
 from ggkdv.spectral import (
+    CASE_TAGS,
     CaseTag,
     Verdict,
     build_P,
@@ -164,10 +168,13 @@ def test_ucp_imaginary_p():
 
 
 def test_ucp_sweep_all_confirmed():
-    verdicts = ucp_sweep(80, Parameters(a=0.2, b=1.0, c=1.0, r=1.0), seed=7)
-    assert len(verdicts) == 80
+    sweep = ucp_sweep(80, Parameters(a=0.2, b=1.0, c=1.0, r=1.0), seed=7)
+    assert len(sweep) == 80
+    assert sweep.confirmed.all() and not sweep.multiple.any()
+    verdicts = [sweep.verdict(k) for k in range(len(sweep))]
     assert all(v.verdict is Verdict.OBSTRUCTION_CONFIRMED for v in verdicts)
     tags = {v.case_tag for v in verdicts}
+    assert tags == {CASE_TAGS[c] for c in sweep.case_tag}
     assert CaseTag.ZERO in tags and CaseTag.REAL in tags
     assert CaseTag.IMAGINARY in tags and CaseTag.COMPLEX in tags
 
@@ -333,10 +340,9 @@ def _oracle_from_roots(L, p, roots, tol=1e-6):
     return tag, float(dispersion), verdict, detail
 
 
-def _oracle_sweep(nsamples, params, seed, L_range, p_radius):
-    """The per-draw ucp_sweep: one certificate per (L, p) draw."""
+def _oracle_draws(nsamples, seed, L_range, p_radius):
+    """The (L, p) draws of the per-draw ucp_sweep, one rng.uniform at a time."""
     rng = np.random.default_rng(seed)
-    out = []
     for i in range(nsamples):
         L = float(rng.uniform(*L_range))
         kind = i % 8
@@ -350,7 +356,13 @@ def _oracle_sweep(nsamples, params, seed, L_range, p_radius):
             p = 0.0
         else:
             p = radius * np.exp(2j * np.pi * rng.uniform())
-        p = complex(p)
+        yield L, complex(p)
+
+
+def _oracle_sweep(nsamples, params, seed, L_range, p_radius):
+    """The per-draw ucp_sweep: one certificate per (L, p) draw."""
+    out = []
+    for L, p in _oracle_draws(nsamples, seed, L_range, p_radius):
         if _oracle_classify(p) is CaseTag.ZERO:
             out.append((L, p, CaseTag.ZERO, float("inf"),
                         Verdict.OBSTRUCTION_CONFIRMED, {}, None))
@@ -397,20 +409,87 @@ def test_ucp_sweep_matches_per_draw_oracle(seed, params, L_range, p_radius):
     with np.errstate(over="ignore", invalid="ignore"):
         got = ucp_sweep(160, params, seed=seed, L_range=L_range, p_radius=p_radius)
         want = _oracle_sweep(160, params, seed, L_range, p_radius)
+        verdicts = [got.verdict(k) for k in range(len(got))]
     assert len(got) == len(want)
-    for v, (L, p, tag, dispersion, verdict, detail, girard) in zip(got, want):
+    for k, (v, (L, p, tag, dispersion, verdict, detail, girard)) in enumerate(
+            zip(verdicts, want)):
         assert _bits(v.L) == _bits(L) and _bits(v.p) == _bits(p)
-        assert v.case_tag is tag and v.verdict is verdict
+        assert _bits(got.L[k]) == _bits(L) and _bits(got.p[k]) == _bits(p)
+        assert v.case_tag is tag and CASE_TAGS[got.case_tag[k]] is tag
+        assert v.verdict is verdict
+        assert got.confirmed[k] == (verdict is Verdict.OBSTRUCTION_CONFIRMED)
+        assert got.multiple[k] == ("multiplicity" in detail)
         assert _bits(v.dispersion) == _bits(dispersion)
+        assert _bits(got.dispersion[k]) == _bits(dispersion)
         for key in ("roots", "w", "min_separation"):
             assert (key in v.detail) == (key in detail)
             if key in detail:
                 assert _bits(v.detail[key]) == _bits(detail[key]), key
+                assert _bits(getattr(got, key)[k]) == _bits(detail[key]), key
         if girard is not None:
+            assert _bits(v.detail["girard_residuals"]) == _bits(got.girard_residuals[k])
             assert np.max(v.detail["girard_residuals"]) <= 1e-8
             assert np.max(girard) <= 1e-8
+        else:
+            assert np.isnan(got.roots[k]).all()
+            assert np.isnan(got.girard_residuals[k]).all()
     if params is NEAR_DOUBLE:
-        assert any(v.detail.get("multiplicity") for v in got)
+        assert got.multiple.any()
+        assert any(v.detail.get("multiplicity") for v in verdicts)
+
+
+_RANGES = st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6)).map(sorted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nsamples=st.integers(1, 50), seed=st.integers(0, 2**64 - 1),
+       L_range=_RANGES, p_radius=_RANGES)
+@example(nsamples=8, seed=0, L_range=[0.05, 10.0], p_radius=[0.3, 3.0])
+@example(nsamples=48, seed=3, L_range=[2.0, 2.0], p_radius=[0.5, 0.5])
+@example(nsamples=13, seed=1, L_range=[0.05, 10.0], p_radius=[0.3, 3.0])
+def test_block_draw_is_the_per_draw_stream(nsamples, seed, L_range, p_radius):
+    L, p = spectral._ucp_draws(nsamples, seed, L_range, p_radius)
+    want = list(_oracle_draws(nsamples, seed, L_range, p_radius))
+    assert _bits(L) == _bits([Lk for Lk, _ in want])
+    assert _bits(p) == _bits(np.array([pk for _, pk in want], dtype=complex))
+
+
+@pytest.mark.parametrize("nsamples", [1, 7, 8, 9, 13, 24, 50])
+def test_ucp_sweep_certifies_the_block_draw(nsamples):
+    sweep = ucp_sweep(nsamples, PARAMS_A, seed=nsamples)
+    L, p = spectral._ucp_draws(nsamples, nsamples, (0.05, 10.0), (0.3, 3.0))
+    assert len(sweep) == nsamples
+    assert _bits(sweep.L) == _bits(L) and _bits(sweep.p) == _bits(p)
+
+
+@pytest.mark.parametrize("L_range, p_radius", [
+    ((5.0, 1.0), (0.3, 3.0)), ((0.05, 10.0), (3.0, 0.3)),
+    ((0.05, np.inf), (0.3, 3.0)), ((0.05, 10.0), (0.0, 3.0)),
+], ids=["L-reversed", "p-reversed", "L-infinite", "p-zero"])
+def test_block_draw_rejects_what_rng_uniform_rejects(L_range, p_radius):
+    with np.errstate(divide="ignore"):
+        with pytest.raises((ValueError, OverflowError)) as want:
+            list(_oracle_draws(3, 0, L_range, p_radius))
+        with pytest.raises(want.type):
+            ucp_sweep(3, PARAMS_A, L_range=L_range, p_radius=p_radius)
+
+
+def test_ucp_sweep_of_no_draws_is_empty():
+    sweep = ucp_sweep(0, PARAMS_A, seed=4)
+    assert len(sweep) == 0
+    assert sweep.L.shape == sweep.dispersion.shape == (0,)
+    assert sweep.roots.shape == sweep.w.shape == (0, 6)
+
+
+def test_ucp_certificate_of_zero_p_needs_no_roots(monkeypatch):
+    def no_roots(poly):
+        raise AssertionError("roots_P called for p = 0")
+
+    monkeypatch.setattr(spectral, "roots_P", no_roots)
+    v = ucp_certificate(2.5, 0.0, PARAMS_A)
+    assert v.case_tag is CaseTag.ZERO and v.verdict is Verdict.OBSTRUCTION_CONFIRMED
+    assert v.dispersion == float("inf") and v.L == 2.5 and v.p == 0j
+    assert "reason" in v.detail and "factor" in v.detail
 
 
 def test_single_point_kernels_match_oracle():
