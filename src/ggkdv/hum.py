@@ -27,7 +27,7 @@ unresolved mesh-scale data.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,14 +97,6 @@ class ControlBundle:
     config: ControlConfig
     norms: dict
 
-    def as_json_dict(self) -> dict:
-        return {
-            "config": self.config.kind.value,
-            "mask": list(self.config.mask),
-            "norms": {k: float(v) for k, v in self.norms.items()},
-            "signals": {n: getattr(self.signals, n).tolist() for n in SIGNAL_NAMES},
-        }
-
 
 @dataclass
 class ObservabilityReport:
@@ -116,8 +108,7 @@ class ObservabilityReport:
     quotient_min: float
     sample_count: int
     c_hidden: np.ndarray
-    quotients: np.ndarray = field(default=None)
-    rejected: int = 0
+    quotients: np.ndarray
 
     @property
     def c1_squared(self) -> float:
@@ -126,18 +117,6 @@ class ObservabilityReport:
     def feasible_three_control(self, p: Parameters) -> bool:
         gap = 1.0 - p.a**2 * p.b
         return 0.0 < self.c1_squared * gap < p.c
-
-    def as_json_dict(self) -> dict:
-        return {
-            "config": self.config.kind.value,
-            "L": self.L,
-            "T": self.T,
-            "quotient_min": float(self.quotient_min),
-            "sample_count": int(self.sample_count),
-            "c_hidden": [float(v) for v in self.c_hidden],
-            "c1_squared": self.c1_squared,
-            "rejected": int(self.rejected),
-        }
 
 
 @dataclass
@@ -355,7 +334,8 @@ def _steer(
 ) -> tuple:
     """The controls of ``solve_control``, without its verification march.
 
-    Returns (ControlBundle, iterations, residuals, adjoint final data).
+    The nonlinear loop warm-starts CGLS at ``x0`` and gates only its first
+    sweep.  Returns (ControlBundle, iterations, residuals, adjoint final data).
     """
     validate_params(p)
     init.check(g)
@@ -395,18 +375,17 @@ def solve_control(
     p: Parameters,
     g: Grid,
     scheme: SchemeConfig = None,
-    x0: StatePair = None,
-    check_feasibility: bool = True,
 ) -> ControlResult:
     """Steer ``init`` to ``target`` at time T with the masked boundary controls.
 
-    Solves Gramian(x) = target - free evolution by CGLS until the relative
-    residual (which equals the terminal error, by linearity) drops below
-    ``tol``; the achieved state is re-verified with a plain forward solve
-    using the returned controls.
+    A three-control configuration first takes the feasibility gate.  Solves
+    Gramian(x) = target - free evolution by CGLS from x = 0 until the
+    relative residual (which equals the terminal error, by linearity) drops
+    below ``tol``; the achieved state is re-verified with a plain forward
+    solve using the returned controls.
     """
-    bundle, iters, hist, adjoint_final = _steer(
-        cfg, init, target, tol, p, g, scheme, x0, check_feasibility)
+    bundle, iters, hist, adjoint_final = _steer(cfg, init, target, tol, p, g,
+                                                scheme)
     traj, _ = solve_linear_forward(p, g, init, bundle.signals, scheme=scheme)
     return ControlResult(
         controls=bundle,

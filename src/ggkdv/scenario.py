@@ -485,7 +485,18 @@ def _run_nonlinear_control(sc: Scenario):
 def _run_observe(sc: Scenario):
     rep = hum.estimate_observability(sc.config, sc.observe, sc.params, sc.grid,
                                      seed=sc.seed, scheme=sc.scheme)
-    summary = rep.as_json_dict()
+    summary = {
+        "config": rep.config.kind.value,
+        "L": rep.L,
+        "T": rep.T,
+        "quotient_min": float(rep.quotient_min),
+        "sample_count": int(rep.sample_count),
+        "c_hidden": [float(v) for v in rep.c_hidden],
+        "c1_squared": rep.c1_squared,
+        # no sample is ever rejected; the key stays until ROADMAP item 2
+        # changes the schema
+        "rejected": 0,
+    }
     if sc.config.is_three_control:
         summary["feasible_three_control"] = rep.feasible_three_control(sc.params)
     index = [str(i) for i in range(len(rep.quotients))]

@@ -28,7 +28,6 @@ coefficients all vanish.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -72,18 +71,21 @@ class Verdict(enum.Enum):
 
 @dataclass
 class PolyP:
-    """The monic degree-6 polynomial P(xi) = Q(-xi)/(1 - a^2 b) of the
-    Fourier reduction, leading coefficient first.  A stack of polynomials
-    has one row of ``coeffs`` per value of ``p``, then a complex array.
+    """The monic degree-6 polynomials P(xi) = Q(-xi)/(1 - a^2 b) of the
+    Fourier reduction, one row of ``coeffs`` (leading coefficient first)
+    per entry of the complex array ``p``.
     """
 
     coeffs: np.ndarray
-    p: complex
+    p: np.ndarray
     params: Parameters
 
 
 @dataclass
 class RootSet:
+    """The six roots of each row of a PolyP, with their residuals |P(xi_j)|
+    and Vieta (Girard) residuals, one row per polynomial."""
+
     roots: np.ndarray
     residuals: np.ndarray
     girard_residuals: np.ndarray
@@ -98,27 +100,8 @@ class UcpVerdict:
     verdict: Verdict
     detail: dict = field(default_factory=dict)
 
-    def as_json_dict(self) -> dict:
-        def plain(v):
-            if isinstance(v, np.ndarray):
-                return [plain(x) for x in v.tolist()]
-            if isinstance(v, complex):
-                return [v.real, v.imag]
-            if isinstance(v, (np.floating, np.integer, np.bool_)):
-                return v.item()
-            return v
 
-        return {
-            "L": self.L,
-            "p": [self.p.real, self.p.imag],
-            "case_tag": self.case_tag.value,
-            "dispersion": self.dispersion,
-            "verdict": self.verdict.value,
-            "detail": {k: plain(v) for k, v in self.detail.items()},
-        }
-
-
-def _q_rows(ps, params: Parameters) -> np.ndarray:
+def q_coefficients(ps, params: Parameters) -> np.ndarray:
     """Coefficients of Q(xi), degree 6 first, one row per value of ``ps``.
 
     Each row is built by CPython arithmetic on that value, as a scalar
@@ -134,33 +117,21 @@ def _q_rows(ps, params: Parameters) -> np.ndarray:
         except OverflowError:
             return [np.nan] * 7
 
-    return np.array([row(p) for p in ps], dtype=complex)
-
-
-def q_coefficients(p: complex, params: Parameters) -> np.ndarray:
-    """Coefficients of Q(xi), degree 6 first."""
-    return _q_rows([p], params)[0]
+    rows = [row(p) for p in np.asarray(ps, dtype=complex).tolist()]
+    return np.array(rows, dtype=complex).reshape(len(rows), 7)
 
 
 _ODD_SIGNS = np.array([1, -1, 1, -1, 1, -1, 1], dtype=complex)
 
 
-def build_P(p, params: Parameters) -> PolyP:
-    """The normalized polynomial P(xi) = Q(-xi) / (1 - a^2 b), monic.
-
-    ``p`` is one value, or a sequence of values for a stack of polynomials:
-    then ``coeffs`` has one row per value and ``p`` is their complex array.
-    """
-    stacked = np.ndim(p) > 0
-    ps = np.asarray(p, dtype=complex).tolist() if stacked else [p]
-    q = _q_rows(ps, params)
-    gap = 1.0 - params.a**2 * params.b
+def build_P(ps, params: Parameters) -> PolyP:
+    """The normalized polynomials P(xi) = Q(-xi) / (1 - a^2 b), monic, one
+    row of ``coeffs`` per value of ``ps``."""
+    p = np.asarray(ps, dtype=complex)
     # Q(-xi): flip the sign of odd-degree coefficients (degrees 6..0)
-    coeffs = _ODD_SIGNS * q / gap
+    coeffs = _ODD_SIGNS * q_coefficients(p, params) / (1.0 - params.a**2 * params.b)
     coeffs[:, 0] = 1.0  # exact, complex division rounds the leading entry
-    if stacked:
-        return PolyP(coeffs=coeffs, p=np.array(ps, dtype=complex), params=params)
-    return PolyP(coeffs=coeffs[0], p=complex(p), params=params)
+    return PolyP(coeffs=coeffs, p=p, params=params)
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -217,13 +188,6 @@ def _elementary_symmetric(roots: np.ndarray) -> np.ndarray:
     return e[:, 1:]
 
 
-def _first_extreme(values: np.ndarray, better) -> np.ndarray:
-    """Row maxima (``better`` np.greater) or minima (np.less) as Python's max
-    and min take them: the first entry stays unless a later one is better,
-    so a NaN counts only in the first column."""
-    return functools.reduce(lambda m, x: np.where(better(x, m), x, m), values.T)
-
-
 def _pair_distances(z: np.ndarray) -> np.ndarray:
     """|z_i - z_j| over the pairs i < j of each row, in combinations order.
 
@@ -236,8 +200,8 @@ def _pair_distances(z: np.ndarray) -> np.ndarray:
 
 
 def _row_scale(x: np.ndarray) -> np.ndarray:
-    """max(1, max_j |x_j|) of each row."""
-    top = np.max(np.abs(x), axis=1)
+    """max(1, max_j |x_j|) of each row (along the last axis)."""
+    top = np.max(np.abs(x), axis=-1)
     return np.where(top > 1.0, top, 1.0)
 
 
@@ -247,10 +211,10 @@ def roots_P(poly: PolyP) -> RootSet:
     The girard_residuals compare the elementary symmetric functions of the
     computed roots against the coefficient pattern (e1 = 0, e4 = 0,
     e2 = -r/(1-a^2 b), e6 = c p^2/(1-a^2 b), and so on), relatively scaled.
-    A stack of polynomials (2-D ``coeffs``) gives one row of each field per
-    polynomial, from one stacked eigenvalue call.
+    Every row of ``poly`` gets one row of each field, from one stacked
+    eigenvalue call.
     """
-    coeffs = np.atleast_2d(poly.coeffs)
+    coeffs = poly.coeffs
     roots = _polish_roots(coeffs, _companion_roots(coeffs))
     residuals = np.abs(_horner(coeffs, roots))
     scale = _row_scale(coeffs)
@@ -259,14 +223,12 @@ def roots_P(poly: PolyP) -> RootSet:
     if failed.size:
         k = failed[0]
         raise NumericalError(
-            f"root refinement failed at p = {np.atleast_1d(poly.p)[k]!r}: worst "
+            f"root refinement failed at p = {poly.p[k]!r}: worst "
             f"residual {worst[k]:.3e} (tolerance {1e-8 * scale[k]:.3e})"
         )
     e_roots = _elementary_symmetric(roots)
     e_coeffs = coeffs[:, 1:] * np.array([-1, 1, -1, 1, -1, 1])
     girard = np.abs(e_roots - e_coeffs) / np.maximum(1.0, np.abs(e_coeffs))
-    if poly.coeffs.ndim == 1:
-        roots, residuals, girard = roots[0], residuals[0], girard[0]
     return RootSet(roots=roots, residuals=residuals, girard_residuals=girard)
 
 
@@ -339,9 +301,11 @@ class UcpSweep:
     ``case_tag`` indexes CASE_TAGS.  ``confirmed`` is the verdict
     (OBSTRUCTION_CONFIRMED or INCONCLUSIVE) and ``multiple`` flags
     near-coincident roots, which leave a row unconfirmed with dispersion 0.
+    ``w`` holds w_j = xi_j^2 e^{i L xi_j} and ``w_scale`` max_j |w_j|.
     Rows with p = 0 are confirmed with infinite dispersion and need no roots:
-    their ``roots``, ``w``, ``min_separation`` and ``girard_residuals`` are
-    NaN.  ``verdict(k)`` gives row k as a UcpVerdict with its full detail.
+    their ``roots``, ``w``, ``w_scale``, ``min_separation`` and
+    ``girard_residuals`` are NaN.  ``verdict(k)`` gives row k as a
+    UcpVerdict with its full detail.
     """
 
     L: np.ndarray
@@ -352,30 +316,53 @@ class UcpSweep:
     multiple: np.ndarray
     roots: np.ndarray
     w: np.ndarray
+    w_scale: np.ndarray
     min_separation: np.ndarray
     girard_residuals: np.ndarray
     params: Parameters
-    tol: float
 
     def __len__(self) -> int:
         return len(self.L)
 
     def verdict(self, k: int) -> UcpVerdict:
-        """Row k as a UcpVerdict, its detail computed from the row's roots."""
+        """Row k as a UcpVerdict: its stored fields, and the detail that
+        only its case reports, computed from its roots alone."""
         L, p = float(self.L[k]), complex(self.p[k])
-        if self.case_tag[k] == _ZERO:
+        tag, roots = CASE_TAGS[self.case_tag[k]], self.roots[k]
+        if tag is CaseTag.ZERO:
             gap = 1.0 - self.params.a**2 * self.params.b
             detail = {
                 "reason": ("xi = 0 is a root of P, so gamma would vanish; "
                            "gamma is a nonzero constant"),
                 "factor": f"P(xi) = xi^4 ((1 - a^2 b) xi^2 - r) / ({gap:.6g})",
             }
-            return UcpVerdict(L=L, p=p, case_tag=CaseTag.ZERO,
-                              dispersion=float("inf"),
-                              verdict=Verdict.OBSTRUCTION_CONFIRMED, detail=detail)
-        v = _verdicts_from_roots([L], [p], self.roots[[k]], self.tol)[0]
-        v.detail["girard_residuals"] = self.girard_residuals[k]
-        return v
+        elif self.multiple[k]:
+            detail = {"roots": roots, "multiplicity": True,
+                      "min_separation": self.min_separation[k]}
+        else:
+            detail = {"roots": roots, "w": self.w[k],
+                      "w_scale": float(self.w_scale[k])}
+            if tag is CaseTag.COMPLEX:
+                argsum = float(np.sum(np.angle(0.5j * L * roots)))
+                detail["p2_over_abs_p2_imag"] = (p**2 / abs(p) ** 2).imag
+                detail["arg_sum"] = argsum
+                detail["arg_sum_dist_to_pi_grid"] = float(abs(
+                    argsum - np.pi * np.round(argsum / np.pi)))
+            elif tag is CaseTag.REAL:
+                detail["conjugate_closure_defect"] = float(np.max(np.min(
+                    np.abs(roots[:, None] - np.conj(roots)[None, :]), axis=1)))
+                detail["real_root_count"] = int(np.sum(
+                    np.abs(roots.imag) < 1e-8 * _row_scale(roots)))
+            else:
+                detail["note"] = ("coefficients of R(xi) = P at p = iq are "
+                                  "real up to scaling")
+        if tag is not CaseTag.ZERO:
+            detail["girard_residuals"] = self.girard_residuals[k]
+        verdict = (Verdict.OBSTRUCTION_CONFIRMED if self.confirmed[k]
+                   else Verdict.INCONCLUSIVE)
+        return UcpVerdict(L=L, p=p, case_tag=tag,
+                          dispersion=float(self.dispersion[k]), verdict=verdict,
+                          detail=detail)
 
 
 def ucp_certificate(L: float, p: complex, params: Parameters,
@@ -395,6 +382,10 @@ def _certify(Ls, ps, params: Parameters, tol: float) -> UcpSweep:
     """The certificates of the draws (Ls[k], ps[k]).
 
     The roots of every nonzero p come from one stacked ``roots_P`` call.
+    Near-coincident roots void the simple-root argument: such a row is
+    flagged multiple and unconfirmed, with dispersion 0.  A coefficient of
+    P or a w_j that is not finite (p^2 or e^{i L xi} overflowing) raises
+    NumericalError, naming the first such draw.
     """
     L = np.asarray(Ls, dtype=float)
     p = np.asarray(ps, dtype=complex)
@@ -406,89 +397,41 @@ def _certify(Ls, ps, params: Parameters, tol: float) -> UcpSweep:
     roots = np.full((n, 6), np.nan, dtype=complex)
     w = roots.copy()
     girard = np.full((n, 6), np.nan)
-    min_sep = np.full(n, np.nan)
+    w_scale, min_sep = np.full(n, np.nan), np.full(n, np.nan)
     dispersion = np.full(n, np.inf)
     confirmed = np.ones(n, dtype=bool)
     multiple = np.zeros(n, dtype=bool)
     live = np.flatnonzero(case_tag != _ZERO)
     if live.size:
         poly = build_P(p[live], params)
-        finite = np.isfinite(poly.coeffs).all(axis=1)
-        if not finite.all():
-            k = live[np.argmin(finite)]
-            raise NumericalError(
-                f"P has a non-finite coefficient at L = {float(L[k])!r}, "
-                f"p = {complex(p[k])!r}"
-            )
+        _check_finite(poly.coeffs, "P has a non-finite coefficient", L[live], p[live])
         rs = roots_P(poly)
-        roots[live], girard[live] = rs.roots, rs.girard_residuals
-        (min_sep[live], multiple[live], w[live], _, dispersion[live],
-         confirmed[live]) = _dispersion(L[live], rs.roots, tol)
+        xi = roots[live] = rs.roots
+        girard[live] = rs.girard_residuals
+        with np.errstate(over="ignore", invalid="ignore"):
+            w[live] = xi**2 * np.exp(1j * L[live][:, None] * xi)
+        _check_finite(w[live], "w = xi^2 e^(i L xi) is not finite", L[live], p[live])
+        # w finite makes the roots finite, so no NaN reaches min or max
+        min_sep[live] = np.min(_pair_distances(xi), axis=1)
+        multiple[live] = min_sep[live] < 1e-8 * _row_scale(xi)
+        w_scale[live] = np.max(np.abs(w[live]), axis=1)
+        with np.errstate(over="ignore"):  # a spread past the double range is inf
+            spread = np.max(_pair_distances(w[live]), axis=1)
+        dispersion[live] = np.where(multiple[live], 0.0, spread)
+        confirmed[live] = ~multiple[live] & (spread > tol * w_scale[live])
     return UcpSweep(L=L, p=p, case_tag=case_tag, dispersion=dispersion,
                     confirmed=confirmed, multiple=multiple, roots=roots, w=w,
-                    min_separation=min_sep, girard_residuals=girard,
-                    params=params, tol=tol)
+                    w_scale=w_scale, min_separation=min_sep,
+                    girard_residuals=girard, params=params)
 
 
-def _dispersion(L: np.ndarray, roots: np.ndarray, tol: float) -> tuple:
-    """(min_separation, multiple, w, max |w_j|, dispersion, confirmed) of
-    every row of the (n, m) ``roots`` of P, with its length in ``L``.
-
-    Near-coincident roots void the simple-root argument: such a row is
-    flagged multiple and unconfirmed, with dispersion 0.
-    """
-    min_sep = _first_extreme(_pair_distances(roots), np.less)
-    multiple = min_sep < 1e-8 * _row_scale(roots)
-    w = roots**2 * np.exp(1j * L[:, None] * roots)
-    wmax = np.max(np.abs(w), axis=1)
-    dispersion = _first_extreme(_pair_distances(w), np.greater)
-    confirmed = ~multiple & (dispersion > tol * wmax)
-    return (min_sep, multiple, w, wmax, np.where(multiple, 0.0, dispersion),
-            confirmed)
-
-
-def _verdicts_from_roots(Ls: list, ps: list, roots: np.ndarray,
-                         tol: float) -> list:
-    """The UcpVerdict of every row of the (n, m) ``roots`` of P (nonzero
-    p), with the row's length in ``Ls`` and its p in ``ps``; a multiple
-    row's detail has the multiplicity flag instead of the w values."""
-    L = np.array(Ls, dtype=float)
-    min_sep, multiple, w, wmax, dispersion, confirmed = _dispersion(L, roots, tol)
-    argsum = np.sum(np.angle(0.5j * L[:, None] * roots), axis=1)
-    pi_dist = np.abs(argsum - np.pi * np.round(argsum / np.pi))
-    conj_defect = np.max(np.min(
-        np.abs(roots[:, :, None] - np.conj(roots)[:, None, :]), axis=2), axis=1)
-    real_count = np.sum(np.abs(roots.imag) < 1e-8 * _row_scale(roots)[:, None],
-                        axis=1)
-    tags = _classify(np.array(ps, dtype=complex))
-
-    out = []
-    for k, (Lk, p) in enumerate(zip(Ls, ps)):
-        tag = CASE_TAGS[tags[k]]
-        detail: dict = {"roots": roots[k]}
-        if multiple[k]:
-            detail["multiplicity"] = True
-            detail["min_separation"] = min_sep[k]
-        else:
-            detail["w"] = w[k]
-            detail["w_scale"] = float(wmax[k])
-            if tag is CaseTag.COMPLEX:
-                eta = p**2 / abs(p) ** 2
-                detail["p2_over_abs_p2_imag"] = eta.imag
-                detail["arg_sum"] = float(argsum[k])
-                detail["arg_sum_dist_to_pi_grid"] = float(pi_dist[k])
-            elif tag is CaseTag.REAL:
-                detail["conjugate_closure_defect"] = float(conj_defect[k])
-                detail["real_root_count"] = int(real_count[k])
-            elif tag is CaseTag.IMAGINARY:
-                detail["note"] = ("coefficients of R(xi) = P at p = iq are "
-                                  "real up to scaling")
-        verdict = (Verdict.OBSTRUCTION_CONFIRMED if confirmed[k]
-                   else Verdict.INCONCLUSIVE)
-        out.append(UcpVerdict(L=Lk, p=p, case_tag=tag,
-                              dispersion=float(dispersion[k]), verdict=verdict,
-                              detail=detail))
-    return out
+def _check_finite(rows: np.ndarray, what: str, L: np.ndarray, p: np.ndarray):
+    """Raise NumericalError naming the first draw (L[k], p[k]) whose row of
+    ``rows`` is not finite."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        k = np.argmin(finite)
+        raise NumericalError(f"{what} at L = {float(L[k])!r}, p = {complex(p[k])!r}")
 
 
 # Doubles that 8 consecutive draws take: L, the radius and a third (angle or
@@ -554,16 +497,6 @@ class DegreeReport:
     coefficient_names: tuple
     independent: bool
     trivial_if_all_zero: bool = True
-
-    def as_json_dict(self) -> dict:
-        return {
-            "config_id": self.config_id,
-            "numerator_degrees": list(self.numerator_degrees),
-            "denominator_degree": self.denominator_degree,
-            "coefficient_names": list(self.coefficient_names),
-            "independent": self.independent,
-            "trivial_if_all_zero": self.trivial_if_all_zero,
-        }
 
 
 def _numerator_arrays(config_id: str, p: complex, params: Parameters) -> tuple:
@@ -655,17 +588,12 @@ def degree_certificate(config_id: str, p: complex = 0.7 + 0.3j,
 
 @dataclass
 class EigencheckReport:
-    """One point of the r = 0 check, or, from a stacked ``r0_eigencheck``
-    call, arrays over all its points."""
+    """The r = 0 check over its points (L, s), one array entry per point."""
 
-    L: float
-    s: complex
-    sigma_min: float
-    certified: bool
-
-    def as_json_dict(self) -> dict:
-        return {"L": self.L, "s": [self.s.real, self.s.imag],
-                "sigma_min": self.sigma_min, "certified": self.certified}
+    L: np.ndarray
+    s: np.ndarray
+    sigma_min: np.ndarray
+    certified: np.ndarray
 
 
 def r0_eigencheck(L, s, tol: float = 1e-8) -> EigencheckReport:
@@ -678,13 +606,11 @@ def r0_eigencheck(L, s, tol: float = 1e-8) -> EigencheckReport:
     monomials 1, x, x^2 when s = 0) and reports the smallest singular value
     of the row-normalized 5 x 3 matrix.
 
-    ``L`` and ``s`` are one point, or equal-length 1-D arrays of points: then
-    one stacked SVD covers them all and each field of the report is the
-    array over the points.
+    ``L`` and ``s`` are equal-length 1-D arrays of points; one stacked SVD
+    covers them all.
     """
-    stacked = np.ndim(s) > 0
-    Ls = np.atleast_1d(np.asarray(L, dtype=float))
-    ss = np.atleast_1d(np.asarray(s, dtype=complex))
+    Ls = np.asarray(L, dtype=float)
+    ss = np.asarray(s, dtype=complex)
     if np.any(Ls <= 0):
         raise ValueError("L must be positive")
     zero = np.hypot(ss.real, ss.imag) < 1e-14
@@ -715,7 +641,4 @@ def r0_eigencheck(L, s, tol: float = 1e-8) -> EigencheckReport:
             f"s = {complex(ss[k])!r}"
         )
     smin = np.linalg.svd(A, compute_uv=False)[:, -1]
-    if stacked:
-        return EigencheckReport(L=Ls, s=ss, sigma_min=smin, certified=smin > tol)
-    return EigencheckReport(L=L, s=complex(s), sigma_min=float(smin[0]),
-                            certified=bool(smin[0] > tol))
+    return EigencheckReport(L=Ls, s=ss, sigma_min=smin, certified=smin > tol)

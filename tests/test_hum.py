@@ -290,25 +290,32 @@ def test_observability_regression_value():
     assert rep.quotient_min == pytest.approx(4.088813048378866, rel=1e-9)
 
 
-def test_report_json_serialization():
+OBSERVE_SUMMARY_KEYS = ["config", "L", "T", "quotient_min", "sample_count",
+                        "c_hidden", "c1_squared", "rejected"]
+
+
+@pytest.mark.parametrize("config, extra", [
+    ("FOUR_I", []), ("THREE_V", ["feasible_three_control"])],
+    ids=["FOUR_I", "THREE_V"])
+def test_observe_run_json_summary_keys(tmp_path, config, extra):
     import json
 
-    g = Grid(L=1.0, N=24, T=1.0, M=32)
-    rep = estimate_observability(FOUR_I, 2, P, g, seed=0)
-    blob = json.dumps(rep.as_json_dict(), sort_keys=True)
-    parsed = json.loads(blob)
-    assert parsed["config"] == "FOUR_I"
-    assert parsed["sample_count"] == 2
-    assert len(parsed["c_hidden"]) == 3
+    from ggkdv.scenario import run_scenario
 
-    rng = np.random.default_rng(0)
-    traj, _ = solve_adjoint_backward(P, g, shaped_random_state(rng, g))
-    bundle = controls_from_adjoint(FOUR_I, traj, P)
-    blob = json.dumps(bundle.as_json_dict(), sort_keys=True)
-    parsed = json.loads(blob)
-    assert parsed["mask"] == [True, True, True, False, True, False]
-    assert set(parsed["norms"]) == {"h0", "h1", "h2", "g0", "g1", "g2"}
-    assert len(parsed["signals"]["h1"]) == g.nt
+    path = tmp_path / "observe.yaml"
+    path.write_text("command: observe\nparams: {a: 0.2, b: 1.0, c: 1.0, r: 1.0}\n"
+                    "grid: {L: 1.0, N: 24, T: 1.0, M: 32}\n"
+                    f"config: {config}\nobserve: {{samples: 2}}\n")
+    result = run_scenario(str(path), output_dir=str(tmp_path / "out"))
+    assert result.exit_code == 0
+    with open(tmp_path / "out" / "run.json") as fh:
+        summary = json.load(fh)["summary"]
+    # run.json sorts its keys
+    assert list(result.summary) == OBSERVE_SUMMARY_KEYS + extra
+    assert list(summary) == sorted(OBSERVE_SUMMARY_KEYS + extra)
+    assert summary["config"] == config
+    assert summary["sample_count"] == 2 and summary["rejected"] == 0
+    assert len(summary["c_hidden"]) == 3
 
 
 def count_calls(monkeypatch, name):

@@ -489,11 +489,12 @@ def test_equal_ucp_bounds_are_valid(tmp_path):
     "text",
     [
         UCP_BASE + "ucp: {samples: 16, p_min: 1.0e+200, p_max: 1.0e+201}\n",
+        UCP_BASE + "seed: 5\nucp: {samples: 160, L_min: 300.0, L_max: 3000.0}\n",
         "command: r0-check\nr0: {re: [-10, 10, 3], im: [-10, 10, 3], "
         "lengths: [1000.0]}\n",
         "command: r0-check\nr0: {re: [1.0e+300, 1.0e+301, 2], im: [-10, 10, 3]}\n",
     ],
-    ids=["ucp-p-overflow", "r0-long-interval", "r0-huge-s"],
+    ids=["ucp-p-overflow", "ucp-w-overflow", "r0-long-interval", "r0-huge-s"],
 )
 def test_non_finite_spectral_matrices_exit_3(tmp_path, capsys, text):
     path = write(tmp_path, text)
@@ -502,7 +503,7 @@ def test_non_finite_spectral_matrices_exit_3(tmp_path, capsys, text):
     assert cli_main(["run", path, "--output-dir", str(out)]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.count("error:") == 1 and "finite" in err
+    assert err.count("error:") == 1 and "finite" in err and "L = " in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import strategies as st
 
 from ggkdv import spectral
 from ggkdv.core import Parameters
-from ggkdv.errors import ConstraintViolation
+from ggkdv.errors import ConstraintViolation, NumericalError
 from ggkdv.spectral import (
     CASE_TAGS,
     CaseTag,
+    RootSet,
     Verdict,
     build_P,
     degree_certificate,
@@ -38,7 +40,7 @@ def random_valid_params(rng):
 
 
 def test_q_coefficients_example():
-    q = q_coefficients(1.0, PARAMS)
+    q = q_coefficients([1.0], PARAMS)[0]
     np.testing.assert_allclose(q, [1, 0, -1, -2, 0, 1, 1], atol=1e-15)
 
 
@@ -46,9 +48,9 @@ def test_p_zero_factorization():
     # at p = 0:  P(xi) = xi^4 ((1 - a^2 b) xi^2 - r) / (1 - a^2 b)
     params = Parameters(a=0.5, b=1.0, c=2.0, r=0.7)
     gap = 1 - params.a**2 * params.b
-    poly = build_P(0.0, params)
+    poly = build_P([0.0], params)
     expected = np.array([1.0, 0, -params.r / gap, 0, 0, 0, 0], dtype=complex)
-    np.testing.assert_allclose(poly.coeffs, expected, atol=1e-15)
+    np.testing.assert_allclose(poly.coeffs[0], expected, atol=1e-15)
 
 
 def test_build_p_is_monic_and_patterned():
@@ -56,37 +58,37 @@ def test_build_p_is_monic_and_patterned():
     for _ in range(20):
         params = random_valid_params(rng)
         p = complex(rng.standard_normal(), rng.standard_normal())
-        poly = build_P(p, params)
-        assert poly.coeffs[0] == 1.0
-        assert poly.coeffs[1] == 0.0  # no degree-5 term
-        assert poly.coeffs[4] == 0.0  # no degree-2 term
-        q = q_coefficients(p, params)
+        coeffs = build_P([p], params).coeffs[0]
+        assert coeffs[0] == 1.0
+        assert coeffs[1] == 0.0  # no degree-5 term
+        assert coeffs[4] == 0.0  # no degree-2 term
+        q = q_coefficients([p], params)[0]
         assert q[0] == pytest.approx(1 - params.a**2 * params.b)
 
 
 def test_invalid_params_rejected():
     with pytest.raises(ConstraintViolation):
-        build_P(1.0, Parameters(a=2.0, b=1.0, c=1.0, r=0.0))
+        build_P([1.0], Parameters(a=2.0, b=1.0, c=1.0, r=0.0))
 
 
 def test_planted_roots_recovered():
     planted = np.array([1.0, -1.0, 2.0, -2.0, 3.0, -3.0])
     coeffs = np.poly(planted).astype(complex)
-    poly = build_P(1.0, PARAMS)
-    poly.coeffs = coeffs  # monic with known roots
-    rs = roots_P(poly)
-    got = np.sort_complex(rs.roots)
+    poly = build_P([1.0], PARAMS)
+    poly.coeffs = coeffs[None, :]  # monic with known roots
+    roots = roots_P(poly).roots[0]
+    got = np.sort_complex(roots)
     np.testing.assert_allclose(got, np.sort_complex(planted.astype(complex)),
                                atol=1e-10)
-    assert abs(np.sum(rs.roots)) < 1e-10
+    assert abs(np.sum(roots)) < 1e-10
 
 
 def test_vieta_relations_on_reference_polynomial():
-    rs = roots_P(build_P(1.0, PARAMS))
+    rs = roots_P(build_P([1.0], PARAMS))
     # e1 = 0 and product of roots = c p^2 / (1 - a^2 b) = 1
-    assert abs(np.sum(rs.roots)) < 1e-10
-    assert np.prod(rs.roots) == pytest.approx(1.0, rel=1e-8)
-    assert np.max(rs.girard_residuals) < 1e-8
+    assert abs(np.sum(rs.roots[0])) < 1e-10
+    assert np.prod(rs.roots[0]) == pytest.approx(1.0, rel=1e-8)
+    assert np.max(rs.girard_residuals[0]) < 1e-8
 
 
 def test_vieta_relations_random_sweep():
@@ -96,10 +98,10 @@ def test_vieta_relations_random_sweep():
         p = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if abs(p) < 0.1:
             p += 0.5
-        rs = roots_P(build_P(p, params))
-        assert np.max(rs.girard_residuals) <= 1e-8
-        assert np.max(rs.residuals) <= 1e-8 * max(
-            1.0, np.max(np.abs(build_P(p, params).coeffs))
+        rs = roots_P(build_P([p], params))
+        assert np.max(rs.girard_residuals[0]) <= 1e-8
+        assert np.max(rs.residuals[0]) <= 1e-8 * max(
+            1.0, np.max(np.abs(build_P([p], params).coeffs[0]))
         )
 
 
@@ -149,6 +151,7 @@ def test_ucp_complex_example():
     assert v.dispersion > 0
     assert v.verdict is Verdict.OBSTRUCTION_CONFIRMED
     assert abs(v.detail["p2_over_abs_p2_imag"]) > 0.1
+    assert v.detail["roots"].shape == (6,)
 
 
 def test_ucp_real_p_conjugate_closure():
@@ -200,51 +203,78 @@ def test_degree_certificates():
 
 
 def test_degree_certificate_deterministic():
-    a = degree_certificate("THREE_V").as_json_dict()
-    b = degree_certificate("THREE_V").as_json_dict()
-    assert a == b
+    assert degree_certificate("THREE_V") == degree_certificate("THREE_V")
 
 
 def test_r0_eigencheck_s_zero():
     # basis {1, x, x^2}: rows phi(0)=c0, phi'(0)=c1, phi''(0)=2 c2 already
     # have rank 3, so sigma_min > 0 for any L
-    rep = r0_eigencheck(2.0, 0.0)
-    assert rep.sigma_min > 1e-2
-    assert rep.certified
+    rep = r0_eigencheck([2.0], [0.0])
+    assert rep.sigma_min[0] > 1e-2
+    assert rep.certified[0]
 
 
 def test_r0_eigencheck_s_one():
-    rep = r0_eigencheck(1.0, 1.0)
-    assert rep.sigma_min > 1e-8
-    assert rep.certified
+    rep = r0_eigencheck([1.0], [1.0])
+    assert rep.sigma_min[0] > 1e-8
+    assert rep.certified[0]
+    assert r0_eigencheck([1.0], [2.0]).certified[0]
 
 
 def test_r0_eigencheck_scaling_invariance():
     # row normalization makes sigma_min insensitive to basis rescaling,
     # realized here as invariance under conjugating s around the circle
-    rep1 = r0_eigencheck(1.5, 2.0 + 1.0j)
-    rep2 = r0_eigencheck(1.5, 2.0 - 1.0j)
-    assert rep1.sigma_min == pytest.approx(rep2.sigma_min, rel=1e-10)
+    rep1 = r0_eigencheck([1.5], [2.0 + 1.0j])
+    rep2 = r0_eigencheck([1.5], [2.0 - 1.0j])
+    assert rep1.sigma_min[0] == pytest.approx(rep2.sigma_min[0], rel=1e-10)
+
+
+def r0_grid():
+    """The 324 points (L, s) of L in {0.5, 1, pi, 5} and s on the 9 x 9 grid
+    of [-10, 10]^2, as the arrays (L, re s, im s, s)."""
+    L, re, im = (a.ravel() for a in np.meshgrid(
+        [0.5, 1.0, np.pi, 5.0], np.linspace(-10, 10, 9), np.linspace(-10, 10, 9),
+        indexing="ij"))
+    s = np.empty(L.size, dtype=complex)
+    s.real, s.imag = re, im
+    return L, re, im, s
 
 
 def test_r0_eigencheck_sweep():
-    worst = np.inf
-    for L in (0.5, 1.0, np.pi, 5.0):
-        for sre in np.linspace(-10, 10, 9):
-            for sim in np.linspace(-10, 10, 9):
-                rep = r0_eigencheck(L, complex(sre, sim))
-                worst = min(worst, rep.sigma_min)
-    assert worst > 1e-8
+    L, _, _, s = r0_grid()
+    assert L.size == 324
+    assert np.min(r0_eigencheck(L, s).sigma_min) > 1e-8
 
 
-def test_multiple_roots_inconclusive():
-    from ggkdv.spectral import _verdicts_from_roots
+def certify_planted(monkeypatch, roots):
+    """The one-draw record of L = 1, p = 0.7 + 0.2i with ``roots`` as the
+    roots of P: the certificate reads them from the module's roots_P."""
+    def planted(poly):
+        return RootSet(roots=np.array([roots], dtype=complex),
+                       residuals=np.zeros((1, 6)), girard_residuals=np.zeros((1, 6)))
 
-    roots = np.array([1.0, 1.0 + 5e-9, -2.0, -0.5, 0.25 + 1j, 0.25 - 1j])
-    v = _verdicts_from_roots([1.0], [0.7 + 0.2j], roots[None, :], 1e-6)[0]
-    assert v.verdict is Verdict.INCONCLUSIVE
+    monkeypatch.setattr(spectral, "roots_P", planted)
+    return spectral._certify([1.0], [0.7 + 0.2j], PARAMS, 1e-6)
+
+
+def test_multiple_roots_inconclusive(monkeypatch):
+    sweep = certify_planted(monkeypatch,
+                            [1.0, 1.0 + 5e-9, -2.0, -0.5, 0.25 + 1j, 0.25 - 1j])
+    assert sweep.multiple[0] and not sweep.confirmed[0]
+    assert sweep.dispersion[0] == 0.0
+    v = sweep.verdict(0)
+    assert v.verdict is Verdict.INCONCLUSIVE and v.dispersion == 0.0
     assert v.detail["multiplicity"] is True
     assert v.detail["min_separation"] <= 1e-8
+
+
+def test_spread_past_the_double_range_is_infinite(monkeypatch):
+    # finite w_1 = -b^2 e^b and w_2 ~ (b^2 - pi^2) e^b near 1.5e308: their
+    # difference overflows, which confirms the row with no numpy warning
+    b = 696.5
+    sweep = certify_planted(monkeypatch, [-1j * b, np.pi - 1j * b, 1.0, 2.0, 3.0, 4.0])
+    assert np.isfinite(sweep.w).all() and sweep.w_scale[0] > 1e308
+    assert sweep.dispersion[0] == np.inf and sweep.confirmed[0]
 
 
 def test_near_double_root_instance_flagged_or_dispersed():
@@ -260,19 +290,31 @@ def test_near_double_root_instance_flagged_or_dispersed():
 
 
 def test_reports_serialize_to_json():
+    # the sweep verdicts and the r = 0 check reach JSON as the run.json
+    # summaries of the ucp-sweep and r0-check runners; a DegreeReport holds
+    # only plain fields, so dataclasses.asdict serializes it
+    import dataclasses
     import json
 
-    v = ucp_certificate(1.0, 1 + 1j, Parameters(a=0.2, b=1.0, c=1.0, r=1.0))
-    blob = json.loads(json.dumps(v.as_json_dict(), sort_keys=True))
-    assert blob["verdict"] == "OBSTRUCTION_CONFIRMED"
-    assert blob["case_tag"] == "COMPLEX"
-    assert len(blob["detail"]["roots"]) == 6
+    from ggkdv import scenario
 
-    rep = json.loads(json.dumps(degree_certificate("ANOTHER2").as_json_dict()))
+    def run(text):
+        summary, arts = scenario._RUNNERS[text.split()[1]](
+            scenario.parse_scenario_text(text))
+        return json.loads(json.dumps(summary, sort_keys=True)), arts
+
+    blob, arts = run("command: ucp-sweep\nseed: 3\n"
+                     "params: {a: 0.2, b: 1.0, c: 1.0, r: 1.0}\nucp: {samples: 6}\n")
+    assert blob == {"samples": 6, "inconclusive": 0, "confirmed": 6}
+    rows = "".join(arts["ucp.csv"]).strip().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["OBSTRUCTION_CONFIRMED"] * 6
+
+    rep = json.loads(json.dumps(dataclasses.asdict(degree_certificate("ANOTHER2"))))
     assert rep["numerator_degrees"] == [5, 5]
 
-    eig = json.loads(json.dumps(r0_eigencheck(1.0, 2.0).as_json_dict()))
-    assert eig["certified"] is True
+    eig, _ = run("command: r0-check\n"
+                 "r0: {re: [1, 1, 1], im: [0, 0, 1], lengths: [2.0]}\n")
+    assert eig["certified"] is True and eig["points"] == 1
 
 
 # -- per-point oracle ----------------------------------------------------------
@@ -333,7 +375,7 @@ def _oracle_from_roots(L, p, roots, tol=1e-6):
         return tag, 0.0, Verdict.INCONCLUSIVE, detail
     w = roots**2 * np.exp(1j * L * roots)
     detail["w"] = w
-    wmax = float(np.max(np.abs(w)))
+    wmax = detail["w_scale"] = float(np.max(np.abs(w)))
     dispersion = max(abs(x - y) for x, y in itertools.combinations(w, 2))
     verdict = (Verdict.OBSTRUCTION_CONFIRMED if dispersion > tol * wmax
                else Verdict.INCONCLUSIVE)
@@ -372,6 +414,17 @@ def _oracle_sweep(nsamples, params, seed, L_range, p_radius):
     return out
 
 
+def _oracle_first_non_finite_w(nsamples, params, seed, L_range, p_radius):
+    """The first draw (L, p), p nonzero, whose w_j = xi_j^2 e^{i L xi_j} are
+    not all finite, or None."""
+    for L, p in _oracle_draws(nsamples, seed, L_range, p_radius):
+        if _oracle_classify(p) is not CaseTag.ZERO:
+            roots, _ = _oracle_roots(_oracle_P(p, params))
+            if not np.isfinite(roots**2 * np.exp(1j * L * roots)).all():
+                return L, p
+    return None
+
+
 def _oracle_r0(L, s):
     s = complex(s)
     if abs(s) < 1e-14:
@@ -400,16 +453,24 @@ PARAMS_A = Parameters(a=0.2, b=1.0, c=1.0, r=1.0)
     [(PARAMS_A, (0.05, 10.0), (0.3, 3.0)),
      # every real draw lands on the near-double root: the multiplicity branch
      (NEAR_DOUBLE, (0.05, 10.0), (0.3766703343468792, 0.3766703343468792)),
-     # e^{iL xi} overflows: w holds inf and NaN, and the pairwise maximum
-     # must keep Python's max semantics (inf vs NaN dispersions)
+     # e^{iL xi} overflows: the sweep raises, naming the first draw whose w
+     # is not finite, without a numpy warning
      (PARAMS_A, (300.0, 3000.0), (0.3, 3.0))],
     ids=["reference", "near-double-root", "overflowing-w"],
 )
 def test_ucp_sweep_matches_per_draw_oracle(seed, params, L_range, p_radius):
     with np.errstate(over="ignore", invalid="ignore"):
-        got = ucp_sweep(160, params, seed=seed, L_range=L_range, p_radius=p_radius)
-        want = _oracle_sweep(160, params, seed, L_range, p_radius)
-        verdicts = [got.verdict(k) for k in range(len(got))]
+        overflow = _oracle_first_non_finite_w(160, params, seed, L_range, p_radius)
+    assert (overflow is None) == (L_range[1] <= 10.0)
+    if overflow is not None:
+        L, p = overflow
+        with pytest.raises(NumericalError,
+                           match=re.escape(f"not finite at L = {L!r}, p = {p!r}")):
+            ucp_sweep(160, params, seed=seed, L_range=L_range, p_radius=p_radius)
+        return
+    got = ucp_sweep(160, params, seed=seed, L_range=L_range, p_radius=p_radius)
+    want = _oracle_sweep(160, params, seed, L_range, p_radius)
+    verdicts = [got.verdict(k) for k in range(len(got))]
     assert len(got) == len(want)
     for k, (v, (L, p, tag, dispersion, verdict, detail, girard)) in enumerate(
             zip(verdicts, want)):
@@ -421,7 +482,7 @@ def test_ucp_sweep_matches_per_draw_oracle(seed, params, L_range, p_radius):
         assert got.multiple[k] == ("multiplicity" in detail)
         assert _bits(v.dispersion) == _bits(dispersion)
         assert _bits(got.dispersion[k]) == _bits(dispersion)
-        for key in ("roots", "w", "min_separation"):
+        for key in ("roots", "w", "w_scale", "min_separation"):
             assert (key in v.detail) == (key in detail)
             if key in detail:
                 assert _bits(v.detail[key]) == _bits(detail[key]), key
@@ -498,9 +559,9 @@ def test_single_point_kernels_match_oracle():
         params = random_valid_params(rng)
         p = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         L = float(rng.uniform(0.1, 8.0))
-        poly = build_P(p, params)
+        poly = build_P([p], params)
         assert _bits(poly.coeffs) == _bits(_oracle_P(p, params))
-        roots, _ = _oracle_roots(poly.coeffs)
+        roots, _ = _oracle_roots(poly.coeffs[0])
         assert _bits(roots_P(poly).roots) == _bits(roots)
         v = ucp_certificate(L, p, params)
         tag, dispersion, verdict, _ = _oracle_from_roots(L, p, roots)
@@ -509,17 +570,14 @@ def test_single_point_kernels_match_oracle():
 
 
 def test_r0_grid_matches_scalar_oracle():
-    L, re, im = (a.ravel() for a in np.meshgrid(
-        [0.5, 1.0, np.pi, 5.0], np.linspace(-10, 10, 9), np.linspace(-10, 10, 9),
-        indexing="ij"))
-    s = np.empty(L.size, dtype=complex)
-    s.real, s.imag = re, im
+    L, _, _, s = r0_grid()
     assert np.any(s == 0)
     rep = r0_eigencheck(L, s)
     want = np.array([_oracle_r0(Lk, sk) for Lk, sk in zip(L.tolist(), s.tolist())])
     assert _bits(rep.sigma_min) == _bits(want)
     assert np.array_equal(rep.certified, want > 1e-8)
     for k in (0, int(np.argmin(np.abs(s))), L.size - 1):
-        one = r0_eigencheck(float(L[k]), complex(s[k]))
-        assert type(one.sigma_min) is float and type(one.certified) is bool
-        assert one.sigma_min == want[k]
+        one = r0_eigencheck(L[[k]], s[[k]])
+        assert one.sigma_min.shape == one.certified.shape == (1,)
+        assert _bits(one.sigma_min) == _bits(want[[k]])
+        assert one.certified[0] == (want[k] > 1e-8)
