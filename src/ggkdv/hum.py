@@ -54,8 +54,6 @@ from .pde import (
     Trajectory,
     _first_derivative,
     nonlinear_forcing,
-    solve_adjoint_backward,
-    solve_linear_forward,
     solve_nonlinear,
     stepper,
 )
@@ -363,7 +361,7 @@ def _steer(
     op = gramian_operator(cfg, p, g, theta)
     xsol, iters, hist = _cgls(op, rhs, tol, MAXITER, x0=z0)
     adjoint_final = StatePair(xsol[: g.nx].copy(), xsol[g.nx :].copy())
-    adjoint, _ = solve_adjoint_backward(p, g, adjoint_final, scheme=scheme)
+    adjoint = Trajectory(z=stepper(p, g, "adjoint", theta).run(xsol), grid=g)
     return controls_from_adjoint(cfg, adjoint, p), iters, hist, adjoint_final
 
 
@@ -386,10 +384,11 @@ def solve_control(
     """
     bundle, iters, hist, adjoint_final = _steer(cfg, init, target, tol, p, g,
                                                 scheme)
-    traj, _ = solve_linear_forward(p, g, init, bundle.signals, scheme=scheme)
+    fw = stepper(p, g, "forward", (scheme or SchemeConfig()).theta)
+    z = fw.run(np.concatenate([init.u, init.v]), bc=bundle.signals.as_array())
     return ControlResult(
         controls=bundle,
-        achieved=traj.final_state,
+        achieved=Trajectory(z=z, grid=g).final_state,
         iterations=iters,
         residuals=hist,
         adjoint_final=adjoint_final,

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .core import (SIGNAL_NAMES, Grid, Parameters, StatePair, trapezoid_weights,
                    validate_params)
@@ -247,10 +248,10 @@ class Stepper:
                     np.concatenate([a * b * wr2, wr2, [r]]),
                 )
             )
-        self.bc_rows = [row for row, _, _ in rows]
+        self.bc_rows = np.array([row for row, _, _ in rows])
         A = _replace_rows(A, {row: (cols, wts) for row, cols, wts in rows})
         empty = (np.array([], dtype=int), np.array([]))
-        self.B = _replace_rows(B, dict.fromkeys(self.bc_rows, empty))
+        self.B = _replace_rows(B, {row: empty for row, _, _ in rows})
         try:
             self.lu = spla.splu(A.tocsc())
         except RuntimeError as exc:
@@ -283,11 +284,9 @@ class Stepper:
             start, levels = g.M, range(g.M - 1, -1, -1)
             if forcing is not None:
                 raise ValueError("the adjoint system is marched homogeneously")
+            if bc is not None:
+                raise ValueError("the adjoint system takes no boundary data")
         out[..., start, :] = z.T
-        if forcing is not None:
-            forc = np.asarray(forcing, dtype=float).copy()
-            forc[:, self.bc_rows] = 0.0
-            forc = forc.reshape(forc.shape + cols)
         if bc is not None:
             bc = np.asarray(bc).reshape(np.shape(bc) + cols)
         # B's boundary rows are empty and the forcing's are zeroed, so the
@@ -295,10 +294,15 @@ class Stepper:
         # that overflows runs on to the end; the scan below names the first
         # non-finite level in march order, counted in steps.
         with np.errstate(over="ignore", invalid="ignore"):
+            if forcing is not None:  # row n is the blend of levels n, n + 1
+                forc = np.asarray(forcing, dtype=float)
+                forc = theta * forc[1:] + (1.0 - theta) * forc[:-1]
+                forc[:, self.bc_rows] = 0.0
+                forc = forc.reshape(forc.shape + cols)
             for n, level in enumerate(levels):
-                rhs = self.B @ z
+                rhs = _csr_dot(self.B, z)
                 if forcing is not None:
-                    rhs += theta * forc[n + 1] + (1.0 - theta) * forc[n]
+                    rhs += forc[n]
                 if bc is not None:
                     rhs[self.bc_rows] = bc[:, n + 1]
                 z = self.lu.solve(rhs)
@@ -329,13 +333,13 @@ class Stepper:
         if self.direction != "forward":
             raise ValueError("input_transpose applies to the forward stepper")
         g = self.g
-        rows = [self.bc_rows[i] for i in signals]
+        rows = self.bc_rows[signals]
         pulse = np.zeros((2 * self.nx, len(rows)))
         pulse[rows, np.arange(len(rows))] = 1.0
         resp = self.lu.solve(pulse)  # z(T) after a unit pulse at level M
         X = d[:, g.M, :].T @ resp.T
         for n in range(g.M - 1, 0, -1):
-            resp = self.lu.solve(self.B @ resp)
+            resp = self.lu.solve(_csr_dot(self.B, resp))
             X += d[:, n, :].T @ resp.T
         return X
 
@@ -353,9 +357,22 @@ class Stepper:
         theta[:, g.M] = readvecs
         lam = readvecs.T
         for n in range(g.M - 1, -1, -1):
-            lam = self.BT @ self.lu.solve(lam, trans="T")
+            lam = _csr_dot(self.BT, self.lu.solve(lam, trans="T"))
             theta[:, n] = lam.T
         return theta
+
+
+def _csr_dot(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` for a dense 1-d or 2-d ``x``, by the sparsetools kernel
+    that ``@`` dispatches to, with its bytes and without its overhead."""
+    M, N = A.shape
+    y = np.zeros((M,) + x.shape[1:])
+    if x.ndim == 1 or x.shape[1] == 1:  # ``@`` takes one column as a vector
+        csr_matvec(M, N, A.indptr, A.indices, A.data, x.ravel(), y.ravel())
+    else:  # ravel gives the C order the kernel reads, as ``@`` does
+        csr_matvecs(M, N, x.shape[1], A.indptr, A.indices, A.data,
+                    x.ravel(), y.ravel())
+    return y
 
 
 @functools.lru_cache(maxsize=8)

@@ -68,6 +68,30 @@ def test_forward_block_with_bc_and_forcing_matches_single():
     assert np.array_equal(got[0], want)
 
 
+@pytest.mark.parametrize("theta", [0.6, 1.0])
+def test_forced_block_blends_like_the_per_level_oracle(theta):
+    # the forcing is blended once per march, with the bits of the oracle's
+    # per-level blend; boundary rows of +-inf blend to NaN, which is zeroed
+    # without a warning
+    fw = pde.stepper(P, G, "forward", theta)
+    rng = np.random.default_rng(11)
+    forcing = rng.standard_normal((G.nt, 2 * G.nx))
+    forcing[:, fw.bc_rows] = np.where(np.arange(G.nt) % 2, np.inf, -np.inf)[:, None]
+    block = rng.standard_normal((2 * G.nx, 3))
+    got = fw.run(block, forcing=forcing)
+    for j in range(3):
+        assert np.array_equal(got[j], single_run(fw, block[:, j], forcing=forcing))
+
+
+def test_adjoint_march_takes_no_boundary_data_or_forcing():
+    ad = pde.stepper(P, G, "adjoint", 0.5)
+    z0 = np.ones(2 * G.nx)
+    with pytest.raises(ValueError, match="boundary data"):
+        ad.run(z0, bc=np.ones((6, G.nt)))
+    with pytest.raises(ValueError, match="homogeneously"):
+        ad.run(z0, forcing=np.ones((G.nt, 2 * G.nx)))
+
+
 def overflowing_columns(*scales):
     """A finite column and columns of mesh-scale data near overflow."""
     rng = np.random.default_rng(0)
