@@ -18,15 +18,15 @@ parameters, grid, theta) as a dense matrix, by one transposed adjoint sweep
 and one forward sweep of the boundary pulses.  The control problem
 Gramian(x) = target - free evolution is solved by conjugate gradient on the
 normal equations (CGLS) in the weighted state inner product, with the
-exact transpose of the assembled matrix.  Plain CG on the Gramian itself is
-not usable here: the forward/adjoint discretizations are only weak-sense
-adjoints of each other, and the composite operator loses symmetry on
-unresolved mesh-scale data.
+exact transpose of the assembled matrix, and the controls of its solution
+are read off the control histories the assembly kept.  Plain CG on the
+Gramian itself is not usable here: the forward/adjoint discretizations are
+only weak-sense adjoints of each other, and the composite operator loses
+symmetry on unresolved mesh-scale data.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,8 +199,14 @@ def controls_from_adjoint(
     rows = combo_read_vectors(p, g)[active] @ traj.z.T
     _controls_in_place(rows, active, p, g.T)
     sig[active] = rows
+    return _bundle(cfg, sig, g.T)
+
+
+def _bundle(cfg: ControlConfig, sig: np.ndarray, T: float) -> ControlBundle:
+    """The ControlBundle of the (6, M+1) signal array ``sig``, with the
+    class norm of each row."""
     norms = {
-        name: sobolev_trace_norm(sig[i], CONTROL_CLASS[name], g.T)
+        name: sobolev_trace_norm(sig[i], CONTROL_CLASS[name], T)
         for i, name in enumerate(SIGNAL_NAMES)
     }
     return ControlBundle(signals=BoundarySignals.from_array(sig), config=cfg,
@@ -215,7 +221,9 @@ class GramianOperator:
     its Riesz multiplier along time and F_i the forward responses at T to
     unit pulses on boundary row i.  Theta comes from one transposed adjoint
     block sweep, F from one forward block sweep; build it through the
-    cached ``gramian_operator``.
+    cached ``gramian_operator``.  The control histories
+    d = coef_i R_i Theta_i (k, M+1, 2nx) of the k active signals are kept,
+    read-only: by linearity, the controls of final data x are d @ x.
     """
 
     def __init__(self, cfg: ControlConfig, p: Parameters, g: Grid, theta: float = 0.5):
@@ -225,14 +233,15 @@ class GramianOperator:
         self.w_stacked = np.concatenate([(p.b / p.c) * w, w])
         fw = stepper(p, g, "forward", theta)
         ad = stepper(p, g, "adjoint", theta)
-        active = _active(cfg)
+        self.active = _active(cfg)
         # Theta, turned in place into the control histories coef_i R_i Theta_i
-        d = ad.readout_transpose(combo_read_vectors(p, g)[active])
-        _controls_in_place(d, active, p, g.T)
-        self.G = fw.input_transpose(d, active).T
+        self.d = ad.readout_transpose(combo_read_vectors(p, g)[self.active])
+        _controls_in_place(self.d, self.active, p, g.T)
+        self.G = fw.input_transpose(self.d, self.active).T
         if not np.all(np.isfinite(self.G)):
             raise NumericalError("Gramian assembly lost finiteness")
         self.G.flags.writeable = False  # shared through the cache
+        self.d.flags.writeable = False
 
     def xdot(self, z1: np.ndarray, z2: np.ndarray) -> float:
         return float(np.sum(self.w_stacked * z1 * z2))
@@ -244,13 +253,34 @@ class GramianOperator:
         """The transpose of ``apply`` in the weighted inner product."""
         return (self.G.T @ (self.w_stacked * y)) / self.w_stacked
 
+    def controls(self, z_final: np.ndarray) -> np.ndarray:
+        """The (6, M+1) control signals of the final data ``z_final``: the
+        ones whose forward response from rest is ``apply(z_final)``, with
+        zeros in the inactive rows."""
+        sig = np.zeros((6, self.g.nt))
+        sig[self.active] = self.d @ z_final
+        return sig
 
-@functools.lru_cache(maxsize=8)
+
+_GRAMIAN = {}  # the one kept key -> its operator
+
+
 def gramian_operator(cfg: ControlConfig, p: Parameters, g: Grid,
                      theta: float) -> GramianOperator:
-    """The assembled Gramian of a key, shared by all callers (read-only);
-    pass the arguments positionally, so that equal keys share one entry."""
-    return GramianOperator(cfg, p, g, theta)
+    """The assembled Gramian of a key, shared by all callers (read-only).
+
+    One key is kept: the previous operator is dropped before a new key is
+    assembled, so its control histories never share the peak with the new
+    ones.  ``gramian_operator.cache_clear()`` drops it."""
+    key = (cfg, p, g, theta)
+    op = _GRAMIAN.get(key)
+    if op is None:
+        _GRAMIAN.clear()
+        op = _GRAMIAN[key] = GramianOperator(cfg, p, g, theta)
+    return op
+
+
+gramian_operator.cache_clear = _GRAMIAN.clear
 
 
 def gramian_apply(
@@ -361,8 +391,7 @@ def _steer(
     op = gramian_operator(cfg, p, g, theta)
     xsol, iters, hist = _cgls(op, rhs, tol, MAXITER, x0=z0)
     adjoint_final = StatePair(xsol[: g.nx].copy(), xsol[g.nx :].copy())
-    adjoint = Trajectory(z=stepper(p, g, "adjoint", theta).run(xsol), grid=g)
-    return controls_from_adjoint(cfg, adjoint, p), iters, hist, adjoint_final
+    return _bundle(cfg, op.controls(xsol), g.T), iters, hist, adjoint_final
 
 
 def solve_control(

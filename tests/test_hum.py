@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from ggkdv.tracenorm import riesz_map, sobolev_norms_batch, sobolev_trace_norm
 
 P = Parameters(a=0.2, b=1.0, c=1.0, r=1.0)
 FOUR_I = ControlConfig.of("FOUR_I")
+KINDS = ["FOUR_I", "FOUR_II", "FOUR_III", "FOUR_IV", "THREE_V", "THREE_VI"]
 
 
 def shaped_random_state(rng, g, kmax=4, decay=1.5, scale=1.0):
@@ -383,6 +386,30 @@ def test_gramian_assembles_once_per_key(monkeypatch):
     assert len(sweeps) == 5
 
 
+def test_gramian_store_keeps_one_key(monkeypatch):
+    gramian_operator.cache_clear()
+    g = Grid(L=1.0, N=16, T=0.5, M=24)
+    sweeps = count_calls(monkeypatch, "readout_transpose")
+    op = gramian_operator(FOUR_I, P, g, 0.5)
+    # positional and keyword calls of one key share the entry
+    assert gramian_operator(cfg=FOUR_I, p=P, g=g, theta=0.5) is op
+    assert gramian_operator(FOUR_I, P, g, theta=0.5) is op
+    assert len(sweeps) == 1
+    # the previous key's operator is gone before a new key assembles
+    previous = weakref.ref(op)
+    del op
+    alive = []
+    sweep = pde.Stepper.readout_transpose
+
+    def probing(self, *args):
+        alive.append(previous() is not None)
+        return sweep(self, *args)
+
+    monkeypatch.setattr(pde.Stepper, "readout_transpose", probing)
+    gramian_operator(ControlConfig.of("FOUR_II"), P, g, 0.5)
+    assert alive == [False]
+
+
 def sparse_apply(op, z):
     """The per-vector Gramian: adjoint march, controls, forward march."""
     cfg, p, g = op.cfg, op.p, op.g
@@ -428,8 +455,7 @@ def sparse_apply_star(op, y):
     return acc / op.w_stacked
 
 
-@pytest.mark.parametrize("kind", ["FOUR_I", "FOUR_II", "FOUR_III", "FOUR_IV",
-                                  "THREE_V", "THREE_VI"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_assembled_gramian_matches_sparse_sweeps(kind):
     g = Grid(L=1.0, N=48, T=1.0, M=192)
     op = GramianOperator(ControlConfig.of(kind), P, g)
@@ -444,23 +470,71 @@ def test_assembled_gramian_matches_sparse_sweeps(kind):
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("kind", ["FOUR_I", "FOUR_II", "FOUR_III", "FOUR_IV",
-                                  "THREE_V", "THREE_VI"])
+def march_from_rest(sig, p, g):
+    """The state at T of a forward march from rest under the (6, M+1)
+    signals ``sig``."""
+    traj, _ = solve_linear_forward(p, g, StatePair.zeros(g),
+                                   BoundarySignals.from_array(sig))
+    return np.concatenate([traj.final_state.u, traj.final_state.v])
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_returned_controls_steer_like_the_gramian(kind):
-    # the controls solve_control returns, read off an adjoint march and
-    # marched forward from rest, land where the assembled Gramian does
+    # the controls solve_control returns are read off the Gramian's kept
+    # control histories; marched forward from rest they land on G x up to
+    # the roundoff of the march.  Read off an adjoint march of x instead
+    # (controls_from_adjoint), they land there up to the drift of that
+    # march's arithmetic.
     cfg = ControlConfig.of(kind)
     g = Grid(L=1.0, N=48, T=1.0, M=192)
+    op = gramian_operator(cfg, P, g, 0.5)
     rng = np.random.default_rng(17)
     for _ in range(3):
         xs = shaped_random_state(rng, g)
+        z = np.concatenate([xs.u, xs.v])
+        want = op.G @ z
+        got = march_from_rest(op.controls(z), P, g)
+        assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
         adjoint, _ = solve_adjoint_backward(P, g, xs)
         bundle = controls_from_adjoint(cfg, adjoint, P)
-        traj, _ = solve_linear_forward(P, g, StatePair.zeros(g), bundle.signals)
-        got = np.concatenate([traj.final_state.u, traj.final_state.v])
-        want = gramian_apply(cfg, xs, P, g)
-        want = np.concatenate([want.u, want.v])
+        got = march_from_rest(bundle.signals.as_array(), P, g)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_adjoint_march_controls_drift_from_the_kept_histories(kind):
+    # declared drift: the adjoint march of x, read by controls_from_adjoint,
+    # gives the controls d @ x in another order of arithmetic
+    cfg = ControlConfig.of(kind)
+    g = Grid(L=1.0, N=48, T=1.0, M=192)
+    op = gramian_operator(cfg, P, g, 0.5)
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        xs = shaped_random_state(rng, g)
+        kept = op.controls(np.concatenate([xs.u, xs.v]))
+        adjoint, _ = solve_adjoint_backward(P, g, xs)
+        marched = controls_from_adjoint(cfg, adjoint, P).signals.as_array()
+        for i, active in enumerate(cfg.mask):
+            scale = np.max(np.abs(kept[i]))
+            assert (scale > 0.0) == active
+            assert np.max(np.abs(marched[i] - kept[i])) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_solve_control_reads_its_controls_off_the_gramian(kind):
+    cfg = ControlConfig.of(kind)
+    p = Parameters(a=0.9, b=1.2, c=1.0, r=1.0)  # passes the three-control gate
+    g = Grid(L=1.0, N=48, T=1.0, M=192)
+    res = solve_control(cfg, StatePair.zeros(g), gaussian_target(g, eps=1e-3),
+                        1e-2, p, g)
+    x = np.concatenate([res.adjoint_final.u, res.adjoint_final.v])
+    want = gramian_operator(cfg, p, g, 0.5).controls(x)
+    got = res.controls.signals.as_array()
+    assert got.tobytes() == want.tobytes()
+    for i, name in enumerate(SIGNAL_NAMES):
+        assert (np.max(np.abs(got[i])) > 0.0) == cfg.mask[i]
+        assert res.controls.norms[name] == sobolev_trace_norm(
+            got[i], hum.CONTROL_CLASS[name], g.T)
 
 
 def test_observability_builds_first_derivative_once(monkeypatch):
@@ -527,17 +601,17 @@ def test_observability_rejects_non_finite_estimates():
 
 def marched_solve_control(cfg, init, target, tol, p, g, scheme=None, x0=None):
     """solve_control marching every step: the free evolution even from rest,
-    and the verification.  Returns (controls, achieved, iterations,
-    residuals, adjoint final data)."""
+    and the verification.  The controls are read off the Gramian's kept
+    histories, as solve_control reads them.  Returns (controls, achieved,
+    iterations, residuals, adjoint final data)."""
     theta = (scheme or SchemeConfig()).theta
     rhs = (np.concatenate([target.u, target.v])
            - pde.stepper(p, g, "forward", theta).run(np.concatenate([init.u, init.v]))[-1])
     z0 = np.concatenate([x0.u, x0.v]) if x0 is not None else None
-    xsol, iters, hist = hum._cgls(gramian_operator(cfg, p, g, theta), rhs, tol,
-                                  hum.MAXITER, x0=z0)
+    op = gramian_operator(cfg, p, g, theta)
+    xsol, iters, hist = hum._cgls(op, rhs, tol, hum.MAXITER, x0=z0)
     final = StatePair(xsol[: g.nx].copy(), xsol[g.nx :].copy())
-    adjoint, _ = solve_adjoint_backward(p, g, final, scheme=scheme)
-    bundle = controls_from_adjoint(cfg, adjoint, p)
+    bundle = hum._bundle(cfg, op.controls(xsol), g.T)
     traj, _ = solve_linear_forward(p, g, init, bundle.signals, scheme=scheme)
     return bundle, traj.final_state, iters, hist, final
 
@@ -577,8 +651,8 @@ def test_solve_control_marches_the_free_evolution_only_from_a_nonzero_state(
     want = marched_solve_control(FOUR_I, init, target, 5e-3, P, g)
     runs = count_calls(monkeypatch, "run")
     res = solve_control(FOUR_I, init, target, 5e-3, P, g)
-    # adjoint and verification; the free evolution too from a nonzero state
-    assert len(runs) == (2 if scale == 0.0 else 3)
+    # the verification; the free evolution too from a nonzero state
+    assert len(runs) == (1 if scale == 0.0 else 2)
     assert_same_controls(res.controls, want[0])
     for got, ref in ((res.achieved, want[1]), (res.adjoint_final, want[4])):
         assert np.concatenate([got.u, got.v]).tobytes() == np.concatenate([ref.u, ref.v]).tobytes()
@@ -607,11 +681,11 @@ def test_nonlinear_control_makes_no_discarded_march(monkeypatch, scale):
     res = solve_nonlinear_control(init, target, FOUR_I, 0.1, p, g, scheme=scheme,
                                   tol=1e-3)
     assert res.iterations == len(sweeps) >= 2
-    # per outer iteration: the adjoint march, the Picard marches (one more
-    # than its sweeps) and the Duhamel march; the free evolution only from
-    # a nonzero state, and never a verification march
+    # per outer iteration: the Picard marches (one more than its sweeps)
+    # and the Duhamel march; the free evolution only from a nonzero state,
+    # and never an adjoint or a verification march
     free = 0 if scale == 0.0 else 1
-    assert len(runs) == sum(3 + free + s for s in sweeps)
+    assert len(runs) == sum(2 + free + s for s in sweeps)
     assert_same_controls(res.controls, controls)
     assert res.history == history
     assert res.terminal_error == err
