@@ -31,6 +31,7 @@ __all__ = [
     "validate_params",
     "x_norm",
     "x_inner",
+    "x_weights",
     "trapezoid_weights",
     "SIGNAL_NAMES",
 ]
@@ -67,7 +68,11 @@ def validate_params(p: Parameters) -> Parameters:
         raise ConstraintViolation("b <= 0")
     if p.c <= 0:
         raise ConstraintViolation("c <= 0")
-    if 1.0 - p.a**2 * p.b <= 0:
+    try:
+        well_posed = 1.0 - p.a**2 * p.b > 0
+    except OverflowError:  # |a| above about 1.3e154: a^2 b is far beyond 1
+        well_posed = False
+    if not well_posed:
         raise ConstraintViolation("1 - a^2 b <= 0")
     return p
 
@@ -219,23 +224,44 @@ class ControlConfig:
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:
-    """Trapezoid weights of ``n`` samples ``h`` apart; on the spatial grid,
-    ||(u, v)||_X^2 = (b/c) sum w u^2 + sum w v^2."""
+    """Trapezoid weights of ``n`` samples ``h`` apart."""
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
     return w
 
 
-def x_inner(s1: StatePair, s2: StatePair, p: Parameters, g: Grid) -> float:
-    """The weighted inner product (b/c) int u1 u2 + int v1 v2 (trapezoid)."""
-    s1.check_grid(g)
-    s2.check_grid(g)
+def x_weights(p: Parameters, g: Grid) -> np.ndarray:
+    """The stacked X-norm weights W = [(b/c) w, w], w the spatial trapezoid
+    weights: ||(u, v)||_X^2 = sum W z^2 with z = [u, v]."""
     w = trapezoid_weights(g.nx, g.dx)
-    return float(
-        (p.b / p.c) * np.sum(w * s1.u * s2.u) + np.sum(w * s1.v * s2.v)
-    )
+    return np.concatenate([(p.b / p.c) * w, w])
 
 
-def x_norm(s: StatePair, p: Parameters, g: Grid) -> float:
-    """The weighted state norm sqrt((b/c) int u^2 + int v^2) (trapezoid)."""
-    return float(np.sqrt(max(x_inner(s, s, p, g), 0.0)))
+def _x_sum(W: np.ndarray, z1, z2):
+    """The one X reduction, over the last axis."""
+    return np.sum(W * z1 * z2, axis=-1)
+
+
+def _stacked(s, g: Grid):
+    if isinstance(s, StatePair):
+        s.check_grid(g)
+        return np.concatenate([s.u, s.v])
+    if np.shape(s)[-1:] != (2 * g.nx,):
+        raise ValueError(f"stacked states need a last axis of {2 * g.nx}")
+    return s
+
+
+def x_inner(s1, s2, p: Parameters, g: Grid):
+    """The weighted inner product (b/c) int u1 u2 + int v1 v2 (trapezoid) of
+    two StatePairs or stacked [u, v] arrays: a float for one state, one
+    value per row for a block.  A state, its stacked vector and that vector
+    as a row of a block give the same bits."""
+    out = _x_sum(x_weights(p, g), _stacked(s1, g), _stacked(s2, g))
+    return out if out.ndim else float(out)
+
+
+def x_norm(s, p: Parameters, g: Grid):
+    """The weighted state norm sqrt((b/c) int u^2 + int v^2) (trapezoid), of
+    one state or of each row, as ``x_inner`` takes them."""
+    out = np.sqrt(np.maximum(x_inner(s, s, p, g), 0.0))
+    return out if out.ndim else float(out)

@@ -16,7 +16,7 @@ import math
 
 from .errors import ExpressionError
 
-__all__ = ["evaluate", "compile_expression", "MAX_DEPTH"]
+__all__ = ["compile_expression", "MAX_DEPTH"]
 
 _FUNCTIONS = {"sin": 1, "cos": 1, "exp": 1, "gaussian": 2}
 # a parenthesis costs the parser 5 frames, well within Python's 1,000
@@ -237,7 +237,3 @@ def compile_expression(text: str):
         raise ExpressionError("trailing input", position=at)
     return lambda x: _eval(ast, float(x))
 
-
-def evaluate(text: str, x: float) -> float:
-    """Evaluate an expression at one value of the free variable."""
-    return compile_expression(text)(x)

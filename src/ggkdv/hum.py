@@ -37,9 +37,12 @@ from .core import (
     Grid,
     Parameters,
     StatePair,
+    _stacked,
+    _x_sum,
     trapezoid_weights,
     validate_params,
     x_norm,
+    x_weights,
 )
 from .errors import (
     ConstraintViolation,
@@ -119,11 +122,14 @@ class ObservabilityReport:
 
 @dataclass
 class ControlResult:
+    """``terminal_error`` is ||achieved - target||_X / ||target||_X."""
+
     controls: ControlBundle
     achieved: StatePair
     iterations: int
     residuals: list
     adjoint_final: StatePair
+    terminal_error: float
 
 
 @dataclass
@@ -168,6 +174,10 @@ def combo_read_vectors(p: Parameters, g: Grid) -> np.ndarray:
 
 def _active(cfg: ControlConfig) -> list:
     return [i for i in range(6) if cfg.mask[i]]
+
+
+def _pair(z: np.ndarray, g: Grid) -> StatePair:
+    return StatePair(z[: g.nx].copy(), z[g.nx :].copy())
 
 
 def _controls_in_place(rows: np.ndarray, active: list, p: Parameters, T: float):
@@ -223,14 +233,14 @@ class GramianOperator:
     block sweep, F from one forward block sweep; build it through the
     cached ``gramian_operator``.  The control histories
     d = coef_i R_i Theta_i (k, M+1, 2nx) of the k active signals are kept,
-    read-only: by linearity, the controls of final data x are d @ x.
+    read-only: by linearity, the controls of final data x are d @ x.  W
+    holds the X-norm weights of ``x_weights``.
     """
 
     def __init__(self, cfg: ControlConfig, p: Parameters, g: Grid, theta: float = 0.5):
         validate_params(p)
         self.cfg, self.p, self.g = cfg, p, g
-        w = trapezoid_weights(g.nx, g.dx)
-        self.w_stacked = np.concatenate([(p.b / p.c) * w, w])
+        self.W = x_weights(p, g)
         fw = stepper(p, g, "forward", theta)
         ad = stepper(p, g, "adjoint", theta)
         self.active = _active(cfg)
@@ -244,14 +254,14 @@ class GramianOperator:
         self.d.flags.writeable = False
 
     def xdot(self, z1: np.ndarray, z2: np.ndarray) -> float:
-        return float(np.sum(self.w_stacked * z1 * z2))
+        return float(_x_sum(self.W, z1, z2))
 
     def apply(self, z_final: np.ndarray) -> np.ndarray:
         return self.G @ z_final
 
     def apply_star(self, y: np.ndarray) -> np.ndarray:
         """The transpose of ``apply`` in the weighted inner product."""
-        return (self.G.T @ (self.w_stacked * y)) / self.w_stacked
+        return (self.G.T @ (self.W * y)) / self.W
 
     def controls(self, z_final: np.ndarray) -> np.ndarray:
         """The (6, M+1) control signals of the final data ``z_final``: the
@@ -290,8 +300,7 @@ def gramian_apply(
     """Adjoint solve -> controls -> forward solve from rest; state at t = T."""
     final.check(g)
     op = gramian_operator(cfg, p, g, (scheme or SchemeConfig()).theta)
-    out = op.apply(np.concatenate([final.u, final.v]))
-    return StatePair(out[: g.nx].copy(), out[g.nx :].copy())
+    return _pair(op.apply(_stacked(final, g)), g)
 
 
 def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, maxiter: int,
@@ -349,49 +358,51 @@ def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, maxiter: int,
     )
 
 
+def _three_control_gate(cfg: ControlConfig, p: Parameters, g: Grid,
+                        scheme: SchemeConfig):
+    """Raise FeasibilityError unless a three-control configuration passes
+    0 < C1 (1 - a^2 b) < c; other configurations pass untested."""
+    if not cfg.is_three_control:
+        return
+    rep = estimate_observability(cfg, FEASIBILITY_SAMPLES, p, g, scheme=scheme)
+    if not rep.feasible_three_control(p):
+        gap = 1.0 - p.a**2 * p.b
+        raise FeasibilityError(
+            f"three-control condition failed: C1 (1 - a^2 b) = "
+            f"{rep.c1_squared * gap:.4g} not inside (0, c = {p.c:.4g})"
+        )
+
+
 def _steer(
     cfg: ControlConfig,
-    init: StatePair,
-    target: StatePair,
+    z_init: np.ndarray,
+    z_target: np.ndarray,
     tol: float,
     p: Parameters,
     g: Grid,
     scheme: SchemeConfig = None,
-    x0: StatePair = None,
-    check_feasibility: bool = True,
+    x0: np.ndarray = None,
 ) -> tuple:
-    """The controls of ``solve_control``, without its verification march.
+    """The controls that steer the stacked state ``z_init`` to ``z_target``,
+    without ``solve_control``'s checks, gate and verification march.
 
-    The nonlinear loop warm-starts CGLS at ``x0`` and gates only its first
-    sweep.  Returns (ControlBundle, iterations, residuals, adjoint final data).
+    CGLS starts at the stacked final data ``x0`` (the nonlinear loop's warm
+    start), or at zero.  Returns (ControlBundle, iterations, residuals,
+    stacked adjoint final data).
     """
-    validate_params(p)
-    init.check(g)
-    target.check(g)
-    if cfg.is_three_control and check_feasibility:
-        rep = estimate_observability(cfg, FEASIBILITY_SAMPLES, p, g, scheme=scheme)
-        if not rep.feasible_three_control(p):
-            gap = 1.0 - p.a**2 * p.b
-            raise FeasibilityError(
-                f"three-control condition failed: C1 (1 - a^2 b) = "
-                f"{rep.c1_squared * gap:.4g} not inside (0, c = {p.c:.4g})"
-            )
     theta = (scheme or SchemeConfig()).theta
-    z_init = np.concatenate([init.u, init.v])
-    rhs = np.concatenate([target.u, target.v])
+    rhs = z_target
     if np.any(z_init):  # the homogeneous march keeps a zero state at zero
         rhs = rhs - stepper(p, g, "forward", theta).run(z_init)[-1]
-    if x_norm(StatePair(rhs[: g.nx], rhs[g.nx :]), p, g) < 1e-14:
+    if x_norm(rhs, p, g) < 1e-14:
         bundle = ControlBundle(
             signals=BoundarySignals.zeros(g), config=cfg,
             norms={n: 0.0 for n in SIGNAL_NAMES},
         )
-        return bundle, 0, [0.0], StatePair.zeros(g)
-    z0 = np.concatenate([x0.u, x0.v]) if x0 is not None else None
+        return bundle, 0, [0.0], np.zeros(2 * g.nx)
     op = gramian_operator(cfg, p, g, theta)
-    xsol, iters, hist = _cgls(op, rhs, tol, MAXITER, x0=z0)
-    adjoint_final = StatePair(xsol[: g.nx].copy(), xsol[g.nx :].copy())
-    return _bundle(cfg, op.controls(xsol), g.T), iters, hist, adjoint_final
+    xsol, iters, hist = _cgls(op, rhs, tol, MAXITER, x0=x0)
+    return _bundle(cfg, op.controls(xsol), g.T), iters, hist, xsol
 
 
 def solve_control(
@@ -411,16 +422,22 @@ def solve_control(
     below ``tol``; the achieved state is re-verified with a plain forward
     solve using the returned controls.
     """
-    bundle, iters, hist, adjoint_final = _steer(cfg, init, target, tol, p, g,
-                                                scheme)
+    validate_params(p)
+    init.check(g)
+    target.check(g)
+    _three_control_gate(cfg, p, g, scheme)
+    z_init, z_target = _stacked(init, g), _stacked(target, g)
+    bundle, iters, hist, xsol = _steer(cfg, z_init, z_target, tol, p, g, scheme)
     fw = stepper(p, g, "forward", (scheme or SchemeConfig()).theta)
-    z = fw.run(np.concatenate([init.u, init.v]), bc=bundle.signals.as_array())
+    achieved = fw.run(z_init, bc=bundle.signals.as_array())[-1]
     return ControlResult(
         controls=bundle,
-        achieved=Trajectory(z=z, grid=g).final_state,
+        achieved=_pair(achieved, g),
         iterations=iters,
         residuals=hist,
-        adjoint_final=adjoint_final,
+        adjoint_final=_pair(xsol, g),
+        terminal_error=(x_norm(achieved - z_target, p, g)
+                        / max(x_norm(z_target, p, g), 1e-30)),
     )
 
 
@@ -513,7 +530,7 @@ def estimate_observability(
     rng = np.random.default_rng(seed)
     finals = [random_final_state(rng, p, g) for _ in range(nsamples)]
     ad = stepper(p, g, "adjoint", (scheme or SchemeConfig()).theta)
-    block = ad.run(np.stack([np.concatenate([f.u, f.v]) for f in finals], axis=1))
+    block = ad.run(np.stack([_stacked(f, g) for f in finals], axis=1))
     D1 = _first_derivative(g.nx, g.dx)[1]
     D2 = second_derivative_matrix(g.nx, g.dx).T.tocsr()
     quots = np.empty(nsamples)
@@ -566,19 +583,21 @@ def solve_nonlinear_control(
         raise ConstraintViolation(
             f"data too large: ||init|| + ||target|| = {sizes:.3g} > delta = {delta:.3g}"
         )
+    init.check(g)
+    target.check(g)
+    _three_control_gate(cfg, p, g, scheme)
     fw = stepper(p, g, "forward", scheme.theta)
-    adjusted = target.copy()
+    z_init, z_target = _stacked(init, g), _stacked(target, g)
+    adjusted = z_target
     warm = None
     history = []
-    controls = None
-    traj = None
-    tnorm = max(x_norm(target, p, g), 1e-30)
+    tnorm = max(x_norm(z_target, p, g), 1e-30)
     converged = False
     for it in range(1, scheme.picard_max + 1):
         # solve_control's verification march is left out: its achieved
         # state would not be read
-        controls, _, _, warm = _steer(cfg, init, adjusted, tol, p, g, scheme,
-                                      warm, check_feasibility=(it == 1))
+        controls, _, _, warm = _steer(cfg, z_init, adjusted, tol, p, g, scheme,
+                                      warm)
         try:
             traj, _ = solve_nonlinear(p, g, init, controls.signals,
                                       scheme=scheme, self_terms=self_terms)
@@ -591,12 +610,8 @@ def solve_nonlinear_control(
         # endpoint Duhamel correction of the nonlinear terms
         forc = -nonlinear_forcing(traj.z, p, g, self_terms)
         ups = fw.run(np.zeros(2 * g.nx), forcing=forc)[-1]
-        adjusted_new = StatePair(target.u + ups[: g.nx], target.v + ups[g.nx :])
-        change = x_norm(
-            StatePair(adjusted_new.u - adjusted.u, adjusted_new.v - adjusted.v),
-            p, g,
-        )
-        history.append(change / tnorm)
+        adjusted_new = z_target + ups
+        history.append(x_norm(adjusted_new - adjusted, p, g) / tnorm)
         adjusted = adjusted_new
         if history[-1] <= scheme.picard_tol:
             converged = True
@@ -613,15 +628,11 @@ def solve_nonlinear_control(
             f"history {history}",
             history=history,
         )
-    terminal = traj.final_state
-    err = x_norm(StatePair(terminal.u - target.u, terminal.v - target.v), p, g)
     return NonlinearControlResult(
         controls=controls,
         iterations=it,
         history=history,
-        terminal_error=err / tnorm,
-        achieved=terminal,
+        terminal_error=x_norm(traj.z[-1] - z_target, p, g) / tnorm,
+        achieved=traj.final_state,
         trajectory=traj,
     )
-
-

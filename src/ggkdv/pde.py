@@ -33,8 +33,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
-from .core import (SIGNAL_NAMES, Grid, Parameters, StatePair, trapezoid_weights,
-                   validate_params)
+from .core import (SIGNAL_NAMES, Grid, Parameters, StatePair, _stacked,
+                   validate_params, x_norm)
 from .errors import ConstraintViolation, NonConvergence, NumericalError
 from .fdops import (
     boundary_stencils,
@@ -149,10 +149,6 @@ class Trajectory:
     @property
     def final_state(self) -> StatePair:
         return self.state(self.grid.M)
-
-    @property
-    def initial_state(self) -> StatePair:
-        return self.state(0)
 
 
 # trace keys: (var, order, side); var 0 is u (or phi), var 1 is v (or psi)
@@ -410,10 +406,6 @@ def _replace_rows(M: sp.csr_matrix, new: dict) -> sp.csr_matrix:
                          shape=M.shape)
 
 
-def _stack(s: StatePair) -> np.ndarray:
-    return np.concatenate([s.u, s.v])
-
-
 def _forcing_array(forcing, g: Grid) -> np.ndarray:
     """Normalize a (p_field, q_field) pair into a stacked (M+1, 2nx) array."""
     pf, qf = forcing
@@ -442,7 +434,7 @@ def solve_linear_forward(
     scheme = scheme or SchemeConfig()
     stp = stepper(p, g, "forward", scheme.theta)
     forc = _forcing_array(forcing, g) if forcing is not None else None
-    z = stp.run(_stack(init), bc=bc.as_array(), forcing=forc)
+    z = stp.run(_stacked(init, g), bc=bc.as_array(), forcing=forc)
     traj = Trajectory(z=z, grid=g)
     return traj, extract_traces(z, g)
 
@@ -458,7 +450,7 @@ def solve_adjoint_backward(
     final.check(g)
     scheme = scheme or SchemeConfig()
     stp = stepper(p, g, "adjoint", scheme.theta)
-    z = stp.run(_stack(final))
+    z = stp.run(_stacked(final, g))
     traj = Trajectory(z=z, grid=g)
     return traj, extract_traces(z, g)
 
@@ -509,7 +501,7 @@ def solve_nonlinear(
     scheme = scheme or SchemeConfig()
     stp = stepper(p, g, "forward", scheme.theta)
     bc_arr = bc.as_array()
-    z0 = _stack(init)
+    z0 = _stacked(init, g)
 
     z_prev = stp.run(z0, bc=bc_arr)
     history = []
@@ -517,8 +509,8 @@ def solve_nonlinear(
         forc = nonlinear_forcing(z_prev, p, g, self_terms)
         z_new = stp.run(z0, bc=bc_arr, forcing=forc)
         with np.errstate(over="ignore", invalid="ignore"):
-            diff = np.max(np.sqrt(_xnorm_sq_rows(z_new - z_prev, p, g)))
-            scale = max(np.max(np.sqrt(_xnorm_sq_rows(z_new, p, g))), 1e-30)
+            diff = np.max(x_norm(z_new - z_prev, p, g))
+            scale = max(np.max(x_norm(z_new, p, g)), 1e-30)
             update = diff / scale
         history.append(min(update, 1e300) if np.isfinite(update) else 1e300)
         z_prev = z_new
@@ -532,9 +524,3 @@ def solve_nonlinear(
         history=history,
     )
 
-
-def _xnorm_sq_rows(z: np.ndarray, p: Parameters, g: Grid) -> np.ndarray:
-    """Squared weighted state norm of each row of a stacked trajectory."""
-    w = trapezoid_weights(g.nx, g.dx)
-    nx = g.nx
-    return (p.b / p.c) * (z[:, :nx] ** 2 @ w) + z[:, nx:] ** 2 @ w

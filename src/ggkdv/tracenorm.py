@@ -8,18 +8,21 @@ t = 0, T), and the norm is computed from DFT coefficients,
     ||f||_{H^s}^2 = dt/(4M) * sum_k (1 + w_k^2)^s |F_k|^2,
 
 with w_k the angular frequencies of the reflected grid.  At s = 0 this is
-exactly the composite trapezoid rule for the L^2(0, T) norm.  Every norm,
-inner product and Riesz map here comes from one kernel, the real FFT of the
-reflected series down the columns of a block, so a single series has the
-bits of its column in a block.
+exactly the composite trapezoid rule for the L^2(0, T) norm.  Every norm and
+Riesz map here comes from one kernel, the real FFT of the reflected series
+down the columns of a block, so a single series has the bits of its column
+in a block.
 
-The polarized inner product and the Riesz map
+The Riesz map ``riesz_columns`` applies the multiplier (1 + w^2)^s in
+reflected frequency.  With R_s f the series f after ``riesz_columns(f, s,
+T)``, the trapezoid pairing with a second series g is the polarized H^s
+inner product, and at g = f it is the squared norm:
 
-    <riesz_map(f, s), g>_L2(0,T)  =  <f, g>_{H^s}
+    <R_s f, g>_L2(0,T)  =  <f, g>_{H^s},      <R_s f, f>_L2(0,T) = ||f||_{H^s}^2.
 
-are exact identities of the discretization (the reflected multiplier is a
-symmetric circulant preserving even symmetry), which is what keeps duality
-pairings built from these maps symmetric at the matrix level.
+Both are exact identities of the discretization (the reflected multiplier
+is a symmetric circulant preserving even symmetry), which is what keeps
+duality pairings built from these maps symmetric at the matrix level.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from .errors import ConstraintViolation
 
 __all__ = [
     "sobolev_trace_norm",
-    "sobolev_inner",
-    "riesz_map",
     "riesz_columns",
     "sobolev_norms_batch",
 ]
@@ -75,35 +76,18 @@ def _spectral_sum(w: np.ndarray, power: np.ndarray, T: float) -> np.ndarray:
     return (w * mult) @ power * (T / M) / (4 * M)
 
 
-def sobolev_inner(f, g, s: float, T: float) -> float:
-    """Polarized H^s(0,T) inner product of two sampled series."""
-    f = _check(f, s, T)
-    g = _check(g, s, T)
-    if len(f) != len(g):
-        raise ValueError("series length mismatch")
-    F, w = _spectrum(f, s, T)
-    G, _ = _spectrum(g, s, T)
-    return float(_spectral_sum(w, (F * np.conj(G)).real, T))
-
-
 def sobolev_trace_norm(series, s: float, T: float) -> float:
     """H^s(0,T) norm of a sampled series, s in {-1/3, 0, 1/3}."""
     series = _check(series, s, T)
     return float(sobolev_norms_batch(series[:, None], s, T)[0])
 
 
-def riesz_map(series, s: float, T: float) -> np.ndarray:
-    """Apply the H^s Riesz multiplier (1 + w^2)^s in reflected frequency."""
-    out = _check(series, s, T).copy()
-    riesz_columns(out, s, T)
-    return out
-
-
 def riesz_columns(block: np.ndarray, s: float, T: float) -> None:
-    """``riesz_map`` of class ``s`` down each column of ``block`` (M+1, m),
-    or of a 1-d series, in place; s = 0 is the identity.  Columns are
-    transformed 32 at a time, so that the transforms of the reflected
-    series never hold a copy of the whole block."""
+    """The H^s Riesz map, the multiplier (1 + w^2)^s in reflected
+    frequency, down each column of ``block`` (M+1, m), or of a 1-d series,
+    in place; s = 0 is the identity.  Columns are transformed 32 at a time,
+    so that the transforms of the reflected series never hold a copy of the
+    whole block."""
     if s == 0.0:
         return
     if block.ndim == 1:

@@ -13,8 +13,10 @@ from ggkdv.core import (
     validate_params,
     x_inner,
     x_norm,
+    x_weights,
 )
 from ggkdv.errors import ConstraintViolation
+from ggkdv.hum import gramian_operator
 
 
 def test_validate_accepts_valid():
@@ -23,8 +25,10 @@ def test_validate_accepts_valid():
 
 
 def test_validate_rejects_large_coupling():
-    with pytest.raises(ConstraintViolation, match="a\\^2 b"):
-        validate_params(Parameters(a=2.0, b=1.0, c=1.0, r=0.0))
+    # |a| above about 1.3e154 overflows a^2: still the coupling violation
+    for a in (2.0, 1.0e200, -1.0e200):
+        with pytest.raises(ConstraintViolation, match="a\\^2 b"):
+            validate_params(Parameters(a=a, b=1.0, c=1.0, r=0.0))
 
 
 def test_validate_rejects_nonpositive_c():
@@ -119,6 +123,33 @@ def test_x_inner_dimension_mismatch():
     bad = StatePair(np.zeros(5), np.zeros(5))
     with pytest.raises(ValueError):
         x_inner(bad, bad, p, g)
+    for z in (np.zeros(10), np.zeros((3, 2 * g.nx + 1)), 0.0):
+        with pytest.raises(ValueError, match="last axis"):
+            x_norm(z, p, g)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_x_norm_is_one_reduction_for_every_form(seed):
+    # a StatePair, its stacked vector, that vector as a row of a block and
+    # the Gramian's CGLS product give the same bits
+    g = Grid(L=1.3, N=37, T=1.0, M=16)
+    p = Parameters(a=0.3, b=1.7, c=0.6, r=0.5)
+    rng = np.random.default_rng(seed)
+    s = StatePair(rng.standard_normal(g.nx), rng.standard_normal(g.nx))
+    t = StatePair(rng.standard_normal(g.nx), rng.standard_normal(g.nx))
+    z, y = np.concatenate([s.u, s.v]), np.concatenate([t.u, t.v])
+    block = rng.standard_normal((5, 2 * g.nx))
+    block[3] = z
+    op = gramian_operator(ControlConfig.of("FOUR_I"), p, g, 0.5)
+    norms = x_norm(block, p, g)
+    assert isinstance(x_norm(s, p, g), float) and norms.shape == (5,)
+    assert x_norm(s, p, g) == x_norm(z, p, g) == norms[3] == np.sqrt(op.xdot(z, z))
+    inner = x_inner(s, t, p, g)
+    assert inner == x_inner(z, y, p, g) == x_inner(block, y, p, g)[3] == op.xdot(z, y)
+    assert np.array_equal(op.W, x_weights(p, g))
+    w = np.full(g.nx, g.dx)
+    w[0] = w[-1] = g.dx / 2
+    assert np.array_equal(x_weights(p, g), np.concatenate([p.b / p.c * w, w]))
 
 
 def test_control_config_masks():

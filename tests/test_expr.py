@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from ggkdv.errors import ExpressionError
-from ggkdv.expr import MAX_DEPTH, compile_expression, evaluate
+from ggkdv.expr import MAX_DEPTH, compile_expression
 
 
 def test_zero():
-    assert evaluate("0", 3.7) == 0.0
+    assert compile_expression("0")(3.7) == 0.0
 
 
 def test_sin_example():
-    assert evaluate("sin(3.141592653589793*x)", 0.5) == pytest.approx(1.0, abs=1e-12)
+    fn = compile_expression("sin(3.141592653589793*x)")
+    assert fn(0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gaussian_matches_formula():
@@ -24,30 +25,30 @@ def test_gaussian_matches_formula():
 
 
 def test_arithmetic_and_precedence():
-    assert evaluate("1+2*3", 0.0) == 7.0
-    assert evaluate("(1+2)*3", 0.0) == 9.0
-    assert evaluate("2^3^2", 0.0) == 512.0  # right-associative
-    assert evaluate("-x^2", 2.0) == -4.0
-    assert evaluate("6/3/2", 0.0) == 1.0
-    assert evaluate("exp(0)+cos(0)", 0.0) == 2.0
-    assert evaluate("1e-2*x", 3.0) == pytest.approx(0.03)
+    assert compile_expression("1+2*3")(0.0) == 7.0
+    assert compile_expression("(1+2)*3")(0.0) == 9.0
+    assert compile_expression("2^3^2")(0.0) == 512.0  # right-associative
+    assert compile_expression("-x^2")(2.0) == -4.0
+    assert compile_expression("6/3/2")(0.0) == 1.0
+    assert compile_expression("exp(0)+cos(0)")(0.0) == 2.0
+    assert compile_expression("1e-2*x")(3.0) == pytest.approx(0.03)
 
 
 def test_variable():
-    assert evaluate("x*x - x", 4.0) == 12.0
+    assert compile_expression("x*x - x")(4.0) == 12.0
 
 
 def test_syntax_error_position():
     with pytest.raises(ExpressionError) as err:
-        evaluate("1 + * 2", 0.0)
+        compile_expression("1 + * 2")(0.0)
     assert err.value.position == 4
 
 
 def test_unknown_name_rejected():
     with pytest.raises(ExpressionError, match="unknown name"):
-        evaluate("y + 1", 0.0)
+        compile_expression("y + 1")(0.0)
     with pytest.raises(ExpressionError, match="unknown name"):
-        evaluate("__import__(1)", 0.0)
+        compile_expression("__import__(1)")(0.0)
 
 
 def test_division_by_zero_reports_position():
@@ -59,18 +60,18 @@ def test_division_by_zero_reports_position():
 
 def test_wrong_arity():
     with pytest.raises(ExpressionError, match="argument"):
-        evaluate("sin(1, 2)", 0.0)
+        compile_expression("sin(1, 2)")(0.0)
     with pytest.raises(ExpressionError, match="argument"):
-        evaluate("gaussian(1)", 0.0)
+        compile_expression("gaussian(1)")(0.0)
 
 
 def test_trailing_garbage():
     with pytest.raises(ExpressionError, match="trailing"):
-        evaluate("1 + 2 )", 0.0)
+        compile_expression("1 + 2 )")(0.0)
 
 
 def test_nested_functions():
-    assert evaluate("sin(cos(0)*x)", 1.0) == pytest.approx(math.sin(1.0))
+    assert compile_expression("sin(cos(0)*x)")(1.0) == pytest.approx(math.sin(1.0))
 
 
 @pytest.mark.parametrize("text", [
@@ -87,7 +88,7 @@ def test_too_deep_is_an_expression_error(text):
 
 def test_the_deepest_allowed_expressions_evaluate():
     inner = MAX_DEPTH - 1  # the value itself is one level
-    assert evaluate("(" * inner + "x" + ")" * inner, 0.5) == 0.5
-    assert evaluate("+".join(["x"] * MAX_DEPTH), 0.5) == MAX_DEPTH / 2
-    assert evaluate("-" * inner + "x", 0.5) == -0.5
-    assert evaluate("x" + "*1" * (MAX_DEPTH - 1), 0.5) == 0.5
+    assert compile_expression("(" * inner + "x" + ")" * inner)(0.5) == 0.5
+    assert compile_expression("+".join(["x"] * MAX_DEPTH))(0.5) == MAX_DEPTH / 2
+    assert compile_expression("-" * inner + "x")(0.5) == -0.5
+    assert compile_expression("x" + "*1" * (MAX_DEPTH - 1))(0.5) == 0.5

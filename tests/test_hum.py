@@ -25,11 +25,18 @@ from ggkdv.pde import (
     solve_adjoint_backward,
     solve_linear_forward,
 )
-from ggkdv.tracenorm import riesz_map, sobolev_norms_batch, sobolev_trace_norm
+from ggkdv.tracenorm import riesz_columns, sobolev_norms_batch, sobolev_trace_norm
 
 P = Parameters(a=0.2, b=1.0, c=1.0, r=1.0)
 FOUR_I = ControlConfig.of("FOUR_I")
 KINDS = ["FOUR_I", "FOUR_II", "FOUR_III", "FOUR_IV", "THREE_V", "THREE_VI"]
+
+
+def riesz_map(series, s, T):
+    """The Riesz map of one series, on a copy."""
+    out = np.array(series, dtype=float)
+    riesz_columns(out, s, T)
+    return out
 
 
 def shaped_random_state(rng, g, kmax=4, decay=1.5, scale=1.0):
@@ -233,6 +240,33 @@ def test_three_control_feasibility_gate():
                       target, 1e-2, bad, g)
 
 
+def test_three_control_gate_runs_once_per_solve(monkeypatch):
+    # the gate samples once, at the top, however many outer sweeps follow;
+    # a state check fails before it samples anything
+    p = Parameters(a=0.9, b=1.2, c=1.0, r=1.0, a1=0.4, a2=0.3)  # passes the gate
+    g = Grid(L=1.0, N=32, T=1.0, M=128)
+    cfg, target = ControlConfig.of("THREE_V"), gaussian_target(g, eps=1e-3)
+    calls = []
+    observe = hum.estimate_observability
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return observe(*args, **kwargs)
+
+    monkeypatch.setattr(hum, "estimate_observability", counting)
+    res = solve_nonlinear_control(StatePair.zeros(g), target, cfg, 0.1, p, g,
+                                  scheme=SchemeConfig(picard_tol=1e-6), tol=1e-2)
+    assert res.iterations >= 2 and len(calls) == 1
+    solve_control(cfg, StatePair.zeros(g), target, 1e-2, p, g)
+    assert len(calls) == 2
+    bad = StatePair(np.full(g.nx, np.nan), np.zeros(g.nx))
+    with pytest.raises(ConstraintViolation, match="NaN"):
+        solve_control(cfg, bad, target, 1e-2, p, g)
+    with pytest.raises(ConstraintViolation, match="NaN"):
+        solve_nonlinear_control(StatePair.zeros(g), bad, cfg, 0.1, p, g)
+    assert len(calls) == 2
+
+
 def test_three_control_runs_when_feasible():
     g = Grid(L=1.0, N=48, T=1.0, M=192)
     p = Parameters(a=0.9, b=1.2, c=1.0, r=1.0)
@@ -431,7 +465,7 @@ def sparse_apply_star(op, y):
     ad = pde.stepper(p, g, "adjoint", 0.5)
     fw = pde.stepper(p, g, "forward", 0.5)
     q = np.zeros((6, g.nt))
-    lam = op.w_stacked * y
+    lam = op.W * y
     for n in range(g.M, 0, -1):
         mu = fw.lu.solve(lam, trans="T")
         q[:, n] = mu[fw.bc_rows]
@@ -452,7 +486,7 @@ def sparse_apply_star(op, y):
     for n in range(1, g.nt):
         acc = ad.BT @ ad.lu.solve(acc, trans="T")
         acc += read.T @ d[:, n]
-    return acc / op.w_stacked
+    return acc / op.W
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -657,6 +691,8 @@ def test_solve_control_marches_the_free_evolution_only_from_a_nonzero_state(
     for got, ref in ((res.achieved, want[1]), (res.adjoint_final, want[4])):
         assert np.concatenate([got.u, got.v]).tobytes() == np.concatenate([ref.u, ref.v]).tobytes()
     assert (res.iterations, res.residuals) == (want[2], want[3])
+    err = StatePair(want[1].u - target.u, want[1].v - target.v)
+    assert res.terminal_error == x_norm(err, P, g) / x_norm(target, P, g)
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-4])

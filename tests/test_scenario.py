@@ -12,11 +12,7 @@ import ggkdv
 from ggkdv import scenario
 from ggkdv.cli import main as cli_main
 from ggkdv.errors import ScenarioError
-from ggkdv.scenario import (
-    parse_scenario_text,
-    run_scenario,
-    serialize_scenario,
-)
+from ggkdv.scenario import parse_scenario_text, run_scenario
 
 MINIMAL_SIMULATE = """
 command: simulate
@@ -43,7 +39,7 @@ def write(tmp_path, text, name="scen.yaml"):
 
 def test_roundtrip():
     sc = parse_scenario_text(MINIMAL_SIMULATE)
-    assert parse_scenario_text(serialize_scenario(sc)) == sc
+    assert parse_scenario_text(yaml.safe_dump(sc.raw, sort_keys=True)) == sc
 
 
 def test_unknown_key_rejected():
@@ -410,13 +406,16 @@ config: FOUR_I
         MINIMAL_SIMULATE + 'initial: {u: "%sx%s"}\n' % ("(" * 200, ")" * 200),
         MINIMAL_SIMULATE + 'initial: {u: "%s"}\n' % "+".join(["x"] * 1501),
         MINIMAL_SIMULATE + 'initial: {u: "%sx"}\n' % ("-" * 2000),
+        "command: simulate\nparams: " + "[" * 10000 + "]" * 10000 + "\n",
+        MINIMAL_SIMULATE.replace("a: 0.2", "a: 1.0e200"),
     ],
     ids=["r0-axis", "observe-samples", "tol", "seed", "initial-list",
          "ucp-samples", "picard-max", "bc-syntax", "initial-syntax",
          "ucp-L-range", "ucp-p-range", "mask-all-false", "mask-not-booleans",
          "grid-bool", "params-bool", "scheme-bool", "output-dir-int",
          "initial-div-zero", "initial-overflow", "initial-missing-file",
-         "initial-deep-parens", "initial-long-sum", "initial-deep-signs"],
+         "initial-deep-parens", "initial-long-sum", "initial-deep-signs",
+         "yaml-deep", "params-a-overflow"],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
     path = write(tmp_path, text)

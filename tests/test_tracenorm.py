@@ -1,13 +1,24 @@
 import numpy as np
 import pytest
 
-from ggkdv.tracenorm import (
-    riesz_columns,
-    riesz_map,
-    sobolev_inner,
-    sobolev_norms_batch,
-    sobolev_trace_norm,
-)
+from ggkdv.tracenorm import riesz_columns, sobolev_norms_batch, sobolev_trace_norm
+
+
+def riesz_map(series, s, T):
+    """The Riesz map of one series, on a copy, through the block kernel."""
+    out = np.array(series, dtype=float)
+    riesz_columns(out, s, T)
+    return out
+
+
+def sobolev_inner(f, g, s, T):
+    """Independent oracle: the polarized H^s(0,T) inner product, summed over
+    the full DFT of the two reflected series, dt/(4M) sum (1+w^2)^s F conj(G)."""
+    M = len(f) - 1
+    F = np.fft.fft(np.concatenate([f, f[-2:0:-1]]))
+    G = np.fft.fft(np.concatenate([g, g[-2:0:-1]]))
+    om = 2 * np.pi * np.fft.fftfreq(2 * M, d=T / M)
+    return float(np.sum((1 + om**2) ** s * (F * np.conj(G)).real) * (T / M) / (4 * M))
 
 
 def direct_dft_norm(series, s, T):
