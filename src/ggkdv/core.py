@@ -56,7 +56,8 @@ class Parameters:
 
 
 def validate_params(p: Parameters) -> Parameters:
-    """Return ``p`` unchanged iff b > 0, c > 0 and 1 - a^2 b > 0.
+    """Return ``p`` unchanged iff b > 0, c > 0, b/c and c/b are finite and
+    1 - a^2 b > 0.
 
     Raises ConstraintViolation naming the first failed inequality.
     """
@@ -68,6 +69,8 @@ def validate_params(p: Parameters) -> Parameters:
         raise ConstraintViolation("b <= 0")
     if p.c <= 0:
         raise ConstraintViolation("c <= 0")
+    if not (np.isfinite(p.b / p.c) and np.isfinite(p.c / p.b)):
+        raise ConstraintViolation("b/c or c/b is not finite")
     try:
         well_posed = 1.0 - p.a**2 * p.b > 0
     except OverflowError:  # |a| above about 1.3e154: a^2 b is far beyond 1

@@ -54,6 +54,7 @@ from .fdops import boundary_stencils, second_derivative_matrix
 from .pde import (
     BoundarySignals,
     SchemeConfig,
+    Stepper,
     Trajectory,
     _first_derivative,
     nonlinear_forcing,
@@ -373,9 +374,15 @@ def _three_control_gate(cfg: ControlConfig, p: Parameters, g: Grid,
         )
 
 
+def _free_end(fw: Stepper, z_init: np.ndarray):
+    """The stacked state the uncontrolled march from ``z_init`` reaches at
+    T, or None from a zero state, which that march keeps at zero."""
+    return fw.run(z_init)[-1] if np.any(z_init) else None
+
+
 def _steer(
     cfg: ControlConfig,
-    z_init: np.ndarray,
+    z_free: np.ndarray,
     z_target: np.ndarray,
     tol: float,
     p: Parameters,
@@ -383,17 +390,16 @@ def _steer(
     scheme: SchemeConfig = None,
     x0: np.ndarray = None,
 ) -> tuple:
-    """The controls that steer the stacked state ``z_init`` to ``z_target``,
-    without ``solve_control``'s checks, gate and verification march.
+    """The controls that add ``z_target - z_free`` to the state at T (the
+    free end ``z_free`` of ``_free_end``, None for zero), without
+    ``solve_control``'s checks, gate and verification march.
 
     CGLS starts at the stacked final data ``x0`` (the nonlinear loop's warm
     start), or at zero.  Returns (ControlBundle, iterations, residuals,
     stacked adjoint final data).
     """
     theta = (scheme or SchemeConfig()).theta
-    rhs = z_target
-    if np.any(z_init):  # the homogeneous march keeps a zero state at zero
-        rhs = rhs - stepper(p, g, "forward", theta).run(z_init)[-1]
+    rhs = z_target if z_free is None else z_target - z_free
     if x_norm(rhs, p, g) < 1e-14:
         bundle = ControlBundle(
             signals=BoundarySignals.zeros(g), config=cfg,
@@ -427,8 +433,9 @@ def solve_control(
     target.check(g)
     _three_control_gate(cfg, p, g, scheme)
     z_init, z_target = _stacked(init, g), _stacked(target, g)
-    bundle, iters, hist, xsol = _steer(cfg, z_init, z_target, tol, p, g, scheme)
     fw = stepper(p, g, "forward", (scheme or SchemeConfig()).theta)
+    bundle, iters, hist, xsol = _steer(cfg, _free_end(fw, z_init), z_target, tol,
+                                       p, g, scheme)
     achieved = fw.run(z_init, bc=bundle.signals.as_array())[-1]
     return ControlResult(
         controls=bundle,
@@ -587,7 +594,8 @@ def solve_nonlinear_control(
     target.check(g)
     _three_control_gate(cfg, p, g, scheme)
     fw = stepper(p, g, "forward", scheme.theta)
-    z_init, z_target = _stacked(init, g), _stacked(target, g)
+    z_target = _stacked(target, g)
+    z_free = _free_end(fw, _stacked(init, g))  # the same in every sweep
     adjusted = z_target
     warm = None
     history = []
@@ -596,7 +604,7 @@ def solve_nonlinear_control(
     for it in range(1, scheme.picard_max + 1):
         # solve_control's verification march is left out: its achieved
         # state would not be read
-        controls, _, _, warm = _steer(cfg, z_init, adjusted, tol, p, g, scheme,
+        controls, _, _, warm = _steer(cfg, z_free, adjusted, tol, p, g, scheme,
                                       warm)
         try:
             traj, _ = solve_nonlinear(p, g, init, controls.signals,

@@ -17,7 +17,7 @@ second-derivative conditions at x = L, which combine into
 
 Discretization: second-order centered stencils (one-sided next to the
 boundary), boundary conditions imposed as algebraic rows replacing PDE rows,
-and a theta-scheme in time (Crank-Nicolson by default) with one sparse LU
+and a theta-scheme in time (Crank-Nicolson by default) with one banded LU
 factorization reused across all steps.  Boundary rows for derivatives use
 the same one-sided stencils as trace extraction, so traces of a solution
 reproduce imposed boundary data identically.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .core import (SIGNAL_NAMES, Grid, Parameters, StatePair, _stacked,
@@ -187,7 +187,7 @@ def extract_traces(z: np.ndarray, g: Grid) -> TraceBundle:
 
 
 class Stepper:
-    """One theta-scheme step operator with its LU factorization.
+    """One theta-scheme step operator with its banded LU factorization.
 
     direction "forward" marches the nonhomogeneous system in t; "adjoint"
     marches the adjoint system in tau = T - t (so the same loop serves
@@ -248,10 +248,7 @@ class Stepper:
         A = _replace_rows(A, {row: (cols, wts) for row, cols, wts in rows})
         empty = (np.array([], dtype=int), np.array([]))
         self.B = _replace_rows(B, {row: empty for row, _, _ in rows})
-        try:
-            self.lu = spla.splu(A.tocsc())
-        except RuntimeError as exc:
-            raise NumericalError(f"singular step matrix: {exc}", time_level=0)
+        self.lu = BandLU(A, nx)
         self.BT = self.B.T.tocsr()
         self.nx = nx
 
@@ -356,6 +353,40 @@ class Stepper:
             lam = _csr_dot(self.BT, self.lu.solve(lam, trans="T"))
             theta[:, n] = lam.T
         return theta
+
+
+class BandLU:
+    """LAPACK's band LU of a step matrix, solved like a SuperLU object.
+
+    The stacked unknowns (u_0 .. u_{nx-1}, v_0 .. v_{nx-1}) are renumbered
+    (u_0, v_0, u_1, v_1, ...): the coupled five-point stencils then fit in
+    a band of ``kl`` sub- and ``ku`` superdiagonals (at most 7 each), which
+    ``dgbtrf`` factors once.  ``solve`` gathers the right-hand side into
+    that order, calls ``dgbtrs`` and scatters the result back.
+    """
+
+    def __init__(self, A: sp.csr_matrix, nx: int):
+        self.order = np.arange(2 * nx).reshape(2, nx).T.ravel()  # band -> stacked
+        self.pos = np.argsort(self.order)  # stacked -> band
+        coo = A.tocoo()
+        row, col = self.pos[coo.row], self.pos[coo.col]
+        self.kl = int(np.max(row - col, initial=0))
+        self.ku = int(np.max(col - row, initial=0))
+        # LAPACK band storage, with kl extra rows for the fill-in of pivoting;
+        # duplicate entries add up
+        ab = np.zeros((2 * self.kl + self.ku + 1, 2 * nx), order="F")
+        np.add.at(ab, (self.kl + self.ku + row - col, col), coo.data)
+        self.ab, self.piv, info = dgbtrf(ab, self.kl, self.ku, overwrite_ab=True)
+        if info > 0:
+            raise NumericalError("singular step matrix: zero pivot in column "
+                                 f"{self.order[info - 1]}", time_level=0)
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """A^{-1} rhs (``trans="N"``) or A^{-T} rhs (``"T"``), for a 1-d or a
+        (2 nx, k) ``rhs``; the result is a new C-ordered array."""
+        x, _ = dgbtrs(self.ab, self.kl, self.ku, rhs[self.order], self.piv,
+                      trans={"N": 0, "T": 1}[trans], overwrite_b=True)
+        return x[self.pos]
 
 
 def _csr_dot(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:

@@ -41,6 +41,16 @@ def test_validate_rejects_nonpositive_b():
         validate_params(Parameters(a=0.0, b=0.0, c=1.0, r=0.0))
 
 
+def test_validate_rejects_overflowing_coefficient_ratios():
+    # b/c weighs u in the X-norm and c/b enters the control read-out; an
+    # overflow of either would put inf or NaN into run.json
+    for b, c in ((1.0, 1.0e-320), (1.0e-320, 1.0), (1.0e300, 1.0e-10)):
+        with pytest.raises(ConstraintViolation, match="b/c or c/b is not finite"):
+            validate_params(Parameters(a=0.0, b=b, c=c, r=0.0))
+    p = Parameters(a=0.0, b=1.0e150, c=1.0e-150, r=0.0)  # b/c = 1e300
+    assert validate_params(p) is p
+
+
 def test_validate_rejects_nonfinite():
     with pytest.raises(ConstraintViolation):
         validate_params(Parameters(a=np.nan, b=1.0, c=1.0, r=0.0))
@@ -55,7 +65,8 @@ def test_validate_rejects_nonfinite():
 @settings(max_examples=200, deadline=None)
 def test_validate_matches_inequality_region(a, b, c, r):
     p = Parameters(a=a, b=b, c=c, r=r)
-    should_pass = b > 0 and c > 0 and 1 - a * a * b > 0
+    should_pass = (b > 0 and c > 0 and np.isfinite(b / c) and np.isfinite(c / b)
+                   and 1 - a * a * b > 0)
     if should_pass:
         assert validate_params(p) is p
     else:

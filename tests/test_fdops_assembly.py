@@ -2,8 +2,10 @@
 
 The oracle below keeps the scalar Fornberg recursion, the row-by-row LIL
 derivative matrices and the step-matrix row replacement on LIL lists.  The
-CSR arrays of D1/D2/D3, the CSC arrays handed to ``splu``, the stepper's
-B and B^T and the SuperLU factors must all have the oracle's bytes.
+CSR arrays of D1/D2/D3, the band array handed to ``dgbtrf``, the stepper's
+B and B^T and the band LU factors must all have the oracle's bytes; the
+band solve is checked for its width, its backward error and its agreement
+with SuperLU.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import scipy.sparse.linalg as spla
 
 from ggkdv import fdops, pde
 from ggkdv.core import Grid, Parameters
+from ggkdv.errors import NumericalError
 from ggkdv.fdops import boundary_stencils, fd_weights
 
 NX = list(range(3, 81)) + [130, 258, 514]
@@ -80,7 +83,7 @@ ORACLES = {
 
 
 def oracle_step_matrices(p, g, direction, theta):
-    """The stepper's A (as the CSC handed to splu), and B, built on LIL."""
+    """The stepper's A (as CSC) and B, built on LIL."""
     nx, dx, dt = g.nx, g.dx, g.dt
     a, b, c, r = p.a, p.b, p.c, p.r
     D3 = ORACLES["third_derivative_matrix"](nx, dx)
@@ -170,27 +173,82 @@ def test_batched_weights_are_the_scalar_calls():
             assert scalar.tobytes() == oracle_fd_weights(x0[i], nodes[i], m).tobytes()
 
 
+def oracle_band(A, nx, kl, ku):
+    """Dense ``A`` renumbered (u_0, v_0, u_1, v_1, ...) and packed into
+    LAPACK band storage with kl rows of fill-in space; also asserts that
+    no entry lies outside the band."""
+    order = np.arange(2 * nx).reshape(2, nx).T.ravel()
+    dense = A.toarray()[np.ix_(order, order)]
+    ab = np.zeros((2 * kl + ku + 1, 2 * nx), order="F")
+    for i, j in zip(*np.nonzero(dense)):
+        assert -ku <= i - j <= kl, (i, j)
+        ab[kl + ku + i - j, j] = dense[i, j]
+    return ab
+
+
 @pytest.mark.parametrize("p", PARAMS, ids=("a=0.2", "a=0.9"))
 @pytest.mark.parametrize("direction", ("forward", "adjoint"))
 @pytest.mark.parametrize("N", (8, 48, 128))
 def test_stepper_matrices_and_factors_have_the_oracle_bytes(monkeypatch, p, direction, N):
     g = Grid(L=1.0, N=N, T=1.0, M=4 * N)
     handed = []
-    splu = spla.splu
+    dgbtrf = pde.dgbtrf
 
-    def recording(A, *args, **kwargs):
-        handed.append(A.copy())
-        return splu(A, *args, **kwargs)
+    def recording(ab, kl, ku, **kwargs):
+        handed.append((ab.copy(order="F"), kl, ku))
+        return dgbtrf(ab, kl, ku, **kwargs)
 
-    monkeypatch.setattr(pde.spla, "splu", recording)
+    monkeypatch.setattr(pde, "dgbtrf", recording)
     stp = pde.Stepper(p, g, direction, 0.5)
     A, B = oracle_step_matrices(p, g, direction, 0.5)
     assert len(handed) == 1
-    assert_same_arrays(handed[0], A)
+    ab, kl, ku = handed[0]
+    assert (kl, ku) == ((6, 7) if direction == "forward" else (7, 5))
+    want = oracle_band(A, g.nx, kl, ku)
+    assert ab.dtype == want.dtype and ab.shape == want.shape
+    assert ab.tobytes(order="F") == want.tobytes(order="F")
     assert_same_arrays(stp.B, B)
     assert_same_arrays(stp.BT, B.T.tocsr())
-    lu = splu(A)
-    assert_same_arrays(stp.lu.L, lu.L)
-    assert_same_arrays(stp.lu.U, lu.U)
-    assert stp.lu.perm_r.tobytes() == lu.perm_r.tobytes()
-    assert stp.lu.perm_c.tobytes() == lu.perm_c.tobytes()
+    lu, piv, info = dgbtrf(want, kl, ku)
+    assert info == 0
+    assert stp.lu.ab.tobytes(order="F") == lu.tobytes(order="F")
+    assert stp.lu.piv.tobytes() == piv.tobytes()
+
+
+# normwise backward error |A x - b| / (|A| |x| + |b|) in the inf-norm, per
+# column; the largest measured over these cases is 0.40 eps (N=256 forward)
+BACKWARD_EPS = 4.0
+# agreement with SuperLU's solution, relative to its largest entry; the
+# largest measured is 2.0e-9 (N=256 forward, a=0.9)
+SPLU_AGREE = 2e-8
+
+
+@pytest.mark.parametrize("p", PARAMS, ids=("a=0.2", "a=0.9"))
+@pytest.mark.parametrize("direction", ("forward", "adjoint"))
+@pytest.mark.parametrize("N", (8, 48, 128, 256))
+def test_band_lu_is_narrow_and_backward_stable(p, direction, N):
+    g = Grid(L=1.0, N=N, T=1.0, M=4 * N)
+    stp = pde.Stepper(p, g, direction, 0.5)
+    assert stp.lu.kl <= 7 and stp.lu.ku <= 7
+    A, _ = oracle_step_matrices(p, g, direction, 0.5)
+    splu = spla.splu(A)
+    rng = np.random.default_rng(N)
+    n = 2 * g.nx
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 5))):
+        for trans, op in (("N", A), ("T", A.T.tocsr())):
+            x = stp.lu.solve(rhs, trans=trans)
+            assert x.shape == rhs.shape and x.flags.c_contiguous
+            resid = np.max(np.abs(op @ x - rhs), axis=0)
+            scale = (abs(op).sum(axis=1).max() * np.max(np.abs(x), axis=0)
+                     + np.max(np.abs(rhs), axis=0))
+            assert np.all(resid <= BACKWARD_EPS * np.finfo(float).eps * scale)
+            y = splu.solve(rhs, trans=trans)
+            assert np.max(np.abs(x - y)) <= SPLU_AGREE * np.max(np.abs(y))
+
+
+def test_singular_step_matrix_raises_at_level_zero():
+    nx = 5
+    A = sp.diags(np.where(np.arange(2 * nx) == 6, 0.0, 1.0)).tocsr()  # v_1 row
+    with pytest.raises(NumericalError, match=r"singular step matrix: zero pivot in column 6 \(") as err:
+        pde.BandLU(A, nx)
+    assert err.value.time_level == 0

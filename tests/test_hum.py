@@ -717,11 +717,11 @@ def test_nonlinear_control_makes_no_discarded_march(monkeypatch, scale):
     res = solve_nonlinear_control(init, target, FOUR_I, 0.1, p, g, scheme=scheme,
                                   tol=1e-3)
     assert res.iterations == len(sweeps) >= 2
-    # per outer iteration: the Picard marches (one more than its sweeps)
-    # and the Duhamel march; the free evolution only from a nonzero state,
-    # and never an adjoint or a verification march
+    # the free evolution once, and only from a nonzero state; per outer
+    # iteration the Picard marches (one more than its sweeps) and the
+    # Duhamel march, and never an adjoint or a verification march
     free = 0 if scale == 0.0 else 1
-    assert len(runs) == sum(2 + free + s for s in sweeps)
+    assert len(runs) == free + sum(2 + s for s in sweeps)
     assert_same_controls(res.controls, controls)
     assert res.history == history
     assert res.terminal_error == err

@@ -126,7 +126,7 @@ def test_block_reports_first_non_finite_level():
 @pytest.mark.parametrize("direction, scales", [
     ("adjoint", (1.9e302, 1e303)),
     ("forward", (1e303,)),
-    ("forward", (1e303, 1e304)),
+    ("forward", (7e302, 1e303)),
 ])
 def test_block_reports_the_first_level_any_column_fails(direction, scales):
     # the block fails at the first level where any of its columns alone
@@ -157,7 +157,10 @@ def test_adjoint_overflow_counts_steps_from_level_M():
 
 
 def test_forward_overflow_from_boundary_data_reports_its_level():
-    # simulate with h2 = 1e306 sin(2 pi t) at N=16/M=16: level 7
+    # simulate with h2 = 1e306 sin(2 pi t) at N=16/M=16: level 6.  The states
+    # of levels 1-5 stay below 5.9e304 and the right-hand side of level 6 is
+    # finite: the overflow happens inside the solve, so its level depends on
+    # the elimination order
     g = Grid(L=1.0, N=16, T=0.25, M=16)
     fw = pde.stepper(P, g, "forward", 0.5)
     bc = np.zeros((6, g.nt))
@@ -165,8 +168,8 @@ def test_forward_overflow_from_boundary_data_reports_its_level():
     z0 = np.zeros(2 * g.nx)
     with pytest.raises(NumericalError) as err:
         fw.run(z0, bc=bc)
-    assert err.value.time_level == 7 == oracle_level(fw, z0, bc=bc)
+    assert err.value.time_level == 6 == oracle_level(fw, z0, bc=bc)
     # the same level when a finite column rides along in a block
     with pytest.raises(NumericalError) as block:
         fw.run(np.zeros((2 * g.nx, 2)), bc=bc)
-    assert block.value.time_level == 7
+    assert block.value.time_level == 6

@@ -20,14 +20,15 @@ def test_csr_dot_has_the_bytes_of_matmul(direction, N):
     stp = pde.Stepper(P, g, direction)
     rng = np.random.default_rng(N)
     n = 2 * g.nx
-    # 1-d, C-ordered and Fortran-ordered blocks (lu.solve returns the
-    # latter), and the one-column block that ``@`` takes as a vector
+    # 1-d, C-ordered and Fortran-ordered blocks (readout_transpose starts
+    # from a transposed C block), the one-column block that ``@`` takes as
+    # a vector, and a block as lu.solve returns it
     inputs = [rng.standard_normal(n)]
     for k in (1, 3, 6):
         block = rng.standard_normal((n, k))
         inputs += [block, np.asfortranarray(block)]
     inputs.append(stp.lu.solve(rng.standard_normal((n, 4))))
-    assert not inputs[-1].flags.c_contiguous
+    assert sum(not x.flags.c_contiguous for x in inputs) == 2
     for A in (stp.B, stp.BT):
         for x in inputs:
             got = pde._csr_dot(A, x)

@@ -408,6 +408,7 @@ config: FOUR_I
         MINIMAL_SIMULATE + 'initial: {u: "%sx"}\n' % ("-" * 2000),
         "command: simulate\nparams: " + "[" * 10000 + "]" * 10000 + "\n",
         MINIMAL_SIMULATE.replace("a: 0.2", "a: 1.0e200"),
+        MINIMAL_SIMULATE.replace("c: 1.0", "c: 1.0e-320"),
     ],
     ids=["r0-axis", "observe-samples", "tol", "seed", "initial-list",
          "ucp-samples", "picard-max", "bc-syntax", "initial-syntax",
@@ -415,7 +416,7 @@ config: FOUR_I
          "grid-bool", "params-bool", "scheme-bool", "output-dir-int",
          "initial-div-zero", "initial-overflow", "initial-missing-file",
          "initial-deep-parens", "initial-long-sum", "initial-deep-signs",
-         "yaml-deep", "params-a-overflow"],
+         "yaml-deep", "params-a-overflow", "params-b-over-c-overflow"],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
     path = write(tmp_path, text)
