@@ -33,7 +33,11 @@ __all__ = [
     "x_inner",
     "x_weights",
     "trapezoid_weights",
+    "Signal",
+    "SIGNALS",
     "SIGNAL_NAMES",
+    "boundary_row",
+    "pair_weights",
 ]
 
 
@@ -186,8 +190,53 @@ _KIND_MASKS = {
     ControlKind.THREE_VI: (True, False, False, True, True, False),
 }
 
-# The order of the six boundary signals everywhere in the package.
-SIGNAL_NAMES = ("h0", "h1", "h2", "g0", "g1", "g2")
+
+@dataclass(frozen=True)
+class Signal:
+    """A row of ``SIGNALS``; a trace is a (side, order) key of
+    ``fdops.boundary_stencils``."""
+
+    name: str
+    var: int  # 0: the signal imposes a trace of u, 1: of v
+    trace: tuple  # the trace it imposes in the forward system
+    paired: tuple  # the adjoint trace HUM pairs it with, combined by pair_weights
+    trace_class: float  # the Sobolev class of that combination
+    sign: float
+
+    def coefficient(self, p: Parameters) -> float:
+        """c/b for a u signal, c for a v signal, times ``sign``."""
+        return self.sign * (p.c / p.b if self.var == 0 else p.c)
+
+
+# The six boundary signals, in their order everywhere in the package.  The
+# HUM control of each is coefficient(p) R[paired combination], R the Riesz
+# multiplier of the combination's class; the signal has the opposite class:
+#   h0 = u(0)      (c/b) R[(phi_xx + a psi_xx)(0)]   H^{-1/3}
+#   h1 = u_x(L)    (c/b) (phi_x + a psi_x)(L)        L^2
+#   h2 = u_xx(L)  -(c/b) R[(phi + a psi)(L)]         H^{1/3}
+# and g0 .. g2 the same for v, with c (a b phi + psi) for (c/b) (phi + a psi).
+SIGNALS = (
+    Signal("h0", 0, ("left", 0), ("left", 2), -1 / 3, 1.0),
+    Signal("h1", 0, ("right", 1), ("right", 1), 0.0, 1.0),
+    Signal("h2", 0, ("right", 2), ("right", 0), 1 / 3, -1.0),
+    Signal("g0", 1, ("left", 0), ("left", 2), -1 / 3, 1.0),
+    Signal("g1", 1, ("right", 1), ("right", 1), 0.0, 1.0),
+    Signal("g2", 1, ("right", 2), ("right", 0), 1 / 3, -1.0),
+)
+SIGNAL_NAMES = tuple(s.name for s in SIGNALS)
+
+
+def pair_weights(p: Parameters, var: int) -> tuple:
+    """The (phi, psi) weights of the combination paired with a signal of
+    ``var``: (1, a) for u, (a b, 1) for v, as in the adjoint's rows at L."""
+    return (1.0, p.a) if var == 0 else (p.a * p.b, 1.0)
+
+
+def boundary_row(var: int, trace: tuple, nx: int) -> int:
+    """The stacked row that a condition on ``trace`` of ``var`` replaces:
+    order k takes block row k at x = 0 and nx - 3 + k at x = L."""
+    side, order = trace
+    return var * nx + (order if side == "left" else nx - 3 + order)
 
 
 @dataclass(frozen=True)
@@ -222,8 +271,11 @@ class ControlConfig:
         return self.mask in (_KIND_MASKS[ControlKind.THREE_V],
                              _KIND_MASKS[ControlKind.THREE_VI])
 
-    def active_names(self):
-        return tuple(n for n, m in zip(SIGNAL_NAMES, self.mask) if m)
+    @property
+    def active(self) -> tuple:
+        """The indices into ``SIGNALS`` of the active signals, ascending
+        (index arrays with ``list(cfg.active)``)."""
+        return tuple(i for i, m in enumerate(self.mask) if m)
 
 
 def trapezoid_weights(n: int, h: float) -> np.ndarray:

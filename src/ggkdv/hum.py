@@ -1,15 +1,11 @@
 """Boundary control synthesis by duality (HUM) and observability estimation.
 
 The control operator maps adjoint final data (phi_T, psi_T) to boundary
-inputs read off the adjoint solution's traces:
-
-    h1 = (c/b) (phi_x + a psi_x)(t, L)        g1 = c (a b phi_x + psi_x)(t, L)
-    h0 = (c/b) R[ (phi_xx + a psi_xx)(t, 0) ]  g0 = c R[ (a b phi_xx + psi_xx)(t, 0) ]
-    h2 = -(c/b) R[ (phi + a psi)(t, L) ]       g2 = -c R[ (a b phi + psi)(t, L) ]
-
-where R is the Riesz multiplier of the trace's fractional class, so that
-every active term of the duality identity becomes the squared class norm of
-its trace combination.  The Gramian is the composition
+inputs read off the adjoint solution's traces: each signal of
+``core.SIGNALS`` is its coefficient times R[its paired trace combination],
+R the Riesz multiplier of the combination's fractional class, so that every
+active term of the duality identity becomes the squared class norm of its
+trace combination.  The Gramian is the composition
 
     adjoint solve -> controls -> forward solve (zero init) -> state at T,
 
@@ -33,12 +29,14 @@ import numpy as np
 
 from .core import (
     SIGNAL_NAMES,
+    SIGNALS,
     ControlConfig,
     Grid,
     Parameters,
     StatePair,
     _stacked,
     _x_sum,
+    pair_weights,
     trapezoid_weights,
     validate_params,
     x_norm,
@@ -74,21 +72,15 @@ __all__ = [
     "solve_control",
     "estimate_observability",
     "solve_nonlinear_control",
+    "check_data_size",
     "random_final_state",
 ]
 
-# fractional class of each control's paired trace combination; the control
-# signal itself (Dirichlet / Neumann / second derivative) has the opposite one
-TRACE_CLASS = dict(zip(SIGNAL_NAMES, (-1 / 3, 0.0, 1 / 3) * 2))
-CONTROL_CLASS = {name: 0.0 - s for name, s in TRACE_CLASS.items()}
+# the fractional class of each control signal, opposite to its combination's
+CONTROL_CLASS = {s.name: 0.0 - s.trace_class for s in SIGNALS}
 # the CGLS iteration cap, and the samples of the three-control gate
 MAXITER = 500
 FEASIBILITY_SAMPLES = 8
-
-
-def _coefficients(p: Parameters) -> dict:
-    cb = p.c / p.b
-    return dict(zip(SIGNAL_NAMES, (cb, cb, -cb, p.c, p.c, -p.c)))
 
 
 @dataclass
@@ -146,35 +138,17 @@ class NonlinearControlResult:
 def combo_read_vectors(p: Parameters, g: Grid) -> np.ndarray:
     """Read-out vectors r with combo_s(t) = r_s . stacked state(t).
 
-    Order h0..g2; combinations are the ones appearing in the observability
-    inequalities: second derivatives at x = 0 for h0/g0, first derivatives
-    at x = L for h1/g1, values at x = L for h2/g2.
+    Order h0..g2; row s reads the adjoint combination ``core.SIGNALS[s]``
+    is paired with: its trace of (phi, psi), with the ``pair_weights``.
     """
     st = boundary_stencils(g.nx, g.dx)
-    nx = g.nx
-    a, b = p.a, p.b
-
-    def vec(key, w_u, w_v):
-        cols, wts = st[key]
-        out = np.zeros(2 * nx)
-        out[cols] = w_u * wts
-        out[nx + cols] = w_v * wts
-        return out
-
-    return np.stack(
-        [
-            vec(("left", 2), 1.0, a),        # h0 slot
-            vec(("right", 1), 1.0, a),       # h1 slot
-            vec(("right", 0), 1.0, a),       # h2 slot
-            vec(("left", 2), a * b, 1.0),    # g0 slot
-            vec(("right", 1), a * b, 1.0),   # g1 slot
-            vec(("right", 0), a * b, 1.0),   # g2 slot
-        ]
-    )
-
-
-def _active(cfg: ControlConfig) -> list:
-    return [i for i in range(6) if cfg.mask[i]]
+    out = np.zeros((6, 2 * g.nx))
+    for row, s in zip(out, SIGNALS):
+        cols, wts = st[s.paired]
+        w_u, w_v = pair_weights(p, s.var)
+        row[cols] = w_u * wts
+        row[g.nx + cols] = w_v * wts
+    return out
 
 
 def _pair(z: np.ndarray, g: Grid) -> StatePair:
@@ -185,11 +159,9 @@ def _controls_in_place(rows: np.ndarray, active: list, p: Parameters, T: float):
     """Turn each combination history ``rows[k]`` of signal ``active[k]``
     (time along its first axis) into the control history coef_i R_i of
     that signal, in place."""
-    coef = _coefficients(p)
     for row, i in zip(rows, active):
-        name = SIGNAL_NAMES[i]
-        riesz_columns(row, TRACE_CLASS[name], T)
-        row *= coef[name]
+        riesz_columns(row, SIGNALS[i].trace_class, T)
+        row *= SIGNALS[i].coefficient(p)
 
 
 def controls_from_adjoint(
@@ -205,7 +177,7 @@ def controls_from_adjoint(
     """
     validate_params(p)
     g = traj.grid
-    active = _active(cfg)
+    active = list(cfg.active)
     sig = np.zeros((6, g.nt))
     rows = combo_read_vectors(p, g)[active] @ traj.z.T
     _controls_in_place(rows, active, p, g.T)
@@ -244,7 +216,7 @@ class GramianOperator:
         self.W = x_weights(p, g)
         fw = stepper(p, g, "forward", theta)
         ad = stepper(p, g, "adjoint", theta)
-        self.active = _active(cfg)
+        self.active = list(cfg.active)
         # Theta, turned in place into the control histories coef_i R_i Theta_i
         self.d = ad.readout_transpose(combo_read_vectors(p, g)[self.active])
         _controls_in_place(self.d, self.active, p, g.T)
@@ -401,11 +373,7 @@ def _steer(
     theta = (scheme or SchemeConfig()).theta
     rhs = z_target if z_free is None else z_target - z_free
     if x_norm(rhs, p, g) < 1e-14:
-        bundle = ControlBundle(
-            signals=BoundarySignals.zeros(g), config=cfg,
-            norms={n: 0.0 for n in SIGNAL_NAMES},
-        )
-        return bundle, 0, [0.0], np.zeros(2 * g.nx)
+        return _bundle(cfg, np.zeros((6, g.nt)), g.T), 0, [0.0], np.zeros(2 * g.nx)
     op = gramian_operator(cfg, p, g, theta)
     xsol, iters, hist = _cgls(op, rhs, tol, MAXITER, x0=x0)
     return _bundle(cfg, op.controls(xsol), g.T), iters, hist, xsol
@@ -505,11 +473,11 @@ def _quotient(cfg: ControlConfig, z: np.ndarray, nrm: float, p: Parameters,
     trapezoid pairing of the control read off ``z`` with its combination
     c_i, <coef_i R_i c_i, c_i> / coef_i, which is ||c_i||^2 in the class of
     c_i (an exact identity of the discrete Riesz map)."""
-    active = _active(cfg)
+    active = list(cfg.active)
     combos = combo_read_vectors(p, g)[active] @ z.T
     controls = combos.copy()
     _controls_in_place(controls, active, p, g.T)
-    coef = np.array([_coefficients(p)[SIGNAL_NAMES[i]] for i in active])
+    coef = np.array([SIGNALS[i].coefficient(p) for i in active])
     pairs = (controls * combos) @ trapezoid_weights(g.nt, g.dt) / coef
     return float(np.sum(pairs)) / nrm**2
 
@@ -565,6 +533,17 @@ def estimate_observability(
     )
 
 
+def check_data_size(init: StatePair, target: StatePair, delta: float,
+                    p: Parameters, g: Grid):
+    """Raise ConstraintViolation unless ||init||_X + ||target||_X <= ``delta``,
+    the data size ``solve_nonlinear_control`` takes."""
+    with np.errstate(over="ignore"):
+        sizes = x_norm(init, p, g) + x_norm(target, p, g)
+    if sizes > delta:
+        raise ConstraintViolation(
+            f"data too large: ||init|| + ||target|| = {sizes:.3g} > delta = {delta:.3g}")
+
+
 def solve_nonlinear_control(
     init: StatePair,
     target: StatePair,
@@ -585,11 +564,7 @@ def solve_nonlinear_control(
     """
     validate_params(p)
     scheme = scheme or SchemeConfig(picard_tol=1e-6)
-    sizes = x_norm(init, p, g) + x_norm(target, p, g)
-    if sizes > delta:
-        raise ConstraintViolation(
-            f"data too large: ||init|| + ||target|| = {sizes:.3g} > delta = {delta:.3g}"
-        )
+    check_data_size(init, target, delta, p, g)
     init.check(g)
     target.check(g)
     _three_control_gate(cfg, p, g, scheme)

@@ -33,8 +33,8 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
-from .core import (SIGNAL_NAMES, Grid, Parameters, StatePair, _stacked,
-                   validate_params, x_norm)
+from .core import (SIGNAL_NAMES, SIGNALS, Grid, Parameters, StatePair, _stacked,
+                   boundary_row, pair_weights, validate_params, x_norm)
 from .errors import ConstraintViolation, NonConvergence, NumericalError
 from .fdops import (
     boundary_stencils,
@@ -56,34 +56,22 @@ __all__ = [
 ]
 
 
-@dataclass
 class BoundarySignals:
-    """The six boundary input series, each sampled on the M+1 time levels.
+    """The six boundary input series of ``core.SIGNALS``, each sampled on
+    the M+1 time levels, held as the rows h0 .. g2 of one (6, M+1) array."""
 
-    h0, g0 prescribe values at x = 0 (H^{1/3} class), h1, g1 first
-    derivatives at x = L (L^2 class), h2, g2 second derivatives at x = L
-    (H^{-1/3} class).
-    """
+    h0, h1, h2, g0, g1, g2 = (property(lambda self, i=i: self._array[i])
+                              for i in range(6))
 
-    h0: np.ndarray
-    h1: np.ndarray
-    h2: np.ndarray
-    g0: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-
-    def __post_init__(self):
-        n = None
-        for name in SIGNAL_NAMES:
-            arr = np.asarray(getattr(self, name), dtype=float)
-            setattr(self, name, arr)
+    def __init__(self, h0, h1, h2, g0, g1, g2):
+        rows = [np.asarray(s, dtype=float) for s in (h0, h1, h2, g0, g1, g2)]
+        for name, arr in zip(SIGNAL_NAMES, rows):
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be a 1-d series")
-            if n is None:
-                n = len(arr)
-            elif len(arr) != n:
-                raise ValueError("all six series must share the time grid")
-        if not all(np.all(np.isfinite(getattr(self, nm))) for nm in SIGNAL_NAMES):
+        if len({len(arr) for arr in rows}) > 1:
+            raise ValueError("all six series must share the time grid")
+        self._array = np.stack(rows)
+        if not np.all(np.isfinite(self._array)):
             raise ConstraintViolation("boundary signals contain NaN or Inf")
 
     @classmethod
@@ -91,7 +79,8 @@ class BoundarySignals:
         return cls(*(np.zeros(g.nt) for _ in range(6)))
 
     def as_array(self) -> np.ndarray:
-        return np.stack([getattr(self, n) for n in SIGNAL_NAMES])
+        """The stored (6, M+1) array itself, not a copy."""
+        return self._array
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "BoundarySignals":
@@ -219,35 +208,32 @@ class Stepper:
         B = (Mdiag / dt + (1.0 - theta) * Lop).tocsr()
 
         st = boundary_stencils(nx, dx)
-        rows = []
-        if direction == "forward":
-            cr1, wr1 = st[("right", 1)]
-            cr2, wr2 = st[("right", 2)]
-            for v0 in (0, nx):  # u block then v block: h0,h1,h2 then g0,g1,g2
-                rows.append((v0, np.array([v0]), np.array([1.0])))
-                rows.append((v0 + g.N, v0 + cr1, wr1))
-                rows.append((v0 + g.N + 1, v0 + cr2, wr2))
+        rows = {}  # row -> (cols, weights) of the boundary condition replacing it
+        if direction == "forward":  # each signal imposes its trace on its variable
+            for s in SIGNALS:
+                cols, wts = st[s.trace]
+                rows[boundary_row(s.var, s.trace, nx)] = (s.var * nx + cols, wts)
         else:
-            cl1, wl1 = st[("left", 1)]
-            cr2, wr2 = st[("right", 2)]
-            rows.append((0, np.array([0]), np.array([1.0])))
-            rows.append((1, cl1, wl1))
-            rows.append(
-                (g.N + 1, np.concatenate([cr2, nx + cr2]), np.concatenate([wr2, a * wr2]))
-            )
-            rows.append((nx, np.array([nx]), np.array([1.0])))
-            rows.append((nx + 1, nx + cl1, wl1))
-            rows.append(
-                (
-                    nx + g.N + 1,
-                    np.concatenate([cr2, nx + cr2, [2 * nx - 1]]),
-                    np.concatenate([a * b * wr2, wr2, [r]]),
-                )
-            )
-        self.bc_rows = np.array([row for row, _, _ in rows])
-        A = _replace_rows(A, {row: (cols, wts) for row, cols, wts in rows})
+            # the adjoint imposes, per variable, each trace that no signal is
+            # paired with: at x = 0 on its own variable, at x = L over
+            # (phi, psi) with the paired combination's weights, plus the
+            # transport term r psi in psi's row
+            for var in (0, 1):
+                paired = {s.paired for s in SIGNALS if s.var == var}
+                for trace in (t for t in st if t not in paired):
+                    cols, wts = st[trace]
+                    if trace[0] == "left":
+                        cols = var * nx + cols
+                    else:
+                        w_u, w_v = pair_weights(p, var)
+                        cols, wts = np.r_[cols, nx + cols], np.r_[w_u * wts, w_v * wts]
+                        if var == 1:
+                            cols, wts = np.r_[cols, 2 * nx - 1], np.r_[wts, r]
+                    rows[boundary_row(var, trace, nx)] = (cols, wts)
+        self.bc_rows = np.array(list(rows))
+        A = _replace_rows(A, rows)
         empty = (np.array([], dtype=int), np.array([]))
-        self.B = _replace_rows(B, {row: empty for row, _, _ in rows})
+        self.B = _replace_rows(B, dict.fromkeys(rows, empty))
         self.lu = BandLU(A, nx)
         self.BT = self.B.T.tocsr()
         self.nx = nx

@@ -346,6 +346,9 @@ def _scenario(raw, base: str = "") -> Scenario:
             values[key] = None
         else:
             values[key] = _checked(key, values[key], g, key, base)
+    if values["command"] == "nonlinear-control":  # the solver's own input check
+        _checked("delta", hum.check_data_size, values["initial"], values["target"],
+                 values["delta"], values["params"], g)
     return Scenario(raw=raw, **values)
 
 
@@ -488,7 +491,7 @@ def _run_observe(sc: Scenario):
         "sample_count": int(rep.sample_count),
         "c_hidden": [float(v) for v in rep.c_hidden],
         "c1_squared": rep.c1_squared,
-        # no sample is ever rejected; the key stays until ROADMAP item 2
+        # no sample is ever rejected; the key stays until ROADMAP item 3
         # changes the schema
         "rejected": 0,
     }

@@ -215,15 +215,18 @@ def roots_P(poly: PolyP) -> RootSet:
     eigenvalue call.
     """
     coeffs = poly.coeffs
-    roots = _polish_roots(coeffs, _companion_roots(coeffs))
-    residuals = np.abs(_horner(coeffs, roots))
+    roots = _companion_roots(coeffs)
+    # huge coefficients overflow the polish to NaN, which fails the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = _polish_roots(coeffs, roots)
+        residuals = np.abs(_horner(coeffs, roots))
     scale = _row_scale(coeffs)
     worst = np.max(residuals, axis=1)
-    failed = np.flatnonzero(worst > 1e-8 * scale)
+    failed = np.flatnonzero(~(worst <= 1e-8 * scale))
     if failed.size:
         k = failed[0]
         raise NumericalError(
-            f"root refinement failed at p = {poly.p[k]!r}: worst "
+            f"root refinement failed at p = {complex(poly.p[k])!r}: worst "
             f"residual {worst[k]:.3e} (tolerance {1e-8 * scale[k]:.3e})"
         )
     e_roots = _elementary_symmetric(roots)

@@ -169,7 +169,7 @@ def test_control_config_masks():
     with pytest.raises(ValueError):
         ControlConfig(kind=ControlKind.FOUR_I, mask=(1, 1, 1, 1, 1, 1))
     custom = ControlConfig(kind=ControlKind.CUSTOM, mask=(1, 0, 0, 0, 0, 0))
-    assert custom.active_names() == ("h0",)
+    assert custom.active == (0,)
 
 
 def test_grid_validation():

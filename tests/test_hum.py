@@ -3,8 +3,8 @@ import weakref
 import numpy as np
 import pytest
 
-from ggkdv.core import (SIGNAL_NAMES, ControlConfig, Grid, Parameters, StatePair,
-                        trapezoid_weights, x_inner, x_norm)
+from ggkdv.core import (SIGNAL_NAMES, SIGNALS, ControlConfig, Grid, Parameters,
+                        StatePair, trapezoid_weights, x_inner, x_norm)
 from ggkdv import hum, pde
 from ggkdv.errors import (ConstraintViolation, FeasibilityError, NonConvergence,
                           NumericalError)
@@ -450,11 +450,11 @@ def sparse_apply(op, z):
     ad = pde.stepper(p, g, "adjoint", 0.5)
     fw = pde.stepper(p, g, "forward", 0.5)
     cb = hum.combo_read_vectors(p, g) @ ad.run(z).T
-    coef = hum._coefficients(p)
+    coef = {s.name: s.coefficient(p) for s in SIGNALS}
     sig = np.zeros_like(cb)
     for i, name in enumerate(SIGNAL_NAMES):
         if cfg.mask[i]:
-            sig[i] = coef[name] * riesz_map(cb[i], hum.TRACE_CLASS[name], g.T)
+            sig[i] = coef[name] * riesz_map(cb[i], SIGNALS[i].trace_class, g.T)
     return fw.run(np.zeros(2 * g.nx), bc=sig)[-1]
 
 
@@ -471,12 +471,12 @@ def sparse_apply_star(op, y):
         q[:, n] = mu[fw.bc_rows]
         lam = fw.BT @ mu
     wt = trapezoid_weights(g.nt, g.dt)
-    coef = hum._coefficients(p)
+    coef = {s.name: s.coefficient(p) for s in SIGNALS}
     d = np.zeros_like(q)
     for i, name in enumerate(SIGNAL_NAMES):
         if not cfg.mask[i]:
             continue
-        s = hum.TRACE_CLASS[name]
+        s = SIGNALS[i].trace_class
         if s == 0.0:
             d[i] = coef[name] * q[i]
         else:

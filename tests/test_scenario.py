@@ -9,9 +9,9 @@ import pytest
 import yaml
 
 import ggkdv
-from ggkdv import scenario
+from ggkdv import hum, scenario
 from ggkdv.cli import main as cli_main
-from ggkdv.errors import ScenarioError
+from ggkdv.errors import ConstraintViolation, ScenarioError
 from ggkdv.scenario import parse_scenario_text, run_scenario
 
 MINIMAL_SIMULATE = """
@@ -377,6 +377,17 @@ config: FOUR_I
 """
 
 
+# ||target|| = 1.77 in the X-norm, far above delta
+NONLINEAR_OVERSIZED = """
+command: nonlinear-control
+params: {a: 0.2, b: 1.0, c: 1.0, r: 1.0, a1: 0.4, a2: 0.3}
+grid: {L: 1.0, N: 16, T: 1.0, M: 32}
+config: FOUR_I
+target: {u: "5*gaussian(0.5,0.1)", v: "0"}
+delta: 0.1
+"""
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -409,6 +420,7 @@ config: FOUR_I
         "command: simulate\nparams: " + "[" * 10000 + "]" * 10000 + "\n",
         MINIMAL_SIMULATE.replace("a: 0.2", "a: 1.0e200"),
         MINIMAL_SIMULATE.replace("c: 1.0", "c: 1.0e-320"),
+        NONLINEAR_OVERSIZED,
     ],
     ids=["r0-axis", "observe-samples", "tol", "seed", "initial-list",
          "ucp-samples", "picard-max", "bc-syntax", "initial-syntax",
@@ -416,7 +428,8 @@ config: FOUR_I
          "grid-bool", "params-bool", "scheme-bool", "output-dir-int",
          "initial-div-zero", "initial-overflow", "initial-missing-file",
          "initial-deep-parens", "initial-long-sum", "initial-deep-signs",
-         "yaml-deep", "params-a-overflow", "params-b-over-c-overflow"],
+         "yaml-deep", "params-a-overflow", "params-b-over-c-overflow",
+         "nonlinear-delta"],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
     path = write(tmp_path, text)
@@ -427,6 +440,17 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
     assert "Traceback" not in err
     assert err.count("invalid scenario") == 1 and err.count("error:") == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_oversized_nonlinear_data_is_a_delta_error():
+    # the scenario names the field; the solver keeps its own check
+    with pytest.raises(ScenarioError, match=r"delta: data too large: .* = 1\.77 > "
+                       r"delta = 0\.1"):
+        parse_scenario_text(NONLINEAR_OVERSIZED)
+    sc = parse_scenario_text(NONLINEAR_OVERSIZED.replace("delta: 0.1", "delta: 2.0"))
+    with pytest.raises(ConstraintViolation, match="data too large"):
+        hum.solve_nonlinear_control(sc.initial, sc.target, sc.config, 0.1,
+                                    sc.params, sc.grid)
 
 
 def test_scenario_file_not_utf8_exits_2(tmp_path, capsys):
@@ -505,6 +529,22 @@ def test_non_finite_spectral_matrices_exit_3(tmp_path, capsys, text):
     assert "Traceback" not in err
     assert err.count("error:") == 1 and "finite" in err and "L = " in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_root_polish_overflow_exits_3_without_warning(tmp_path):
+    # r = 1e150 overflows the Newton polish of two roots to NaN; the NaN
+    # residual must fail the refinement check, with no numpy warning
+    path = write(tmp_path, UCP_BASE.replace("r: 1.0", "r: 1.0e150")
+                 + "ucp: {samples: 16}\n")
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ggkdv.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ggkdv.cli", "run", path, "--output-dir", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.count("error:") == 1 and "root refinement failed" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
