@@ -2,7 +2,10 @@
 
 
 class GGKdVError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; ``exit_code`` is the exit code
+    of a run that fails with one (3, numerical failure, unless overridden)."""
+
+    exit_code = 3
 
 
 class ConstraintViolation(GGKdVError, ValueError):
@@ -34,12 +37,16 @@ class NonConvergence(GGKdVError, RuntimeError):
 class FeasibilityError(GGKdVError, RuntimeError):
     """A three-control configuration failed its coefficient condition."""
 
+    exit_code = 4
+
 
 class ExpressionError(GGKdVError, ValueError):
     """An analytic expression failed to parse or evaluate.
 
     ``position`` is the 0-based character offset of the offending token.
     """
+
+    exit_code = 2
 
     def __init__(self, message, position=None):
         if position is not None:
@@ -50,6 +57,8 @@ class ExpressionError(GGKdVError, ValueError):
 
 class ScenarioError(GGKdVError, ValueError):
     """A scenario file failed to parse or validate."""
+
+    exit_code = 2
 
     def __init__(self, message, field=None):
         if field is not None:

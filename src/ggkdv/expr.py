@@ -202,7 +202,7 @@ def _eval(node, x: float) -> float:
         exponent = _eval(node[2], x)
         try:
             out = base**exponent
-        except (OverflowError, ValueError) as exc:
+        except (ArithmeticError, ValueError) as exc:
             raise ExpressionError(f"power failed: {exc}", position=node[3])
         if isinstance(out, complex):
             raise ExpressionError("power produced a complex value",
@@ -220,10 +220,8 @@ def _eval(node, x: float) -> float:
                 return math.exp(vals[0])
             if name == "gaussian":
                 center, width = vals
-                if width == 0.0:
-                    raise ExpressionError("gaussian width is zero", position=at)
                 return math.exp(-(((x - center) / width) ** 2))
-        except (OverflowError, ValueError) as exc:
+        except (ArithmeticError, ValueError) as exc:
             raise ExpressionError(f"{name} failed: {exc}", position=at)
     raise ExpressionError(f"internal: bad node {kind!r}")
 

@@ -284,7 +284,9 @@ def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, maxiter: int,
     Gram-Schmidt against all previous ones); without this, roundoff stalls
     the iteration well above the target on ill-conditioned configurations.
     Each iteration costs two dense products with the assembled Gramian and
-    one pass over the stored basis.
+    one pass over the stored basis.  Stops at ``tol``, a breakdown or
+    ``maxiter``; returns the best iterate, its number and the residual
+    history up to it if it is within 10·tol, else raises NonConvergence.
     """
     nrhs = np.sqrt(op.xdot(rhs, rhs))
     x = np.zeros_like(rhs) if x0 is None else x0.copy()
@@ -292,13 +294,11 @@ def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, maxiter: int,
     s = op.apply_star(res)
     gam = op.xdot(s, s)
     hist = [np.sqrt(op.xdot(res, res)) / nrhs]
-    if hist[0] <= tol:
-        return x, 0, hist
     pdir = s.copy()
     basis = [s / np.sqrt(gam)] if gam > 0 else []
-    best_x, best_res = x.copy(), hist[0]
+    best, k_best = x, 0
     for it in range(1, maxiter + 1):
-        if gam <= 0:
+        if hist[-1] <= tol or gam <= 0:
             break
         q = op.apply(pdir)
         qq = op.xdot(q, q)
@@ -307,28 +307,26 @@ def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, maxiter: int,
         alpha = gam / qq
         x = x + alpha * pdir
         res = res - alpha * q
-        rel = np.sqrt(op.xdot(res, res)) / nrhs
-        hist.append(rel)
-        if rel < best_res:
-            best_x, best_res = x.copy(), rel
-        if rel <= tol:
-            return x, it, hist
+        hist.append(np.sqrt(op.xdot(res, res)) / nrhs)
+        if hist[-1] < hist[k_best]:
+            best, k_best = x, it
+        if hist[-1] <= tol:
+            break
         s = op.apply_star(res)
         for u in basis:
             s = s - op.xdot(s, u) * u
         gam_new = op.xdot(s, s)
-        if gam_new <= 0:
-            break
-        basis.append(s / np.sqrt(gam_new))
-        pdir = s + (gam_new / gam) * pdir
+        if gam_new > 0:
+            basis.append(s / np.sqrt(gam_new))
+            pdir = s + (gam_new / gam) * pdir
         gam = gam_new
-    if best_res <= 10 * tol:
-        return best_x, len(hist) - 1, hist
-    raise NonConvergence(
-        f"control CG stalled at relative residual {best_res:.3e} "
-        f"(target {tol:.1e}, {len(hist) - 1} iterations)",
-        history=hist,
-    )
+    if not hist[k_best] <= 10 * tol:  # NaN included
+        raise NonConvergence(
+            f"control CG stalled at relative residual {hist[k_best]:.3e} "
+            f"(target {tol:.1e}, {len(hist) - 1} iterations)",
+            history=hist,
+        )
+    return best, k_best, hist[:k_best + 1]
 
 
 def _three_control_gate(cfg: ControlConfig, p: Parameters, g: Grid,

@@ -247,10 +247,10 @@ class Stepper:
         block of k states marched together, one multi-RHS solve per level,
         giving (k, M+1, 2 nx): column j's trajectory is the contiguous
         ``out[j]``, with the bytes of a march of that column alone.
-        ``bc`` is a (6, M+1) array (forward only; level-0 entries are the
-        initial data's own traces and are not read).  ``forcing`` is a
-        (M+1, 2 nx) array of stacked (p, q) samples applied on PDE rows.
-        Both apply to every column of a block.
+        ``bc`` is a (6, M+1) array, any other shape a ValueError (forward
+        only; level-0 entries are the initial data's own traces, not read).
+        ``forcing`` is a (M+1, 2 nx) array of stacked (p, q) samples applied
+        on PDE rows.  Both apply to every column of a block.
         """
         g = self.g
         theta = self.theta
@@ -267,6 +267,8 @@ class Stepper:
                 raise ValueError("the adjoint system takes no boundary data")
         out[..., start, :] = z.T
         if bc is not None:
+            if np.shape(bc) != (6, g.nt):
+                raise ValueError("boundary signals do not match the time grid")
             bc = np.asarray(bc).reshape(np.shape(bc) + cols)
         # B's boundary rows are empty and the forcing's are zeroed, so the
         # right-hand side is zero there unless bc says otherwise.  A march
@@ -446,8 +448,6 @@ def solve_linear_forward(
     """Solve the linearized forward system; returns (Trajectory, TraceBundle)."""
     validate_params(p)
     init.check(g)
-    if len(bc.h0) != g.nt:
-        raise ValueError("boundary signals do not match the time grid")
     scheme = scheme or SchemeConfig()
     stp = stepper(p, g, "forward", scheme.theta)
     forc = _forcing_array(forcing, g) if forcing is not None else None

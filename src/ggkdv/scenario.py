@@ -34,14 +34,7 @@ from .core import (
     validate_params,
     x_norm,
 )
-from .errors import (
-    ConstraintViolation,
-    ExpressionError,
-    FeasibilityError,
-    NonConvergence,
-    NumericalError,
-    ScenarioError,
-)
+from .errors import ExpressionError, GGKdVError, ScenarioError
 from .expr import compile_expression
 
 __all__ = ["Scenario", "parse_scenario", "parse_scenario_text", "run_scenario",
@@ -341,11 +334,12 @@ def _scenario(raw, base: str = "") -> Scenario:
         raise ScenarioError(f"{values['command']} needs at least "
                             f"{tracenorm.MIN_SAMPLES - 1} time steps for its trace "
                             f"norms, got {g.M}", field="grid.M")
-    for key in ("initial", "final", "target", "bc"):
-        if g is None or values[key] is None:
-            values[key] = None
-        else:
-            values[key] = _checked(key, values[key], g, key, base)
+    try:
+        for key in ("initial", "final", "target", "bc"):
+            values[key] = (None if g is None or values[key] is None
+                           else _checked(key, values[key], g, key, base))
+    except MemoryError as exc:  # an allocation numpy refused
+        raise ScenarioError(f"too large to sample: {exc}", field="grid")
     if values["command"] == "nonlinear-control":  # the solver's own input check
         _checked("delta", hum.check_data_size, values["initial"], values["target"],
                  values["delta"], values["params"], g)
@@ -590,8 +584,9 @@ def _atomic_write(directory: str, artifacts: dict) -> dict:
 def run_scenario(path: str, output_dir: str = None, seed: int = None) -> RunResult:
     """Run one scenario file; returns the exit code and artifact map.
 
-    Exit codes: 0 success, 2 parse/validation error or unwritable output
-    directory, 3 numerical failure, 4 three-control feasibility failure.
+    Exit codes: 0 success, else the ``exit_code`` of the GGKdVError raised
+    (2 input, 3 numerical, 4 three-control feasibility), 3 for a refused
+    allocation and 2 for an unwritable output directory.
     Every runner finishes its numerical work before it returns; its
     artifacts are chunk generators that only format, consumed by the write.
     ``RunResult.artifacts`` maps each artifact name to the text written.
@@ -602,12 +597,10 @@ def run_scenario(path: str, output_dir: str = None, seed: int = None) -> RunResu
             raw = dict(raw, seed=seed)
         sc = _scenario(raw, os.path.dirname(path))
         summary, artifacts = _RUNNERS[sc.command](sc)
-    except (ScenarioError, ExpressionError) as exc:
-        return RunResult(2, {}, {}, message=str(exc))
-    except FeasibilityError as exc:
-        return RunResult(4, {}, {}, message=str(exc))
-    except (NumericalError, NonConvergence, ConstraintViolation) as exc:
-        return RunResult(3, {}, {}, message=str(exc))
+    except GGKdVError as exc:
+        return RunResult(exc.exit_code, {}, {}, message=str(exc))
+    except MemoryError as exc:
+        return RunResult(3, {}, {}, message=f"out of memory: {exc}")
 
     run_json = {
         "command": sc.command,

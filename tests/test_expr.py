@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,18 @@ def test_division_by_zero_reports_position():
     assert fn(2.0) == 1.0
     with pytest.raises(ExpressionError, match="division by zero"):
         fn(1.0)
+
+
+@pytest.mark.parametrize("text, at, message", [
+    ("x^-1", 1, "power failed: 0.0 cannot be raised to a negative power"),
+    ("2*(x-0)^(-0.5)", 7, "power failed"),
+    ("gaussian(0,0)", 0, "gaussian failed: float division by zero"),
+])
+def test_arithmetic_failure_at_a_point_is_an_expression_error(text, at, message):
+    with pytest.raises(ExpressionError, match=re.escape(message)) as err:
+        compile_expression(text)(0.0)
+    assert err.value.position == at
+    assert str(err.value).count("(at position") == 1
 
 
 def test_wrong_arity():

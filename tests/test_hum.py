@@ -181,6 +181,24 @@ def test_solve_control_hits_gaussian_target():
     assert res.iterations <= 500
 
 
+def test_cgls_reports_the_iterate_it_returns():
+    # CGLS stalls above tol here and accepts its best iterate, number 29 of
+    # 41: iterations and the last residual describe that iterate
+    g = Grid(L=1.0, N=24, T=1.0, M=64)
+    target = gaussian_target(g)
+    res = solve_control(FOUR_I, StatePair.zeros(g), target, 1e-3, P, g)
+    assert res.iterations == 29 == len(res.residuals) - 1
+    assert res.residuals[-1] == min(res.residuals) > 1e-3
+    assert res.terminal_error == pytest.approx(res.residuals[-1], rel=1e-6)
+    # the same iterate, bit for bit, as a run capped at 29 iterations
+    op = gramian_operator(FOUR_I, P, g, 0.5)
+    rhs = np.concatenate([target.u, target.v])
+    capped = hum._cgls(op, rhs, 1e-3, 29)
+    assert capped[0].tobytes() == hum._cgls(op, rhs, 1e-3, hum.MAXITER)[0].tobytes()
+    assert np.concatenate([res.adjoint_final.u, res.adjoint_final.v]).tobytes() == \
+        capped[0].tobytes()
+
+
 def test_solve_control_verification_is_reproducible():
     g = Grid(L=1.0, N=48, T=1.0, M=96)
     target = gaussian_target(g)

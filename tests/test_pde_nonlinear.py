@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ggkdv.core import Grid, Parameters, StatePair
+from ggkdv import pde
+from ggkdv.core import Grid, Parameters, StatePair, _stacked
 from ggkdv.errors import NonConvergence
 from ggkdv.pde import (
     BoundarySignals,
@@ -16,6 +17,21 @@ P = Parameters(a=0.2, b=1.0, c=1.0, r=1.0, a1=0.4, a2=0.3)
 def gaussian_state(g, eps):
     u = eps * np.exp(-50 * (g.x - g.L / 2) ** 2)
     return StatePair(u, 0.5 * u.copy())
+
+
+@pytest.mark.parametrize("levels", [-4, -3, -1, 1])
+def test_boundary_series_off_the_time_grid_are_rejected(levels):
+    # Stepper.run reads the series, so every forward solve checks them there
+    g = Grid(L=1.0, N=16, T=1.0, M=32)
+    bc = BoundarySignals(*(np.zeros(g.nt + levels) for _ in range(6)))
+    init = gaussian_state(g, 1e-3)
+    match = "boundary signals do not match the time grid"
+    with pytest.raises(ValueError, match=match):
+        solve_nonlinear(P, g, init, bc)
+    with pytest.raises(ValueError, match=match):
+        solve_linear_forward(P, g, init, bc)
+    with pytest.raises(ValueError, match=match):
+        pde.stepper(P, g, "forward", 0.5).run(_stacked(init, g), bc=bc.as_array())
 
 
 def test_zero_data_zero_solution():

@@ -9,9 +9,11 @@ import pytest
 import yaml
 
 import ggkdv
-from ggkdv import hum, scenario
+from ggkdv import hum, scenario, spectral
 from ggkdv.cli import main as cli_main
-from ggkdv.errors import ConstraintViolation, ScenarioError
+from ggkdv.core import Grid
+from ggkdv.errors import (ConstraintViolation, ExpressionError, FeasibilityError,
+                          GGKdVError, NonConvergence, NumericalError, ScenarioError)
 from ggkdv.scenario import parse_scenario_text, run_scenario
 
 MINIMAL_SIMULATE = """
@@ -421,6 +423,7 @@ delta: 0.1
         MINIMAL_SIMULATE.replace("a: 0.2", "a: 1.0e200"),
         MINIMAL_SIMULATE.replace("c: 1.0", "c: 1.0e-320"),
         NONLINEAR_OVERSIZED,
+        MINIMAL_SIMULATE + 'initial: {u: "x^-1"}\n',
     ],
     ids=["r0-axis", "observe-samples", "tol", "seed", "initial-list",
          "ucp-samples", "picard-max", "bc-syntax", "initial-syntax",
@@ -429,7 +432,7 @@ delta: 0.1
          "initial-div-zero", "initial-overflow", "initial-missing-file",
          "initial-deep-parens", "initial-long-sum", "initial-deep-signs",
          "yaml-deep", "params-a-overflow", "params-b-over-c-overflow",
-         "nonlinear-delta"],
+         "nonlinear-delta", "initial-zero-negative-power"],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
     path = write(tmp_path, text)
@@ -440,6 +443,62 @@ def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
     assert "Traceback" not in err
     assert err.count("invalid scenario") == 1 and err.count("error:") == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+# README's exit code of each error type
+EXIT_CODES = {GGKdVError: 3, ConstraintViolation: 3, NumericalError: 3,
+              NonConvergence: 3, FeasibilityError: 4, ExpressionError: 2,
+              ScenarioError: 2}
+
+
+def test_every_error_type_carries_its_exit_code():
+    types = (GGKdVError, *GGKdVError.__subclasses__())
+    assert {cls: cls.exit_code for cls in types} == EXIT_CODES
+
+
+@pytest.mark.parametrize("cls", list(EXIT_CODES), ids=lambda cls: cls.__name__)
+def test_run_exits_with_the_exit_code_of_the_error_raised(tmp_path, capsys,
+                                                          monkeypatch, cls):
+    def fail(sc):
+        raise cls("boom")
+
+    monkeypatch.setitem(scenario._RUNNERS, "simulate", fail)
+    path = write(tmp_path, MINIMAL_SIMULATE)
+    out = tmp_path / "out"
+    assert run_scenario(path, output_dir=str(out)).exit_code == EXIT_CODES[cls]
+    assert cli_main(["run", path, "--output-dir", str(out)]) == EXIT_CODES[cls]
+    assert capsys.readouterr().err == "error: boom\n"
+    assert not out.exists()
+
+
+def raise_memory_error(*args, **kwargs):
+    # stands in for an allocation numpy refuses; no test asks for the real one,
+    # which a host that overcommits memory may grant
+    raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+
+def test_grid_too_large_to_sample_is_a_grid_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(Grid, "x", property(raise_memory_error))
+    with pytest.raises(ScenarioError, match="^grid: too large to sample: Unable"):
+        parse_scenario_text(MINIMAL_SIMULATE)
+    path = write(tmp_path, MINIMAL_SIMULATE)
+    out = tmp_path / "out"
+    assert cli_main(["validate", path]) == 2
+    assert cli_main(["run", path, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("grid: too large to sample") == 2
+    assert not out.exists()
+
+
+def test_runner_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spectral, "_ucp_draws", raise_memory_error)
+    path = write(tmp_path, UCP_BASE + "ucp: {samples: 8}\n")
+    out = tmp_path / "out"
+    assert cli_main(["validate", path]) == 0
+    assert cli_main(["run", path, "--output-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+    assert not out.exists()
 
 
 def test_oversized_nonlinear_data_is_a_delta_error():
