@@ -107,6 +107,9 @@ class Grid:
             raise ValueError("N must be an integer >= 8")
         if int(self.M) != self.M or self.M < 2:
             raise ValueError("M must be an integer >= 2")
+        # N = 16.0 is stored as 16, so every derived size is an int
+        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "M", int(self.M))
 
     @property
     def dx(self) -> float:

@@ -66,8 +66,6 @@ __all__ = [
     "ObservabilityReport",
     "ControlResult",
     "NonlinearControlResult",
-    "controls_from_adjoint",
-    "gramian_apply",
     "gramian_operator",
     "solve_control",
     "estimate_observability",
@@ -164,27 +162,6 @@ def _controls_in_place(rows: np.ndarray, active: list, p: Parameters, T: float):
         row *= SIGNALS[i].coefficient(p)
 
 
-def controls_from_adjoint(
-    cfg: ControlConfig, traj: Trajectory, p: Parameters
-) -> ControlBundle:
-    """Boundary controls read off an adjoint trajectory, masked to the
-    configuration.
-
-    Inactive signals are identically zero.  Active ones are the scaled
-    (Riesz-weighted, for the fractional classes) trace combinations, so the
-    duality pairing against the adjoint solution becomes the sum of squared
-    class norms of the active combinations.
-    """
-    validate_params(p)
-    g = traj.grid
-    active = list(cfg.active)
-    sig = np.zeros((6, g.nt))
-    rows = combo_read_vectors(p, g)[active] @ traj.z.T
-    _controls_in_place(rows, active, p, g.T)
-    sig[active] = rows
-    return _bundle(cfg, sig, g.T)
-
-
 def _bundle(cfg: ControlConfig, sig: np.ndarray, T: float) -> ControlBundle:
     """The ControlBundle of the (6, M+1) signal array ``sig``, with the
     class norm of each row."""
@@ -264,16 +241,6 @@ def gramian_operator(cfg: ControlConfig, p: Parameters, g: Grid,
 
 
 gramian_operator.cache_clear = _GRAMIAN.clear
-
-
-def gramian_apply(
-    cfg: ControlConfig, final: StatePair, p: Parameters, g: Grid,
-    scheme: SchemeConfig = None,
-) -> StatePair:
-    """Adjoint solve -> controls -> forward solve from rest; state at t = T."""
-    final.check(g)
-    op = gramian_operator(cfg, p, g, (scheme or SchemeConfig()).theta)
-    return _pair(op.apply(_stacked(final, g)), g)
 
 
 def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, maxiter: int,
@@ -370,11 +337,17 @@ def _steer(
     """
     theta = (scheme or SchemeConfig()).theta
     rhs = z_target if z_free is None else z_target - z_free
-    if x_norm(rhs, p, g) < 1e-14:
+    if not np.any(rhs):  # CGLS is scale-free: only exact zero is skipped
         return _bundle(cfg, np.zeros((6, g.nt)), g.T), 0, [0.0], np.zeros(2 * g.nx)
     op = gramian_operator(cfg, p, g, theta)
     xsol, iters, hist = _cgls(op, rhs, tol, MAXITER, x0=x0)
     return _bundle(cfg, op.controls(xsol), g.T), iters, hist, xsol
+
+
+def _target_norm(z_target: np.ndarray, p: Parameters, g: Grid) -> float:
+    """||target||_X, the denominator of the relative terminal error; 1e-30
+    for an exactly zero target."""
+    return x_norm(z_target, p, g) if np.any(z_target) else 1e-30
 
 
 def solve_control(
@@ -409,8 +382,7 @@ def solve_control(
         iterations=iters,
         residuals=hist,
         adjoint_final=_pair(xsol, g),
-        terminal_error=(x_norm(achieved - z_target, p, g)
-                        / max(x_norm(z_target, p, g), 1e-30)),
+        terminal_error=x_norm(achieved - z_target, p, g) / _target_norm(z_target, p, g),
     )
 
 
@@ -551,7 +523,6 @@ def solve_nonlinear_control(
     g: Grid,
     scheme: SchemeConfig = None,
     tol: float = 1e-3,
-    self_terms: bool = True,
 ) -> NonlinearControlResult:
     """Fixed-point loop steering the full nonlinear system to ``target``.
 
@@ -572,7 +543,7 @@ def solve_nonlinear_control(
     adjusted = z_target
     warm = None
     history = []
-    tnorm = max(x_norm(z_target, p, g), 1e-30)
+    tnorm = _target_norm(z_target, p, g)
     converged = False
     for it in range(1, scheme.picard_max + 1):
         # solve_control's verification march is left out: its achieved
@@ -580,8 +551,7 @@ def solve_nonlinear_control(
         controls, _, _, warm = _steer(cfg, z_free, adjusted, tol, p, g, scheme,
                                       warm)
         try:
-            traj, _ = solve_nonlinear(p, g, init, controls.signals,
-                                      scheme=scheme, self_terms=self_terms)
+            traj, _ = solve_nonlinear(p, g, init, controls.signals, scheme=scheme)
         except (NonConvergence, NumericalError) as exc:
             raise NonConvergence(
                 "nonlinear resimulation diverged (delta too large); outer "
@@ -589,7 +559,7 @@ def solve_nonlinear_control(
                 history=history,
             ) from exc
         # endpoint Duhamel correction of the nonlinear terms
-        forc = -nonlinear_forcing(traj.z, p, g, self_terms)
+        forc = -nonlinear_forcing(traj.z, p, g)
         ups = fw.run(np.zeros(2 * g.nx), forcing=forc)[-1]
         adjusted_new = z_target + ups
         history.append(x_norm(adjusted_new - adjusted, p, g) / tnorm)

@@ -472,14 +472,10 @@ def solve_adjoint_backward(
     return traj, extract_traces(z, g)
 
 
-def nonlinear_forcing(
-    traj_z: np.ndarray, p: Parameters, g: Grid, self_terms: bool = True
-) -> np.ndarray:
-    """Stacked forcing -(nonlinear terms) evaluated along a trajectory.
-
-    Includes the quadratic self terms u u_x (first equation) and v v_x
-    (second equation) unless ``self_terms`` is False, plus the coupling
-    terms weighted by a1, a2.
+def nonlinear_forcing(traj_z: np.ndarray, p: Parameters, g: Grid) -> np.ndarray:
+    """Stacked forcing -(nonlinear terms) evaluated along a trajectory: the
+    quadratic self terms u u_x (first equation) and v v_x (second
+    equation), plus the coupling terms weighted by a1, a2.
     """
     nx = g.nx
     D1T = _first_derivative(nx, g.dx)[1]
@@ -491,11 +487,8 @@ def nonlinear_forcing(
         ux = u @ D1T
         vx = v @ D1T
         uvx = (u * v) @ D1T
-        pf = -(p.a1 * v * vx + p.a2 * uvx)
-        qf = -(p.a2 * p.b * u * ux + p.a1 * p.b * uvx)
-        if self_terms:
-            pf = pf - u * ux
-            qf = qf - v * vx
+        pf = -(p.a1 * v * vx + p.a2 * uvx) - u * ux
+        qf = -(p.a2 * p.b * u * ux + p.a1 * p.b * uvx) - v * vx
     return np.concatenate([pf, qf], axis=1)
 
 
@@ -505,7 +498,6 @@ def solve_nonlinear(
     init: StatePair,
     bc: BoundarySignals,
     scheme: SchemeConfig = None,
-    self_terms: bool = True,
 ):
     """Solve the full nonlinear system by Picard iteration on the linear one.
 
@@ -523,7 +515,7 @@ def solve_nonlinear(
     z_prev = stp.run(z0, bc=bc_arr)
     history = []
     for it in range(scheme.picard_max):
-        forc = nonlinear_forcing(z_prev, p, g, self_terms)
+        forc = nonlinear_forcing(z_prev, p, g)
         z_new = stp.run(z0, bc=bc_arr, forcing=forc)
         with np.errstate(over="ignore", invalid="ignore"):
             diff = np.max(x_norm(z_new - z_prev, p, g))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +98,6 @@ class UcpVerdict:
     case_tag: CaseTag
     dispersion: float
     verdict: Verdict
-    detail: dict = field(default_factory=dict)
 
 
 def q_coefficients(ps, params: Parameters) -> np.ndarray:
@@ -308,7 +307,7 @@ class UcpSweep:
     Rows with p = 0 are confirmed with infinite dispersion and need no roots:
     their ``roots``, ``w``, ``w_scale``, ``min_separation`` and
     ``girard_residuals`` are NaN.  ``verdict(k)`` gives row k as a
-    UcpVerdict with its full detail.
+    UcpVerdict.
     """
 
     L: np.ndarray
@@ -322,50 +321,17 @@ class UcpSweep:
     w_scale: np.ndarray
     min_separation: np.ndarray
     girard_residuals: np.ndarray
-    params: Parameters
 
     def __len__(self) -> int:
         return len(self.L)
 
     def verdict(self, k: int) -> UcpVerdict:
-        """Row k as a UcpVerdict: its stored fields, and the detail that
-        only its case reports, computed from its roots alone."""
-        L, p = float(self.L[k]), complex(self.p[k])
-        tag, roots = CASE_TAGS[self.case_tag[k]], self.roots[k]
-        if tag is CaseTag.ZERO:
-            gap = 1.0 - self.params.a**2 * self.params.b
-            detail = {
-                "reason": ("xi = 0 is a root of P, so gamma would vanish; "
-                           "gamma is a nonzero constant"),
-                "factor": f"P(xi) = xi^4 ((1 - a^2 b) xi^2 - r) / ({gap:.6g})",
-            }
-        elif self.multiple[k]:
-            detail = {"roots": roots, "multiplicity": True,
-                      "min_separation": self.min_separation[k]}
-        else:
-            detail = {"roots": roots, "w": self.w[k],
-                      "w_scale": float(self.w_scale[k])}
-            if tag is CaseTag.COMPLEX:
-                argsum = float(np.sum(np.angle(0.5j * L * roots)))
-                detail["p2_over_abs_p2_imag"] = (p**2 / abs(p) ** 2).imag
-                detail["arg_sum"] = argsum
-                detail["arg_sum_dist_to_pi_grid"] = float(abs(
-                    argsum - np.pi * np.round(argsum / np.pi)))
-            elif tag is CaseTag.REAL:
-                detail["conjugate_closure_defect"] = float(np.max(np.min(
-                    np.abs(roots[:, None] - np.conj(roots)[None, :]), axis=1)))
-                detail["real_root_count"] = int(np.sum(
-                    np.abs(roots.imag) < 1e-8 * _row_scale(roots)))
-            else:
-                detail["note"] = ("coefficients of R(xi) = P at p = iq are "
-                                  "real up to scaling")
-        if tag is not CaseTag.ZERO:
-            detail["girard_residuals"] = self.girard_residuals[k]
+        """Row k as a UcpVerdict."""
         verdict = (Verdict.OBSTRUCTION_CONFIRMED if self.confirmed[k]
                    else Verdict.INCONCLUSIVE)
-        return UcpVerdict(L=L, p=p, case_tag=tag,
-                          dispersion=float(self.dispersion[k]), verdict=verdict,
-                          detail=detail)
+        return UcpVerdict(L=float(self.L[k]), p=complex(self.p[k]),
+                          case_tag=CASE_TAGS[self.case_tag[k]],
+                          dispersion=float(self.dispersion[k]), verdict=verdict)
 
 
 def ucp_certificate(L: float, p: complex, params: Parameters,
@@ -425,7 +391,7 @@ def _certify(Ls, ps, params: Parameters, tol: float) -> UcpSweep:
     return UcpSweep(L=L, p=p, case_tag=case_tag, dispersion=dispersion,
                     confirmed=confirmed, multiple=multiple, roots=roots, w=w,
                     w_scale=w_scale, min_separation=min_sep,
-                    girard_residuals=girard, params=params)
+                    girard_residuals=girard)
 
 
 def _check_finite(rows: np.ndarray, what: str, L: np.ndarray, p: np.ndarray):

@@ -10,7 +10,7 @@ import numpy as np
 
 from ggkdv.core import ControlConfig, Grid, Parameters, StatePair, x_inner, x_norm
 from ggkdv.hum import (
-    gramian_apply,
+    gramian_operator,
     solve_control,
     solve_nonlinear_control,
 )
@@ -152,13 +152,14 @@ def test_criterion_3_gramian_symmetry_positivity():
     cfg = ControlConfig.of("FOUR_I")
 
     def stats(g):
+        op = gramian_operator(cfg, P, g, 0.5)
         worst = 0.0
         pos_ok = True
         for s in range(20):
             xs = shaped_state(np.random.default_rng(100 + s), g)
             ys = shaped_state(np.random.default_rng(300 + s), g)
-            gx = gramian_apply(cfg, xs, P, g)
-            gy = gramian_apply(cfg, ys, P, g)
+            gx = op.apply(np.concatenate([xs.u, xs.v]))
+            gy = op.apply(np.concatenate([ys.u, ys.v]))
             ip1 = x_inner(gx, ys, P, g)
             ip2 = x_inner(xs, gy, P, g)
             worst = max(worst, abs(ip1 - ip2) / max(abs(ip1), abs(ip2)))
@@ -289,10 +290,12 @@ def test_criterion_8_lambert_residuals():
 def test_criterion_9_ucp_sweep():
     t0 = time.time()
     sweep = ucp_sweep(200, P, seed=11)
-    inconclusive = [sweep.verdict(k) for k in np.flatnonzero(~sweep.confirmed)]
-    assert all(v.verdict is Verdict.INCONCLUSIVE for v in inconclusive)
-    for v in inconclusive:
-        print(f"  INCONCLUSIVE finding: L={v.L:.4f} p={v.p} detail={v.detail}")
+    inconclusive = np.flatnonzero(~sweep.confirmed)
+    assert all(sweep.verdict(k).verdict is Verdict.INCONCLUSIVE for k in inconclusive)
+    for k in inconclusive:
+        print(f"  INCONCLUSIVE finding: L={sweep.L[k]:.4f} p={sweep.p[k]} "
+              f"multiple roots {sweep.multiple[k]}, min separation "
+              f"{sweep.min_separation[k]:.3e}, dispersion {sweep.dispersion[k]:.3e}")
     ok = len(inconclusive) == 0 and time.time() - t0 < 30
     _report(9, "unique-continuation sweep", ok,
             f"200 draws, {len(inconclusive)} inconclusive, "

@@ -182,3 +182,12 @@ def test_grid_validation():
     assert g.dt == pytest.approx(0.5)
     assert len(g.x) == g.nx == 11
     assert len(g.t) == g.nt == 7
+
+
+def test_grid_stores_whole_sizes_as_int():
+    # a float size is the same grid as its int: equal, one hash, int sizes
+    g = Grid(L=1, N=16.0, T=1, M=8.0)
+    assert g == Grid(L=1, N=16, T=1, M=8)
+    assert hash(g) == hash(Grid(L=1, N=16, T=1, M=8))
+    assert type(g.N) is int and type(g.M) is int
+    assert len(g.x) == 18 and len(g.t) == 9

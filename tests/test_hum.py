@@ -11,9 +11,7 @@ from ggkdv.errors import (ConstraintViolation, FeasibilityError, NonConvergence,
 from ggkdv.fdops import second_derivative_matrix
 from ggkdv.hum import (
     GramianOperator,
-    controls_from_adjoint,
     estimate_observability,
-    gramian_apply,
     gramian_operator,
     random_final_state,
     solve_control,
@@ -56,10 +54,27 @@ def gaussian_target(g, eps=1e-2):
     return StatePair(eps * np.exp(-50 * (g.x - g.L / 2) ** 2), np.zeros(g.nx))
 
 
+def stacked(s):
+    return np.concatenate([s.u, s.v])
+
+
+def adjoint_controls(cfg, traj, p):
+    """The (6, M+1) controls read off an adjoint trajectory, through the
+    read-out and Riesz weighting the Gramian's assembly uses; the inactive
+    rows are zero."""
+    g = traj.grid
+    active = list(cfg.active)
+    sig = np.zeros((6, g.nt))
+    rows = hum.combo_read_vectors(p, g)[active] @ traj.z.T
+    hum._controls_in_place(rows, active, p, g.T)
+    sig[active] = rows
+    return sig
+
+
 def test_zero_traces_give_zero_controls():
     g = Grid(L=1.0, N=24, T=1.0, M=32)
     traj, _ = solve_adjoint_backward(P, g, StatePair.zeros(g))
-    bundle = controls_from_adjoint(FOUR_I, traj, P)
+    bundle = hum._bundle(FOUR_I, adjoint_controls(FOUR_I, traj, P), g.T)
     assert all(np.max(np.abs(getattr(bundle.signals, n))) == 0.0
                for n in ("h0", "h1", "h2", "g0", "g1", "g2"))
     assert all(v == 0.0 for v in bundle.norms.values())
@@ -73,16 +88,15 @@ def test_control_formulas_decoupled_coefficients():
     rng = np.random.default_rng(0)
     final = shaped_random_state(rng, g)
     traj, traces = solve_adjoint_backward(p0, g, final)
-    bundle = controls_from_adjoint(ControlConfig.of("FOUR_II"), traj, p0)
-    np.testing.assert_allclose(bundle.signals.h1,
-                               traces.series(0, 1, "L"), atol=1e-13)
-    np.testing.assert_allclose(bundle.signals.g1,
-                               traces.series(1, 1, "L"), atol=1e-13)
-    recovered = riesz_map(bundle.signals.g2, -1 / 3, g.T)
+    sig = adjoint_controls(ControlConfig.of("FOUR_II"), traj, p0)
+    sig = dict(zip(SIGNAL_NAMES, sig))
+    np.testing.assert_allclose(sig["h1"], traces.series(0, 1, "L"), atol=1e-13)
+    np.testing.assert_allclose(sig["g1"], traces.series(1, 1, "L"), atol=1e-13)
+    recovered = riesz_map(sig["g2"], -1 / 3, g.T)
     np.testing.assert_allclose(recovered, -traces.series(1, 0, "L"), atol=1e-12)
     # FOUR_II mask: h0, h2 inactive
-    assert np.max(np.abs(bundle.signals.h0)) == 0.0
-    assert np.max(np.abs(bundle.signals.h2)) == 0.0
+    assert np.max(np.abs(sig["h0"])) == 0.0
+    assert np.max(np.abs(sig["h2"])) == 0.0
 
 
 def test_inactive_signals_masked_to_zero():
@@ -91,9 +105,9 @@ def test_inactive_signals_masked_to_zero():
     traj, _ = solve_adjoint_backward(P, g, shaped_random_state(rng, g))
     for kind in ("FOUR_I", "FOUR_II", "FOUR_III", "FOUR_IV", "THREE_V", "THREE_VI"):
         cfg = ControlConfig.of(kind)
-        bundle = controls_from_adjoint(cfg, traj, P)
-        for name, active in zip(("h0", "h1", "h2", "g0", "g1", "g2"), cfg.mask):
-            mag = np.max(np.abs(getattr(bundle.signals, name)))
+        sig = adjoint_controls(cfg, traj, P)
+        for row, active in zip(sig, cfg.mask):
+            mag = np.max(np.abs(row))
             if active:
                 assert mag > 0.0
             else:
@@ -122,7 +136,8 @@ def test_duality_pairing_is_sum_of_squared_trace_norms():
             for i, n in enumerate(("h0", "h1", "h2", "g0", "g1", "g2"))
             if cfg.mask[i]
         )
-        got = x_inner(gramian_apply(cfg, final, P, g), final, P, g)
+        got = x_inner(gramian_operator(cfg, P, g, 0.5).apply(stacked(final)),
+                      final, P, g)
         res.append(abs(got - expected) / max(got, expected))
     assert res[1] < 0.62 * res[0]
     assert res[2] < 0.62 * res[1]
@@ -131,18 +146,19 @@ def test_duality_pairing_is_sum_of_squared_trace_norms():
 
 def test_gramian_zero():
     g = Grid(L=1.0, N=24, T=1.0, M=32)
-    out = gramian_apply(FOUR_I, StatePair.zeros(g), P, g)
-    assert np.max(np.abs(out.u)) == 0.0 and np.max(np.abs(out.v)) == 0.0
+    out = gramian_operator(FOUR_I, P, g, 0.5).apply(stacked(StatePair.zeros(g)))
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_gramian_symmetry_and_positivity():
     g = Grid(L=1.0, N=48, T=1.0, M=192)
+    op = gramian_operator(FOUR_I, P, g, 0.5)
     rng = np.random.default_rng(5)
     for _ in range(4):
         xs = shaped_random_state(rng, g)
         ys = shaped_random_state(rng, g)
-        gx = gramian_apply(FOUR_I, xs, P, g)
-        gy = gramian_apply(FOUR_I, ys, P, g)
+        gx = op.apply(stacked(xs))
+        gy = op.apply(stacked(ys))
         ip1 = x_inner(gx, ys, P, g)
         ip2 = x_inner(xs, gy, P, g)
         assert abs(ip1 - ip2) / max(abs(ip1), abs(ip2)) < 8e-2
@@ -296,15 +312,20 @@ def test_three_control_runs_when_feasible():
     assert err / x_norm(target, p, g) <= 5e-2
 
 
-def test_nonlinear_control_reduces_to_linear():
+def test_nonlinear_control_first_correction_is_quadratic():
+    # with a1 = a2 = 0 only the self terms u u_x, v v_x are left: the first
+    # Duhamel correction is quadratic in the data, so relative to the
+    # target it halves when the target halves
     p = Parameters(a=0.2, b=1.0, c=1.0, r=1.0, a1=0.0, a2=0.0)
     g = Grid(L=1.0, N=48, T=1.0, M=192)
-    target = gaussian_target(g, eps=1e-3)
-    res = solve_nonlinear_control(StatePair.zeros(g), target,
-                                  FOUR_I, 0.1, p, g,
-                                  scheme=SchemeConfig(picard_tol=1e-8),
-                                  tol=1e-3, self_terms=False)
-    assert res.iterations == 1
+    first = []
+    for eps in (4e-3, 2e-3, 1e-3, 5e-4):
+        res = solve_nonlinear_control(StatePair.zeros(g), gaussian_target(g, eps),
+                                      FOUR_I, 0.1, p, g,
+                                      scheme=SchemeConfig(picard_tol=1e-8), tol=1e-3)
+        first.append(res.history[0])
+    ratios = [h0 / h1 for h0, h1 in zip(first, first[1:])]
+    assert all(1.9 <= r <= 2.1 for r in ratios), ratios
 
 
 def test_nonlinear_control_small_target():
@@ -392,36 +413,35 @@ def test_stepper_cache_factorizes_once_per_direction(monkeypatch):
     inits = count_calls(monkeypatch, "__init__")
     g = Grid(L=1.0, N=16, T=0.5, M=24)
     final = shaped_random_state(np.random.default_rng(8), g)
-    first = gramian_apply(FOUR_I, final, P, g)
-    second = gramian_apply(FOUR_I, final, P, g)
+    first = gramian_operator(FOUR_I, P, g, 0.5).apply(stacked(final))
+    second = gramian_operator(FOUR_I, P, g, 0.5).apply(stacked(final))
     assert [a[2] for a in inits] == ["forward", "adjoint"]
-    gramian_apply(FOUR_I, final, P, g, scheme=SchemeConfig(theta=0.6))
+    gramian_operator(FOUR_I, P, g, 0.6)
     assert len(inits) == 4
     g2 = Grid(L=1.0, N=18, T=0.5, M=24)
-    gramian_apply(FOUR_I, shaped_random_state(np.random.default_rng(8), g2), P, g2)
+    gramian_operator(FOUR_I, P, g2, 0.5)
     assert len(inits) == 6
     # assembling from a freshly built pair of steppers gives the same bits
     monkeypatch.setattr(hum, "stepper", lambda *key: pde.Stepper(*key))
-    fresh = GramianOperator(FOUR_I, P, g).apply(np.concatenate([final.u, final.v]))
+    fresh = GramianOperator(FOUR_I, P, g).apply(stacked(final))
     assert len(inits) == 8
     for got in (first, second):
-        assert np.array_equal(np.concatenate([got.u, got.v]), fresh)
+        assert np.array_equal(got, fresh)
 
 
 def test_gramian_assembles_once_per_key(monkeypatch):
     gramian_operator.cache_clear()
     sweeps = count_calls(monkeypatch, "readout_transpose")
     g = Grid(L=1.0, N=16, T=0.5, M=24)
-    final = shaped_random_state(np.random.default_rng(3), g)
-    gramian_apply(FOUR_I, final, P, g)
-    gramian_apply(FOUR_I, final, P, g)
+    gramian_operator(FOUR_I, P, g, 0.5)
+    gramian_operator(FOUR_I, P, g, 0.5)
     assert len(sweeps) == 1
-    gramian_apply(FOUR_I, final, P, g, scheme=SchemeConfig(theta=0.6))
+    gramian_operator(FOUR_I, P, g, 0.6)
     assert len(sweeps) == 2
     g2 = Grid(L=1.0, N=18, T=0.5, M=24)
-    gramian_apply(FOUR_I, shaped_random_state(np.random.default_rng(3), g2), P, g2)
+    gramian_operator(FOUR_I, P, g2, 0.5)
     assert len(sweeps) == 3
-    gramian_apply(ControlConfig.of("FOUR_II"), final, P, g)
+    gramian_operator(ControlConfig.of("FOUR_II"), P, g, 0.5)
     assert len(sweeps) == 4
     # zero rhs: the free evolution already hits the target, nothing assembles
     gz = Grid(L=1.0, N=20, T=0.5, M=24)
@@ -535,7 +555,7 @@ def test_returned_controls_steer_like_the_gramian(kind):
     # the controls solve_control returns are read off the Gramian's kept
     # control histories; marched forward from rest they land on G x up to
     # the roundoff of the march.  Read off an adjoint march of x instead
-    # (controls_from_adjoint), they land there up to the drift of that
+    # (adjoint_controls), they land there up to the drift of that
     # march's arithmetic.
     cfg = ControlConfig.of(kind)
     g = Grid(L=1.0, N=48, T=1.0, M=192)
@@ -548,14 +568,13 @@ def test_returned_controls_steer_like_the_gramian(kind):
         got = march_from_rest(op.controls(z), P, g)
         assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
         adjoint, _ = solve_adjoint_backward(P, g, xs)
-        bundle = controls_from_adjoint(cfg, adjoint, P)
-        got = march_from_rest(bundle.signals.as_array(), P, g)
+        got = march_from_rest(adjoint_controls(cfg, adjoint, P), P, g)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_adjoint_march_controls_drift_from_the_kept_histories(kind):
-    # declared drift: the adjoint march of x, read by controls_from_adjoint,
+    # declared drift: the adjoint march of x, read by adjoint_controls,
     # gives the controls d @ x in another order of arithmetic
     cfg = ControlConfig.of(kind)
     g = Grid(L=1.0, N=48, T=1.0, M=192)
@@ -565,7 +584,7 @@ def test_adjoint_march_controls_drift_from_the_kept_histories(kind):
         xs = shaped_random_state(rng, g)
         kept = op.controls(np.concatenate([xs.u, xs.v]))
         adjoint, _ = solve_adjoint_backward(P, g, xs)
-        marched = controls_from_adjoint(cfg, adjoint, P).signals.as_array()
+        marched = adjoint_controls(cfg, adjoint, P)
         for i, active in enumerate(cfg.mask):
             scale = np.max(np.abs(kept[i]))
             assert (scale > 0.0) == active

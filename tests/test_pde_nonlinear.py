@@ -40,18 +40,22 @@ def test_zero_data_zero_solution():
     assert np.max(np.abs(traj.z)) == 0.0
 
 
-def test_reduces_to_linear_without_nonlinear_terms():
-    # a1 = a2 = 0 and the u u_x / v v_x terms disabled
-    p = Parameters(a=0.2, b=1.0, c=1.0, r=1.0, a1=0.0, a2=0.0)
+@pytest.mark.parametrize("a1, a2", [(0.0, 0.0), (0.4, 0.3)])
+def test_nonlinear_defect_is_quadratic_in_the_data(a1, a2):
+    # every nonlinear term is quadratic: halving the data quarters the gap
+    # between the nonlinear and the linear solution, self terms alone
+    # (a1 = a2 = 0) or with the coupling terms
+    p = Parameters(a=0.2, b=1.0, c=1.0, r=1.0, a1=a1, a2=a2)
     g = Grid(L=1.0, N=32, T=0.5, M=64)
-    init = gaussian_state(g, 0.5)
-    rng = np.random.default_rng(2)
-    t = g.t
-    bc = BoundarySignals(*(0.1 * np.sin((k + 1) * np.pi * t) for k in range(6)))
-    scheme = SchemeConfig(picard_tol=1e-12, picard_max=5)
-    traj_nl, _ = solve_nonlinear(p, g, init, bc, scheme=scheme, self_terms=False)
-    traj_lin, _ = solve_linear_forward(p, g, init, bc)
-    assert np.max(np.abs(traj_nl.z - traj_lin.z)) <= 1e-12
+    scheme = SchemeConfig(picard_tol=1e-12)
+    gaps = []
+    for eps in (0.2, 0.1, 0.05, 0.025, 0.0125):
+        init = gaussian_state(g, eps)
+        traj_nl, _ = solve_nonlinear(p, g, init, BoundarySignals.zeros(g), scheme=scheme)
+        traj_lin, _ = solve_linear_forward(p, g, init, BoundarySignals.zeros(g))
+        gaps.append(np.max(np.abs(traj_nl.z - traj_lin.z)))
+    ratios = [big / small for big, small in zip(gaps, gaps[1:])]
+    assert all(3.9 <= r <= 4.1 for r in ratios), ratios
 
 
 def test_picard_contracts_for_small_data():

@@ -286,6 +286,31 @@ def test_control_scenario_end_to_end(tmp_path):
     assert run["summary"]["terminal_relative_error"] <= 1e-2
 
 
+@pytest.mark.parametrize("amp", ["1e-14", "1e-100"])
+@pytest.mark.parametrize("command", ["control", "nonlinear-control"])
+def test_tiny_targets_are_steered(tmp_path, command, amp):
+    # CGLS is scale-free, so a tiny nonzero target is solved like any other:
+    # controls and a terminal error at the CG tolerance, not zero controls
+    # and an error of 1 or a denominator floor
+    path = write(tmp_path, f"""
+command: {command}
+params: {{a: 0.2, b: 1.0, c: 1.0, r: 1.0, a1: 0.4, a2: 0.3}}
+grid: {{L: 1.0, N: 48, T: 1.0, M: 192}}
+config: FOUR_I
+target: {{u: "{amp}*gaussian(0.5,0.1)", v: "0"}}
+tol: 1.0e-3
+""")
+    result = run_scenario(path, output_dir=str(tmp_path / "out"))
+    assert result.exit_code == 0
+    err = result.summary["terminal_relative_error"]
+    assert 1e-4 <= err <= 1e-2
+    if command == "control":
+        assert result.summary["iterations"] > 0
+        assert err == pytest.approx(result.summary["cg_residual"], rel=1e-6)
+    else:
+        assert result.summary["outer_iterations"] == 1
+
+
 def test_emitted_csv_files_parse_back(tmp_path):
     path = write(
         tmp_path,
