@@ -84,6 +84,13 @@ def validate_params(p: Parameters) -> Parameters:
     return p
 
 
+def _whole_at_least(n, least: int) -> bool:
+    try:
+        return int(n) == n and n >= least
+    except (OverflowError, ValueError):  # inf, NaN
+        return False
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform space-time grid on (0, L) x (0, T).
@@ -103,9 +110,9 @@ class Grid:
             raise ValueError("L must be positive and finite")
         if not (self.T > 0 and np.isfinite(self.T)):
             raise ValueError("T must be positive and finite")
-        if int(self.N) != self.N or self.N < 8:
+        if not _whole_at_least(self.N, 8):
             raise ValueError("N must be an integer >= 8")
-        if int(self.M) != self.M or self.M < 2:
+        if not _whole_at_least(self.M, 2):
             raise ValueError("M must be an integer >= 2")
         # N = 16.0 is stored as 16, so every derived size is an int
         object.__setattr__(self, "N", int(self.N))
@@ -293,6 +300,13 @@ def x_weights(p: Parameters, g: Grid) -> np.ndarray:
     weights: ||(u, v)||_X^2 = sum W z^2 with z = [u, v]."""
     w = trapezoid_weights(g.nx, g.dx)
     return np.concatenate([(p.b / p.c) * w, w])
+
+
+def _binary_exponent(z) -> int:
+    """The binary exponent e of the largest magnitude in ``z`` (0 for all
+    zeros): ``np.ldexp(z, -e)`` has its largest magnitude in [1/2, 1), is
+    exact, and its squares do not underflow however small ``z`` is."""
+    return int(np.frexp(np.max(np.abs(z)))[1])
 
 
 def _x_sum(W: np.ndarray, z1, z2):

@@ -34,6 +34,7 @@ from .core import (
     Grid,
     Parameters,
     StatePair,
+    _binary_exponent,
     _stacked,
     _x_sum,
     pair_weights,
@@ -340,14 +341,22 @@ def _steer(
     if not np.any(rhs):  # CGLS is scale-free: only exact zero is skipped
         return _bundle(cfg, np.zeros((6, g.nt)), g.T), 0, [0.0], np.zeros(2 * g.nx)
     op = gramian_operator(cfg, p, g, theta)
-    xsol, iters, hist = _cgls(op, rhs, tol, MAXITER, x0=x0)
+    # CGLS runs on rhs scaled by a power of two, exactly, so that the
+    # squares of a tiny rhs do not underflow
+    e = _binary_exponent(rhs)
+    xsol, iters, hist = _cgls(op, np.ldexp(rhs, -e), tol, MAXITER,
+                              x0=None if x0 is None else np.ldexp(x0, -e))
+    xsol = np.ldexp(xsol, e)
     return _bundle(cfg, op.controls(xsol), g.T), iters, hist, xsol
 
 
-def _target_norm(z_target: np.ndarray, p: Parameters, g: Grid) -> float:
-    """||target||_X, the denominator of the relative terminal error; 1e-30
-    for an exactly zero target."""
-    return x_norm(z_target, p, g) if np.any(z_target) else 1e-30
+def _x_ratio(z: np.ndarray, z_target: np.ndarray, p: Parameters, g: Grid) -> float:
+    """||z||_X / ||target||_X, both taken on data scaled by the power of two
+    of the target (``core._binary_exponent``): exact, and free of underflow
+    for a tiny target.  An exactly zero target counts as norm 1e-30."""
+    e = _binary_exponent(z_target)
+    tnorm = x_norm(np.ldexp(z_target, -e), p, g) if np.any(z_target) else 1e-30
+    return x_norm(np.ldexp(z, -e), p, g) / tnorm
 
 
 def solve_control(
@@ -382,7 +391,7 @@ def solve_control(
         iterations=iters,
         residuals=hist,
         adjoint_final=_pair(xsol, g),
-        terminal_error=x_norm(achieved - z_target, p, g) / _target_norm(z_target, p, g),
+        terminal_error=_x_ratio(achieved - z_target, z_target, p, g),
     )
 
 
@@ -543,7 +552,6 @@ def solve_nonlinear_control(
     adjusted = z_target
     warm = None
     history = []
-    tnorm = _target_norm(z_target, p, g)
     converged = False
     for it in range(1, scheme.picard_max + 1):
         # solve_control's verification march is left out: its achieved
@@ -562,7 +570,7 @@ def solve_nonlinear_control(
         forc = -nonlinear_forcing(traj.z, p, g)
         ups = fw.run(np.zeros(2 * g.nx), forcing=forc)[-1]
         adjusted_new = z_target + ups
-        history.append(x_norm(adjusted_new - adjusted, p, g) / tnorm)
+        history.append(_x_ratio(adjusted_new - adjusted, z_target, p, g))
         adjusted = adjusted_new
         if history[-1] <= scheme.picard_tol:
             converged = True
@@ -583,7 +591,7 @@ def solve_nonlinear_control(
         controls=controls,
         iterations=it,
         history=history,
-        terminal_error=x_norm(traj.z[-1] - z_target, p, g) / tnorm,
+        terminal_error=_x_ratio(traj.z[-1] - z_target, z_target, p, g),
         achieved=traj.final_state,
         trajectory=traj,
     )

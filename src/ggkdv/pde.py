@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
@@ -183,6 +184,13 @@ class Stepper:
     both, and the adjoint trajectory is reversed on output).  The exact
     transposes of the discrete input and readout maps are exposed as block
     sweeps, from which the HUM Gramian is assembled.
+
+    The step matrices ``B`` and ``BT`` (CSR), the factors ``lu`` and the
+    boundary rows ``bc_rows`` are all in the band order of ``BandLU``, the
+    unknowns (u_0, v_0, u_1, v_1, ...).  A march carries its state in that
+    order from start to finish: inputs and outputs are stacked (u, v)
+    states, converted by strided copies once on input and once per stored
+    level.
     """
 
     def __init__(self, p: Parameters, g: Grid, direction: str, theta: float = 0.5):
@@ -230,12 +238,12 @@ class Stepper:
                         if var == 1:
                             cols, wts = np.r_[cols, 2 * nx - 1], np.r_[wts, r]
                     rows[boundary_row(var, trace, nx)] = (cols, wts)
-        self.bc_rows = np.array(list(rows))
-        A = _replace_rows(A, rows)
         empty = (np.array([], dtype=int), np.array([]))
-        self.B = _replace_rows(B, dict.fromkeys(rows, empty))
-        self.lu = BandLU(A, nx)
-        self.BT = self.B.T.tocsr()
+        B = _replace_rows(B, dict.fromkeys(rows, empty))
+        # everything below is in band order: the march state never leaves it
+        self.lu = BandLU(_interleave(_replace_rows(A, rows)))
+        self.B, self.BT = _interleave(B), _interleave(B.T.tocsr())
+        self.bc_rows = _band_index(np.array(list(rows)), nx)
         self.nx = nx
 
     # -- marching ---------------------------------------------------------
@@ -254,7 +262,8 @@ class Stepper:
         """
         g = self.g
         theta = self.theta
-        z = np.asarray(z0, dtype=float).copy()
+        z0 = np.asarray(z0, dtype=float)
+        z = _band(z0)
         cols = (1,) * (z.ndim - 1)  # bc and forcing broadcast over a block
         out = np.empty(z.shape[1:] + (g.nt, 2 * self.nx))
         if self.direction == "forward":
@@ -265,7 +274,7 @@ class Stepper:
                 raise ValueError("the adjoint system is marched homogeneously")
             if bc is not None:
                 raise ValueError("the adjoint system takes no boundary data")
-        out[..., start, :] = z.T
+        out[..., start, :] = z0.T
         if bc is not None:
             if np.shape(bc) != (6, g.nt):
                 raise ValueError("boundary signals do not match the time grid")
@@ -277,7 +286,7 @@ class Stepper:
         with np.errstate(over="ignore", invalid="ignore"):
             if forcing is not None:  # row n is the blend of levels n, n + 1
                 forc = np.asarray(forcing, dtype=float)
-                forc = theta * forc[1:] + (1.0 - theta) * forc[:-1]
+                forc = _band((theta * forc[1:] + (1.0 - theta) * forc[:-1]).T).T
                 forc[:, self.bc_rows] = 0.0
                 forc = forc.reshape(forc.shape + cols)
             for n, level in enumerate(levels):
@@ -287,7 +296,7 @@ class Stepper:
                 if bc is not None:
                     rhs[self.bc_rows] = bc[:, n + 1]
                 z = self.lu.solve(rhs)
-                out[..., level, :] = z.T
+                _unband(z, out[..., level, :].T)
         finite = np.isfinite(out).all(axis=-1).reshape(-1, g.nt).all(axis=0)
         bad = np.flatnonzero(~finite[levels])
         if bad.size:
@@ -308,20 +317,26 @@ class Stepper:
 
         so X.T is the input map applied to the histories d[:, :, j].  ``d``
         is (k, M+1, m) in ascending time; level 0 is not read.  One forward
-        sweep of the k boundary-row pulses makes it; their responses are
-        folded into X level by level and never stored.
+        sweep of the k boundary-row pulses makes it; each level's responses
+        are copied to stacked order and folded into X in place by one BLAS
+        ``dgemm`` (X.T is Fortran-ordered), with the bytes of
+        ``X += d[:, n, :].T @ resp.T``.  They are never stored.
         """
         if self.direction != "forward":
             raise ValueError("input_transpose applies to the forward stepper")
         g = self.g
         rows = self.bc_rows[signals]
-        pulse = np.zeros((2 * self.nx, len(rows)))
+        pulse = np.zeros((2 * self.nx, len(rows)), order="F")
         pulse[rows, np.arange(len(rows))] = 1.0
         resp = self.lu.solve(pulse)  # z(T) after a unit pulse at level M
-        X = d[:, g.M, :].T @ resp.T
-        for n in range(g.M - 1, 0, -1):
-            resp = self.lu.solve(_csr_dot(self.B, resp))
-            X += d[:, n, :].T @ resp.T
+        rs = np.empty_like(resp)
+        X = np.zeros((d.shape[2], 2 * self.nx))
+        for n in range(g.M, 0, -1):
+            if n < g.M:
+                resp = self.lu.solve(_csr_dot(self.B, resp))
+            # stacked rows: in band order the fold rounds differently
+            _unband(resp, rs)
+            dgemm(1.0, rs, d[:, n, :], 1.0, X.T, overwrite_c=True)
         return X
 
     def readout_transpose(self, readvecs: np.ndarray) -> np.ndarray:
@@ -336,45 +351,83 @@ class Stepper:
         g = self.g
         theta = np.empty((len(readvecs), g.nt, 2 * self.nx))
         theta[:, g.M] = readvecs
-        lam = readvecs.T
+        lam = _band(readvecs.T)
         for n in range(g.M - 1, -1, -1):
             lam = _csr_dot(self.BT, self.lu.solve(lam, trans="T"))
-            theta[:, n] = lam.T
+            _unband(lam, theta[:, n].T)
         return theta
 
 
 class BandLU:
-    """LAPACK's band LU of a step matrix, solved like a SuperLU object.
+    """LAPACK's band LU of a step matrix in band order.
 
-    The stacked unknowns (u_0 .. u_{nx-1}, v_0 .. v_{nx-1}) are renumbered
-    (u_0, v_0, u_1, v_1, ...): the coupled five-point stencils then fit in
-    a band of ``kl`` sub- and ``ku`` superdiagonals (at most 7 each), which
-    ``dgbtrf`` factors once.  ``solve`` gathers the right-hand side into
-    that order, calls ``dgbtrs`` and scatters the result back.
+    ``A`` comes from ``_interleave``: its unknowns are numbered
+    (u_0, v_0, u_1, v_1, ...) instead of stacked, so the coupled five-point
+    stencils fit in a band of ``kl`` sub- and ``ku`` superdiagonals (at
+    most 7 each), which ``dgbtrf`` factors once.  ``solve`` takes and
+    returns band-ordered vectors and calls ``dgbtrs`` on them directly.
     """
 
-    def __init__(self, A: sp.csr_matrix, nx: int):
-        self.order = np.arange(2 * nx).reshape(2, nx).T.ravel()  # band -> stacked
-        self.pos = np.argsort(self.order)  # stacked -> band
+    def __init__(self, A: sp.csr_matrix):
         coo = A.tocoo()
-        row, col = self.pos[coo.row], self.pos[coo.col]
+        row, col = coo.row, coo.col
         self.kl = int(np.max(row - col, initial=0))
         self.ku = int(np.max(col - row, initial=0))
         # LAPACK band storage, with kl extra rows for the fill-in of pivoting;
         # duplicate entries add up
-        ab = np.zeros((2 * self.kl + self.ku + 1, 2 * nx), order="F")
+        n = A.shape[0]
+        ab = np.zeros((2 * self.kl + self.ku + 1, n), order="F")
         np.add.at(ab, (self.kl + self.ku + row - col, col), coo.data)
         self.ab, self.piv, info = dgbtrf(ab, self.kl, self.ku, overwrite_ab=True)
-        if info > 0:
+        if info > 0:  # named by its stacked column
+            j = info - 1
             raise NumericalError("singular step matrix: zero pivot in column "
-                                 f"{self.order[info - 1]}", time_level=0)
+                                 f"{j // 2 + j % 2 * (n // 2)}", time_level=0)
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """A^{-1} rhs (``trans="N"``) or A^{-T} rhs (``"T"``), for a 1-d or a
-        (2 nx, k) ``rhs``; the result is a new C-ordered array."""
-        x, _ = dgbtrs(self.ab, self.kl, self.ku, rhs[self.order], self.piv,
+        (2 nx, k) band-ordered ``rhs``.  A 1-d or Fortran-ordered ``rhs`` is
+        overwritten and returned; another is copied to Fortran order first.
+        A block result is Fortran-ordered."""
+        x, _ = dgbtrs(self.ab, self.kl, self.ku, rhs, self.piv,
                       trans={"N": 0, "T": 1}[trans], overwrite_b=True)
-        return x[self.pos]
+        return x
+
+
+def _band_index(i, nx: int):
+    """The band position of stacked unknown ``i`` (u_j -> 2j, v_j -> 2j+1)."""
+    return 2 * (i % nx) + i // nx
+
+
+def _band(z: np.ndarray) -> np.ndarray:
+    """A band-ordered copy of the stacked state(s) ``z`` (first axis 2 nx),
+    in ``z``'s memory order."""
+    nx = len(z) // 2
+    out = np.empty_like(z)
+    out[0::2], out[1::2] = z[:nx], z[nx:]
+    return out
+
+
+def _unband(z: np.ndarray, out: np.ndarray):
+    """Copy the band-ordered state(s) ``z`` into ``out`` in stacked order
+    (first axis 2 nx for both)."""
+    nx = len(z) // 2
+    out[:nx], out[nx:] = z[0::2], z[1::2]
+
+
+def _interleave(M: sp.csr_matrix) -> sp.csr_matrix:
+    """The stacked (2 nx, 2 nx) CSR ``M`` with rows and columns renumbered
+    in band order.  Each row keeps its entries in their stored order, with
+    relabeled but unsorted column indices, so the CSR kernels sum a row's
+    products in the order they sum them on ``M``; sorting the indices (or
+    ``.T.tocsr()`` of the result) would change the rounding."""
+    nx = M.shape[0] // 2
+    order = np.arange(2 * nx).reshape(2, nx).T.ravel()  # band -> stacked
+    starts, lengths = M.indptr[order], np.diff(M.indptr)[order]
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+    return sp.csr_matrix((M.data[take], _band_index(M.indices[take], nx), indptr),
+                         shape=M.shape)
 
 
 def _csr_dot(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _binary_exponent
 from .errors import ConstraintViolation
 
 __all__ = [
@@ -77,9 +78,14 @@ def _spectral_sum(w: np.ndarray, power: np.ndarray, T: float) -> np.ndarray:
 
 
 def sobolev_trace_norm(series, s: float, T: float) -> float:
-    """H^s(0,T) norm of a sampled series, s in {-1/3, 0, 1/3}."""
+    """H^s(0,T) norm of a sampled series, s in {-1/3, 0, 1/3}.  It is taken
+    on the series scaled by a power of two (``core._binary_exponent``) and
+    scaled back, which is exact and keeps a tiny series' squares from
+    underflowing."""
     series = _check(series, s, T)
-    return float(sobolev_norms_batch(series[:, None], s, T)[0])
+    e = _binary_exponent(series)
+    norm = sobolev_norms_batch(np.ldexp(series, -e)[:, None], s, T)[0]
+    return float(np.ldexp(norm, e))
 
 
 def riesz_columns(block: np.ndarray, s: float, T: float) -> None:

@@ -184,6 +184,15 @@ def test_grid_validation():
     assert len(g.t) == g.nt == 7
 
 
+@pytest.mark.parametrize("size", [{"N": float("inf")}, {"M": float("inf")},
+                                  {"N": float("nan")}, {"M": -float("inf")}])
+def test_grid_rejects_sizes_that_are_not_finite(size):
+    # a ValueError naming the size, as for any other bad size; int(inf)
+    # would raise OverflowError
+    with pytest.raises(ValueError, match=f"{next(iter(size))} must be an integer"):
+        Grid(**dict(dict(L=1, N=16, T=1, M=8), **size))
+
+
 def test_grid_stores_whole_sizes_as_int():
     # a float size is the same grid as its int: equal, one hash, int sizes
     g = Grid(L=1, N=16.0, T=1, M=8.0)

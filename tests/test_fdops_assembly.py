@@ -3,9 +3,9 @@
 The oracle below keeps the scalar Fornberg recursion, the row-by-row LIL
 derivative matrices and the step-matrix row replacement on LIL lists.  The
 CSR arrays of D1/D2/D3, the band array handed to ``dgbtrf``, the stepper's
-B and B^T and the band LU factors must all have the oracle's bytes; the
-band solve is checked for its width, its backward error and its agreement
-with SuperLU.
+B and B^T (read back in stacked order) and the band LU factors must all
+have the oracle's bytes; the band solve is checked for its width, its
+backward error and its agreement with SuperLU.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from ggkdv import fdops, pde
 from ggkdv.core import Grid, Parameters
 from ggkdv.errors import NumericalError
 from ggkdv.fdops import boundary_stencils, fd_weights
+from stacked_view import stacked_ops
 
 NX = list(range(3, 81)) + [130, 258, 514]
 LENGTHS = (0.05, 1.0, 3.7)
@@ -207,8 +208,9 @@ def test_stepper_matrices_and_factors_have_the_oracle_bytes(monkeypatch, p, dire
     want = oracle_band(A, g.nx, kl, ku)
     assert ab.dtype == want.dtype and ab.shape == want.shape
     assert ab.tobytes(order="F") == want.tobytes(order="F")
-    assert_same_arrays(stp.B, B)
-    assert_same_arrays(stp.BT, B.T.tocsr())
+    # band-ordered B and BT are relabeled stacked ones, entry order kept
+    assert_same_arrays(stacked_ops(stp).B, B)
+    assert_same_arrays(stacked_ops(stp).BT, B.T.tocsr())
     lu, piv, info = dgbtrf(want, kl, ku)
     assert info == 0
     assert stp.lu.ab.tobytes(order="F") == lu.tobytes(order="F")
@@ -236,7 +238,7 @@ def test_band_lu_is_narrow_and_backward_stable(p, direction, N):
     n = 2 * g.nx
     for rhs in (rng.standard_normal(n), rng.standard_normal((n, 5))):
         for trans, op in (("N", A), ("T", A.T.tocsr())):
-            x = stp.lu.solve(rhs, trans=trans)
+            x = stacked_ops(stp).solve(rhs, trans=trans)
             assert x.shape == rhs.shape and x.flags.c_contiguous
             resid = np.max(np.abs(op @ x - rhs), axis=0)
             scale = (abs(op).sum(axis=1).max() * np.max(np.abs(x), axis=0)
@@ -250,5 +252,5 @@ def test_singular_step_matrix_raises_at_level_zero():
     nx = 5
     A = sp.diags(np.where(np.arange(2 * nx) == 6, 0.0, 1.0)).tocsr()  # v_1 row
     with pytest.raises(NumericalError, match=r"singular step matrix: zero pivot in column 6 \(") as err:
-        pde.BandLU(A, nx)
+        pde.BandLU(pde._interleave(A))
     assert err.value.time_level == 0

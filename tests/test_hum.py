@@ -24,6 +24,7 @@ from ggkdv.pde import (
     solve_linear_forward,
 )
 from ggkdv.tracenorm import riesz_columns, sobolev_norms_batch, sobolev_trace_norm
+from stacked_view import stacked_ops
 
 P = Parameters(a=0.2, b=1.0, c=1.0, r=1.0)
 FOUR_I = ControlConfig.of("FOUR_I")
@@ -502,10 +503,11 @@ def sparse_apply_star(op, y):
     cfg, p, g = op.cfg, op.p, op.g
     ad = pde.stepper(p, g, "adjoint", 0.5)
     fw = pde.stepper(p, g, "forward", 0.5)
+    fw, ad = stacked_ops(fw), stacked_ops(ad)
     q = np.zeros((6, g.nt))
     lam = op.W * y
     for n in range(g.M, 0, -1):
-        mu = fw.lu.solve(lam, trans="T")
+        mu = fw.solve(lam, trans="T")
         q[:, n] = mu[fw.bc_rows]
         lam = fw.BT @ mu
     wt = trapezoid_weights(g.nt, g.dt)
@@ -522,7 +524,7 @@ def sparse_apply_star(op, y):
     read = hum.combo_read_vectors(p, g)
     acc = read.T @ d[:, 0]
     for n in range(1, g.nt):
-        acc = ad.BT @ ad.lu.solve(acc, trans="T")
+        acc = ad.BT @ ad.solve(acc, trans="T")
         acc += read.T @ d[:, n]
     return acc / op.W
 

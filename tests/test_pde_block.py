@@ -7,6 +7,7 @@ import pytest
 from ggkdv import pde
 from ggkdv.core import Grid, Parameters
 from ggkdv.errors import NumericalError
+from stacked_view import stacked_ops
 
 P = Parameters(a=0.2, b=1.0, c=1.0, r=1.0)
 G = Grid(L=1.0, N=16, T=0.5, M=32)
@@ -15,6 +16,7 @@ G = Grid(L=1.0, N=16, T=0.5, M=32)
 def single_run(stp, z0, bc=None, forcing=None):
     """The single-vector march loop, kept as the oracle of the block march."""
     g, theta = stp.g, stp.theta
+    st = stacked_ops(stp)
     out = np.empty((g.nt, 2 * stp.nx))
     z = np.asarray(z0, dtype=float).copy()
     if stp.direction == "forward":
@@ -23,16 +25,16 @@ def single_run(stp, z0, bc=None, forcing=None):
         out[g.M] = z
     if forcing is not None:
         forc = np.asarray(forcing, dtype=float).copy()
-        forc[:, stp.bc_rows] = 0.0
+        forc[:, st.bc_rows] = 0.0
     for n in range(g.M):
-        rhs = stp.B @ z
+        rhs = st.B @ z
         if forcing is not None:
             rhs += theta * forc[n + 1] + (1.0 - theta) * forc[n]
         if bc is not None:
-            rhs[stp.bc_rows] = bc[:, n + 1]
+            rhs[st.bc_rows] = bc[:, n + 1]
         else:
-            rhs[stp.bc_rows] = 0.0
-        z = stp.lu.solve(rhs)
+            rhs[st.bc_rows] = 0.0
+        z = st.solve(rhs)
         if not np.all(np.isfinite(z)):
             raise NumericalError("solution lost finiteness", time_level=n + 1)
         if stp.direction == "forward":
@@ -76,7 +78,8 @@ def test_forced_block_blends_like_the_per_level_oracle(theta):
     fw = pde.stepper(P, G, "forward", theta)
     rng = np.random.default_rng(11)
     forcing = rng.standard_normal((G.nt, 2 * G.nx))
-    forcing[:, fw.bc_rows] = np.where(np.arange(G.nt) % 2, np.inf, -np.inf)[:, None]
+    rows = stacked_ops(fw).bc_rows
+    forcing[:, rows] = np.where(np.arange(G.nt) % 2, np.inf, -np.inf)[:, None]
     block = rng.standard_normal((2 * G.nx, 3))
     got = fw.run(block, forcing=forcing)
     for j in range(3):
@@ -146,10 +149,10 @@ def test_adjoint_overflow_counts_steps_from_level_M():
     with pytest.raises(NumericalError) as err:
         ad.run(bad)
     # march on without a check; note the first non-finite level below M
-    lam, first = bad, None
+    lam, first, st = bad, None, stacked_ops(ad)
     with np.errstate(over="ignore", invalid="ignore"):
         for level in range(G.M - 1, -1, -1):
-            lam = ad.lu.solve(ad.B @ lam)
+            lam = st.solve(st.B @ lam)
             if first is None and not np.all(np.isfinite(lam)):
                 first = level
     assert err.value.time_level == G.M - first == oracle_level(ad, bad)

@@ -311,6 +311,45 @@ tol: 1.0e-3
         assert result.summary["outer_iterations"] == 1
 
 
+def test_underflowing_targets_are_the_scaled_run(tmp_path):
+    # a target 2^-560 times the benchmark's: its squared X-norm (about
+    # 1e-341) underflows, which stalled CGLS at a NaN residual.  CGLS and
+    # every ratio over ||target||_X run on data scaled by a power of two,
+    # which is exact, so the run is the 1e-2 run scaled, bit for bit.  Its
+    # nonlinear terms underflow to zero, so nonlinear-control is that run too.
+    runs = {}
+    for command, scale in (("control", ""), ("control", "2^-560*"),
+                           ("nonlinear-control", "2^-560*")):
+        path = write(tmp_path, f"""
+command: {command}
+params: {{a: 0.2, b: 1.0, c: 1.0, r: 1.0, a1: 0.4, a2: 0.3}}
+grid: {{L: 1.0, N: 32, T: 1.0, M: 128}}
+config: FOUR_I
+target: {{u: "1e-2*{scale}gaussian(0.5,0.1)", v: "0"}}
+tol: 5.0e-2
+""")
+        out = tmp_path / f"{command}{scale}"
+        result = run_scenario(path, output_dir=str(out))
+        assert result.exit_code == 0
+        controls = np.loadtxt(out / "controls.csv", delimiter=",", skiprows=1)
+        runs[command, scale] = result.summary, controls[:, 1:]
+    (big, cbig), (tiny, ctiny) = runs["control", ""], runs["control", "2^-560*"]
+    assert big["iterations"] == tiny["iterations"] == 26
+    assert 0 < big["terminal_relative_error"] <= 5e-2
+    for key in ("cg_residual", "terminal_relative_error"):
+        assert tiny[key] == big[key]
+    assert np.any(cbig) and np.array_equal(ctiny, np.ldexp(cbig, -560))
+    assert tiny["control_norms"] == {k: np.ldexp(v, -560)
+                                     for k, v in big["control_norms"].items()}
+    assert big["control_norms"]["h0"] > 0
+    nonlinear, cnonlinear = runs["nonlinear-control", "2^-560*"]
+    assert nonlinear["outer_iterations"] == 1
+    assert nonlinear["outer_history"] == [0.0]
+    assert nonlinear["terminal_relative_error"] == big["terminal_relative_error"]
+    assert nonlinear["control_norms"] == tiny["control_norms"]
+    assert np.array_equal(cnonlinear, ctiny)
+
+
 def test_emitted_csv_files_parse_back(tmp_path):
     path = write(
         tmp_path,
