@@ -1,12 +1,13 @@
-"""Domain types, parameter validation, and the weighted state norm.
+"""Domain types, checked at construction, and the weighted state norm.
 
 The model is a pair of coupled KdV equations on (0, L),
 
     u_t + u u_x + u_xxx + a v_xxx + a1 v v_x + a2 (u v)_x = 0,
     c v_t + r v_x + v v_x + a b u_xxx + v_xxx + a2 b u u_x + a1 b (u v)_x = 0,
 
-whose well-posed regime requires b > 0, c > 0 and 1 - a^2 b > 0.  States
-(u, v) are measured in the weighted norm
+whose well-posed regime requires b > 0, c > 0 and 1 - a^2 b > 0;
+``Parameters`` refuses any other at construction.  States (u, v) are
+measured in the weighted norm
 
     ||(u, v)||_X = sqrt( (b/c) int u^2 dx + int v^2 dx ),
 
@@ -28,7 +29,6 @@ __all__ = [
     "StatePair",
     "ControlKind",
     "ControlConfig",
-    "validate_params",
     "x_norm",
     "x_inner",
     "x_weights",
@@ -47,8 +47,10 @@ class Parameters:
 
     ``a`` couples the dispersive terms, ``a1``/``a2`` the nonlinear ones,
     ``b`` and ``c`` are the (positive) modal weights and ``r`` is the
-    transport coefficient of the second equation.  Construction does not
-    validate; call :func:`validate_params` (every solver does so on entry).
+    transport coefficient of the second equation.  Construction checks the
+    well-posed regime: every coefficient finite, b > 0, c > 0, b/c and c/b
+    finite and 1 - a^2 b > 0, raising ConstraintViolation naming the first
+    failed condition, so every ``Parameters`` in hand is valid.
     """
 
     a: float
@@ -58,30 +60,22 @@ class Parameters:
     a1: float = 0.0
     a2: float = 0.0
 
-
-def validate_params(p: Parameters) -> Parameters:
-    """Return ``p`` unchanged iff b > 0, c > 0, b/c and c/b are finite and
-    1 - a^2 b > 0.
-
-    Raises ConstraintViolation naming the first failed inequality.
-    """
-    for name in ("a", "b", "c", "r", "a1", "a2"):
-        value = getattr(p, name)
-        if not np.isfinite(value):
-            raise ConstraintViolation(f"{name} is not finite")
-    if p.b <= 0:
-        raise ConstraintViolation("b <= 0")
-    if p.c <= 0:
-        raise ConstraintViolation("c <= 0")
-    if not (np.isfinite(p.b / p.c) and np.isfinite(p.c / p.b)):
-        raise ConstraintViolation("b/c or c/b is not finite")
-    try:
-        well_posed = 1.0 - p.a**2 * p.b > 0
-    except OverflowError:  # |a| above about 1.3e154: a^2 b is far beyond 1
-        well_posed = False
-    if not well_posed:
-        raise ConstraintViolation("1 - a^2 b <= 0")
-    return p
+    def __post_init__(self):
+        for name in ("a", "b", "c", "r", "a1", "a2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConstraintViolation(f"{name} is not finite")
+        if self.b <= 0:
+            raise ConstraintViolation("b <= 0")
+        if self.c <= 0:
+            raise ConstraintViolation("c <= 0")
+        if not (np.isfinite(self.b / self.c) and np.isfinite(self.c / self.b)):
+            raise ConstraintViolation("b/c or c/b is not finite")
+        try:
+            well_posed = 1.0 - self.a**2 * self.b > 0
+        except OverflowError:  # |a| above about 1.3e154: a^2 b is far beyond 1
+            well_posed = False
+        if not well_posed:
+            raise ConstraintViolation("1 - a^2 b <= 0")
 
 
 def _whole_at_least(n, least: int) -> bool:

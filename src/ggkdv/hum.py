@@ -39,7 +39,6 @@ from .core import (
     _x_sum,
     pair_weights,
     trapezoid_weights,
-    validate_params,
     x_norm,
     x_weights,
 )
@@ -84,10 +83,9 @@ FEASIBILITY_SAMPLES = 8
 
 @dataclass
 class ControlBundle:
-    """Boundary control signals with their configuration and class norms."""
+    """Boundary control signals with their class norms."""
 
     signals: BoundarySignals
-    config: ControlConfig
     norms: dict
 
 
@@ -163,15 +161,14 @@ def _controls_in_place(rows: np.ndarray, active: list, p: Parameters, T: float):
         row *= SIGNALS[i].coefficient(p)
 
 
-def _bundle(cfg: ControlConfig, sig: np.ndarray, T: float) -> ControlBundle:
+def _bundle(sig: np.ndarray, T: float) -> ControlBundle:
     """The ControlBundle of the (6, M+1) signal array ``sig``, with the
     class norm of each row."""
     norms = {
         name: sobolev_trace_norm(sig[i], CONTROL_CLASS[name], T)
         for i, name in enumerate(SIGNAL_NAMES)
     }
-    return ControlBundle(signals=BoundarySignals.from_array(sig), config=cfg,
-                         norms=norms)
+    return ControlBundle(signals=BoundarySignals.from_array(sig), norms=norms)
 
 
 class GramianOperator:
@@ -189,7 +186,6 @@ class GramianOperator:
     """
 
     def __init__(self, cfg: ControlConfig, p: Parameters, g: Grid, theta: float = 0.5):
-        validate_params(p)
         self.cfg, self.p, self.g = cfg, p, g
         self.W = x_weights(p, g)
         fw = stepper(p, g, "forward", theta)
@@ -339,7 +335,7 @@ def _steer(
     theta = (scheme or SchemeConfig()).theta
     rhs = z_target if z_free is None else z_target - z_free
     if not np.any(rhs):  # CGLS is scale-free: only exact zero is skipped
-        return _bundle(cfg, np.zeros((6, g.nt)), g.T), 0, [0.0], np.zeros(2 * g.nx)
+        return _bundle(np.zeros((6, g.nt)), g.T), 0, [0.0], np.zeros(2 * g.nx)
     op = gramian_operator(cfg, p, g, theta)
     # CGLS runs on rhs scaled by a power of two, exactly, so that the
     # squares of a tiny rhs do not underflow
@@ -347,7 +343,7 @@ def _steer(
     xsol, iters, hist = _cgls(op, np.ldexp(rhs, -e), tol, MAXITER,
                               x0=None if x0 is None else np.ldexp(x0, -e))
     xsol = np.ldexp(xsol, e)
-    return _bundle(cfg, op.controls(xsol), g.T), iters, hist, xsol
+    return _bundle(op.controls(xsol), g.T), iters, hist, xsol
 
 
 def _x_ratio(z: np.ndarray, z_target: np.ndarray, p: Parameters, g: Grid) -> float:
@@ -376,7 +372,6 @@ def solve_control(
     below ``tol``; the achieved state is re-verified with a plain forward
     solve using the returned controls.
     """
-    validate_params(p)
     init.check(g)
     target.check(g)
     _three_control_gate(cfg, p, g, scheme)
@@ -425,7 +420,8 @@ def random_final_state(rng: np.random.Generator, p: Parameters, g: Grid) -> Stat
     Random trigonometric series over the time-resolved modal band, softened
     by three nearest-neighbor averaging passes; raw nodal noise would put
     most of its energy where the scheme cannot propagate it and inflate
-    every trace-norm estimate with the mesh.
+    every trace-norm estimate with the mesh.  A draw is never retried: one
+    whose X-norm is not positive and finite raises NumericalError.
     """
     kres = resolved_mode_count(g)
     xh = g.x / g.L
@@ -438,8 +434,8 @@ def random_final_state(rng: np.random.Generator, p: Parameters, g: Grid) -> Stat
         comps.append(_mollify(f))
     s = StatePair(*comps)
     nrm = x_norm(s, p, g)
-    if nrm < 1e-14:
-        return random_final_state(rng, p, g)
+    if not (0.0 < nrm < np.inf):
+        raise NumericalError(f"random final data has X-norm {nrm!r}")
     s.u /= nrm
     s.v /= nrm
     return s
@@ -478,7 +474,6 @@ def estimate_observability(
     drawn first and marched as one block; each is then read from its slice.
     Raises NumericalError when a quotient or constant is not finite.
     """
-    validate_params(p)
     if nsamples < 1:
         raise ValueError("nsamples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -540,7 +535,6 @@ def solve_nonlinear_control(
     then re-simulates the nonlinear system with the new controls.  Fails
     with NonConvergence when the data is too large for contraction.
     """
-    validate_params(p)
     scheme = scheme or SchemeConfig(picard_tol=1e-6)
     check_data_size(init, target, delta, p, g)
     init.check(g)

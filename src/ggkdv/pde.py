@@ -35,7 +35,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from .core import (SIGNAL_NAMES, SIGNALS, Grid, Parameters, StatePair, _stacked,
-                   boundary_row, pair_weights, validate_params, x_norm)
+                   boundary_row, pair_weights, x_norm)
 from .errors import ConstraintViolation, NonConvergence, NumericalError
 from .fdops import (
     boundary_stencils,
@@ -88,7 +88,7 @@ class BoundarySignals:
         return cls(*(arr[i] for i in range(6)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemeConfig:
     """Time-stepping and fixed-point iteration settings.
 
@@ -194,7 +194,6 @@ class Stepper:
     """
 
     def __init__(self, p: Parameters, g: Grid, direction: str, theta: float = 0.5):
-        validate_params(p)
         if direction not in ("forward", "adjoint"):
             raise ValueError("direction must be 'forward' or 'adjoint'")
         self.p, self.g, self.direction, self.theta = p, g, direction, theta
@@ -499,7 +498,6 @@ def solve_linear_forward(
     scheme: SchemeConfig = None,
 ):
     """Solve the linearized forward system; returns (Trajectory, TraceBundle)."""
-    validate_params(p)
     init.check(g)
     scheme = scheme or SchemeConfig()
     stp = stepper(p, g, "forward", scheme.theta)
@@ -516,7 +514,6 @@ def solve_adjoint_backward(
     scheme: SchemeConfig = None,
 ):
     """Solve the backward adjoint system from final data at t = T."""
-    validate_params(p)
     final.check(g)
     scheme = scheme or SchemeConfig()
     stp = stepper(p, g, "adjoint", scheme.theta)
@@ -558,7 +555,6 @@ def solve_nonlinear(
     at the previous iterate; convergence is measured in the sup-over-time
     weighted state norm, relative to the trajectory size.
     """
-    validate_params(p)
     init.check(g)
     scheme = scheme or SchemeConfig()
     stp = stepper(p, g, "forward", scheme.theta)

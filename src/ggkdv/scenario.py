@@ -31,7 +31,6 @@ from .core import (
     Grid,
     Parameters,
     StatePair,
-    validate_params,
     x_norm,
 )
 from .errors import ExpressionError, GGKdVError, ScenarioError
@@ -236,9 +235,9 @@ _TABLE = {
     "tol": (_POSITIVE, 1e-3),
     "delta": (_POSITIVE, 0.1),
     "config": (_config, _NeededBy(_TRACED)),
-    "params": (_Section(lambda **kw: validate_params(Parameters(**kw)),
-                        a=(_number, _MUST), b=(_number, _MUST), c=(_number, _MUST),
-                        r=(_number, _MUST), a1=(_number, 0.0), a2=(_number, 0.0)),
+    "params": (_Section(Parameters, a=(_number, _MUST), b=(_number, _MUST),
+                        c=(_number, _MUST), r=(_number, _MUST), a1=(_number, 0.0),
+                        a2=(_number, 0.0)),
                _NeededBy(_GRIDDED + ("ucp-sweep",))),
     "grid": (_Section(Grid, L=(_number, _MUST), N=(_INTEGER, _MUST),
                       T=(_number, _MUST), M=(_INTEGER, _MUST)),
@@ -522,9 +521,8 @@ def _run_r0_check(sc: Scenario):
     s = np.empty(L.size, dtype=complex)
     s.real, s.imag = re, im
     rep = spectral.r0_eigencheck(L, s, tol=tol)
-    smin_all = float(np.min(rep.sigma_min))
-    summary = {"sigma_min": smin_all, "certified": bool(smin_all > tol),
-               "points": int(L.size)}
+    summary = {"sigma_min": float(np.min(rep.sigma_min)),
+               "certified": bool(np.all(rep.certified)), "points": int(L.size)}
     return summary, {"r0.csv": _csv(["re_s", "im_s", "L", "sigma_min"],
                                     [re, im, L, rep.sigma_min])}
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Parameters, validate_params
+from .core import Parameters
 from .errors import NonConvergence, NumericalError
 
 __all__ = [
@@ -107,7 +107,6 @@ def q_coefficients(ps, params: Parameters) -> np.ndarray:
     evaluation would: numpy's vectorized complex multiply can round the last
     bit differently.  A value whose p^2 overflows gives a row of NaN.
     """
-    validate_params(params)
     a, b, c, r = params.a, params.b, params.c, params.r
 
     def row(p):
@@ -360,7 +359,6 @@ def _certify(Ls, ps, params: Parameters, tol: float) -> UcpSweep:
     p = np.asarray(ps, dtype=complex)
     if np.any(L <= 0):
         raise ValueError("L must be positive")
-    validate_params(params)
     n = len(L)
     case_tag = _classify(p)
     roots = np.full((n, 6), np.nan, dtype=complex)
@@ -526,7 +524,6 @@ def degree_certificate(config_id: str, p: complex = 0.7 + 0.3j,
     numerators).  All-zero trace coefficients are the excluded trivial case.
     """
     params = params or Parameters(a=0.3, b=1.1, c=1.7, r=0.9)
-    validate_params(params)
     names, B_rows, C_rows = _numerator_arrays(config_id, p, params)
 
     def degree(rows):

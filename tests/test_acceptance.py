@@ -252,12 +252,11 @@ def test_criterion_7_newton_girard():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
-        while True:
-            params = Parameters(
-                a=rng.uniform(-1.2, 1.2), b=rng.uniform(0.2, 2.5),
-                c=rng.uniform(0.2, 2.5), r=rng.uniform(-2, 2),
-            )
-            if 1 - params.a**2 * params.b > 0.05:
+        while True:  # draw, then build only what passes
+            a, b = rng.uniform(-1.2, 1.2), rng.uniform(0.2, 2.5)
+            c, r = rng.uniform(0.2, 2.5), rng.uniform(-2, 2)
+            if 1 - a**2 * b > 0.05:
+                params = Parameters(a=a, b=b, c=c, r=r)
                 break
         p = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if abs(p) < 0.1:

@@ -10,7 +10,6 @@ from ggkdv.core import (
     Grid,
     Parameters,
     StatePair,
-    validate_params,
     x_inner,
     x_norm,
     x_weights,
@@ -20,25 +19,27 @@ from ggkdv.hum import gramian_operator
 
 
 def test_validate_accepts_valid():
-    p = Parameters(a=0.5, b=1.0, c=1.0, r=1.0)
-    assert validate_params(p) is p  # 1 - 0.25 = 0.75 > 0
+    p = Parameters(a=0.5, b=1.0, c=1.0, r=1.0)  # 1 - 0.25 = 0.75 > 0
+    # the checked type is still a plain value
+    assert p == Parameters(0.5, 1.0, 1.0, 1.0)
+    assert hash(p) == hash((0.5, 1.0, 1.0, 1.0, 0.0, 0.0))
 
 
 def test_validate_rejects_large_coupling():
     # |a| above about 1.3e154 overflows a^2: still the coupling violation
     for a in (2.0, 1.0e200, -1.0e200):
         with pytest.raises(ConstraintViolation, match="a\\^2 b"):
-            validate_params(Parameters(a=a, b=1.0, c=1.0, r=0.0))
+            Parameters(a=a, b=1.0, c=1.0, r=0.0)
 
 
 def test_validate_rejects_nonpositive_c():
     with pytest.raises(ConstraintViolation, match="c"):
-        validate_params(Parameters(a=0.0, b=1.0, c=-1.0, r=0.0))
+        Parameters(a=0.0, b=1.0, c=-1.0, r=0.0)
 
 
 def test_validate_rejects_nonpositive_b():
     with pytest.raises(ConstraintViolation, match="b"):
-        validate_params(Parameters(a=0.0, b=0.0, c=1.0, r=0.0))
+        Parameters(a=0.0, b=0.0, c=1.0, r=0.0)
 
 
 def test_validate_rejects_overflowing_coefficient_ratios():
@@ -46,14 +47,13 @@ def test_validate_rejects_overflowing_coefficient_ratios():
     # overflow of either would put inf or NaN into run.json
     for b, c in ((1.0, 1.0e-320), (1.0e-320, 1.0), (1.0e300, 1.0e-10)):
         with pytest.raises(ConstraintViolation, match="b/c or c/b is not finite"):
-            validate_params(Parameters(a=0.0, b=b, c=c, r=0.0))
-    p = Parameters(a=0.0, b=1.0e150, c=1.0e-150, r=0.0)  # b/c = 1e300
-    assert validate_params(p) is p
+            Parameters(a=0.0, b=b, c=c, r=0.0)
+    Parameters(a=0.0, b=1.0e150, c=1.0e-150, r=0.0)  # b/c = 1e300 builds
 
 
 def test_validate_rejects_nonfinite():
     with pytest.raises(ConstraintViolation):
-        validate_params(Parameters(a=np.nan, b=1.0, c=1.0, r=0.0))
+        Parameters(a=np.nan, b=1.0, c=1.0, r=0.0)
 
 
 @given(
@@ -64,14 +64,14 @@ def test_validate_rejects_nonfinite():
 )
 @settings(max_examples=200, deadline=None)
 def test_validate_matches_inequality_region(a, b, c, r):
-    p = Parameters(a=a, b=b, c=c, r=r)
     should_pass = (b > 0 and c > 0 and np.isfinite(b / c) and np.isfinite(c / b)
                    and 1 - a * a * b > 0)
     if should_pass:
-        assert validate_params(p) is p
+        p = Parameters(a=a, b=b, c=c, r=r)
+        assert (p.a, p.b, p.c, p.r) == (a, b, c, r)
     else:
         with pytest.raises(ConstraintViolation):
-            validate_params(p)
+            Parameters(a=a, b=b, c=c, r=r)
 
 
 def test_x_norm_zero():

@@ -75,7 +75,7 @@ def adjoint_controls(cfg, traj, p):
 def test_zero_traces_give_zero_controls():
     g = Grid(L=1.0, N=24, T=1.0, M=32)
     traj, _ = solve_adjoint_backward(P, g, StatePair.zeros(g))
-    bundle = hum._bundle(FOUR_I, adjoint_controls(FOUR_I, traj, P), g.T)
+    bundle = hum._bundle(adjoint_controls(FOUR_I, traj, P), g.T)
     assert all(np.max(np.abs(getattr(bundle.signals, n))) == 0.0
                for n in ("h0", "h1", "h2", "g0", "g1", "g2"))
     assert all(v == 0.0 for v in bundle.norms.values())
@@ -672,6 +672,22 @@ def test_observability_rejects_non_finite_estimates():
         estimate_observability(FOUR_I, 3, P, g)
 
 
+def test_random_final_state_is_unit_norm_on_a_tiny_domain():
+    # ||.||_X scales with sqrt(L): at L = 1e-30 a draw has X-norm near 1e-15
+    g = Grid(L=1.0e-30, N=16, T=1.0, M=32)
+    for seed in range(3):
+        s = random_final_state(np.random.default_rng(seed), P, g)
+        assert x_norm(s, P, g) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_random_final_state_refuses_a_zero_norm_draw():
+    # dx = 5e-324 / 17 underflows to 0, so every draw has X-norm 0
+    g = Grid(L=5.0e-324, N=16, T=1.0, M=32)
+    assert g.dx == 0.0
+    with pytest.raises(NumericalError, match="X-norm"):
+        random_final_state(np.random.default_rng(0), P, g)
+
+
 def marched_solve_control(cfg, init, target, tol, p, g, scheme=None, x0=None):
     """solve_control marching every step: the free evolution even from rest,
     and the verification.  The controls are read off the Gramian's kept
@@ -684,7 +700,7 @@ def marched_solve_control(cfg, init, target, tol, p, g, scheme=None, x0=None):
     op = gramian_operator(cfg, p, g, theta)
     xsol, iters, hist = hum._cgls(op, rhs, tol, hum.MAXITER, x0=z0)
     final = StatePair(xsol[: g.nx].copy(), xsol[g.nx :].copy())
-    bundle = hum._bundle(cfg, op.controls(xsol), g.T)
+    bundle = hum._bundle(op.controls(xsol), g.T)
     traj, _ = solve_linear_forward(p, g, init, bundle.signals, scheme=scheme)
     return bundle, traj.final_state, iters, hist, final
 

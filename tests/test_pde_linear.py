@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -271,6 +273,12 @@ def test_scheme_config_bounds():
         SchemeConfig(theta=0.3)
     with pytest.raises(ValueError):
         SchemeConfig(picard_max=0)
+    # frozen, so the checked settings cannot leave their bounds later
+    scheme = SchemeConfig()
+    for name, value in (("theta", 0.3), ("picard_tol", -1.0), ("picard_max", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(scheme, name, value)
+    assert scheme == SchemeConfig()
 
 
 @pytest.mark.parametrize("direction", ["forward", "adjoint"])
@@ -282,12 +290,11 @@ def test_step_operator_is_contractive(direction):
 
     rng = np.random.default_rng(7)
     for _ in range(6):
-        while True:
-            p = Parameters(
-                a=rng.uniform(-1.2, 1.2), b=rng.uniform(0.2, 2.5),
-                c=rng.uniform(0.2, 2.5), r=rng.uniform(-2.0, 2.0),
-            )
-            if 1 - p.a**2 * p.b > 0.05:
+        while True:  # draw, then build only what passes
+            a, b = rng.uniform(-1.2, 1.2), rng.uniform(0.2, 2.5)
+            c, r = rng.uniform(0.2, 2.5), rng.uniform(-2.0, 2.0)
+            if 1 - a**2 * b > 0.05:
+                p = Parameters(a=a, b=b, c=c, r=r)
                 break
         g = Grid(L=rng.uniform(0.5, 2.0), N=32, T=1.0, M=64)
         stp = Stepper(p, g, direction)

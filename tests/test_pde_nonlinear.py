@@ -88,3 +88,26 @@ def test_nonlinearity_actually_matters():
     traj_nl, _ = solve_nonlinear(P, g, init, BoundarySignals.zeros(g), scheme=scheme)
     traj_lin, _ = solve_linear_forward(P, g, init, BoundarySignals.zeros(g))
     assert np.max(np.abs(traj_nl.z - traj_lin.z)) > 1e-4
+
+
+def test_nonlinear_forcing_matches_the_model_terms_at_generic_coefficients():
+    # the forcing is minus the model's nonlinear terms,
+    #   u u_x + a1 v v_x + a2 (u v)_x          (first equation)
+    #   v v_x + a2 b u u_x + a1 b (u v)_x      (second equation),
+    # with every coefficient distinct, so a dropped or swapped factor shows;
+    # the error of its second-order differences falls about 4x per doubling
+    p = Parameters(a=0.2, b=1.3, c=0.8, r=1.0, a1=0.4, a2=-0.7)
+    errors = []
+    for N in (32, 64, 128, 256):
+        g = Grid(L=1.0, N=N, T=1.0, M=4)
+        x, t = g.x[None, :], g.t[:, None]
+        u, ux = np.sin(2 * x + 0.3) * np.exp(-t), 2 * np.cos(2 * x + 0.3) * np.exp(-t)
+        v, vx = np.cos(3 * x - 0.2) * (1 + t), -3 * np.sin(3 * x - 0.2) * (1 + t)
+        uvx = ux * v + u * vx
+        want = -np.concatenate([u * ux + p.a1 * v * vx + p.a2 * uvx,
+                                v * vx + p.a2 * p.b * u * ux + p.a1 * p.b * uvx],
+                               axis=1)
+        got = pde.nonlinear_forcing(np.concatenate([u, v], axis=1), p, g)
+        errors.append(np.max(np.abs(got - want)))
+    ratios = [e0 / e1 for e0, e1 in zip(errors, errors[1:])]
+    assert min(ratios) >= 3.5, (errors, ratios)

@@ -724,6 +724,35 @@ def test_observe_with_non_finite_estimates_exits_3(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+TINY_DOMAIN = "grid: {L: 1.0e-30, N: 16, T: 1.0, M: 32}"
+
+
+def test_observe_on_a_tiny_domain_exits_0(tmp_path):
+    # the X-norm of a sample scales with sqrt(L), about 1e-15 here; any
+    # positive finite norm normalizes
+    path = write(tmp_path, OBSERVE_BASE.replace(
+        "grid: {L: 1.0, N: 16, T: 0.25, M: 16}", TINY_DOMAIN) + "observe: {samples: 3}\n")
+    result = run_scenario(path, output_dir=str(tmp_path / "out"))
+    assert result.exit_code == 0, result.message
+    assert len(result.artifacts["observability.csv"].splitlines()) == 4
+    assert result.summary["sample_count"] == 3
+
+
+def test_three_control_gate_on_a_tiny_domain_exits_4(tmp_path):
+    path = write(tmp_path, f"""
+command: control
+params: {{a: 0.2, b: 1.0, c: 1.0, r: 1.0}}
+{TINY_DOMAIN}
+config: THREE_V
+target: {{u: "1e-3", v: "0"}}
+""")
+    out = tmp_path / "out"
+    result = run_scenario(path, output_dir=str(out))
+    assert result.exit_code == 4, result.message
+    assert "three-control condition failed" in result.message
+    assert not out.exists()
+
+
 def test_unusable_output_dir_exits_2(tmp_path, capsys):
     path = write(tmp_path, MINIMAL_SIMULATE)
     afile = tmp_path / "afile"

@@ -28,15 +28,11 @@ PARAMS = Parameters(a=0.0, b=1.0, c=1.0, r=1.0)
 
 
 def random_valid_params(rng):
-    while True:
-        p = Parameters(
-            a=rng.uniform(-1.2, 1.2),
-            b=rng.uniform(0.2, 2.5),
-            c=rng.uniform(0.2, 2.5),
-            r=rng.uniform(-2.0, 2.0),
-        )
-        if 1 - p.a**2 * p.b > 0.05:
-            return p
+    while True:  # draw, then build only what passes
+        a, b = rng.uniform(-1.2, 1.2), rng.uniform(0.2, 2.5)
+        c, r = rng.uniform(0.2, 2.5), rng.uniform(-2.0, 2.0)
+        if 1 - a**2 * b > 0.05:
+            return Parameters(a=a, b=b, c=c, r=r)
 
 
 def test_q_coefficients_example():
