@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 
+# Fornberg's products over- or underflow on extreme spacings; pde.BandLU
+# rejects the step matrix such weights build as not finite.
+@np.errstate(all="ignore")
 def fd_weights(x0: float | np.ndarray, nodes: np.ndarray, m: int) -> np.ndarray:
     """Weights of the m-th derivative at ``x0`` from samples at ``nodes``.
 

@@ -535,7 +535,7 @@ def solve_nonlinear_control(
     then re-simulates the nonlinear system with the new controls.  Fails
     with NonConvergence when the data is too large for contraction.
     """
-    scheme = scheme or SchemeConfig(picard_tol=1e-6)
+    scheme = scheme or SchemeConfig()
     check_data_size(init, target, delta, p, g)
     init.check(g)
     target.check(g)
@@ -546,7 +546,6 @@ def solve_nonlinear_control(
     adjusted = z_target
     warm = None
     history = []
-    converged = False
     for it in range(1, scheme.picard_max + 1):
         # solve_control's verification march is left out: its achieved
         # state would not be read
@@ -567,7 +566,6 @@ def solve_nonlinear_control(
         history.append(_x_ratio(adjusted_new - adjusted, z_target, p, g))
         adjusted = adjusted_new
         if history[-1] <= scheme.picard_tol:
-            converged = True
             break
         if len(history) >= 3 and history[-1] > 4.0 * history[0]:
             raise NonConvergence(
@@ -575,7 +573,7 @@ def solve_nonlinear_control(
                 f"contraction history {history}",
                 history=history,
             )
-    if not converged and history and history[-1] > 10 * scheme.picard_tol:
+    if history[-1] > 10 * scheme.picard_tol:
         raise NonConvergence(
             f"outer fixed point did not settle in {scheme.picard_max} sweeps; "
             f"history {history}",

@@ -377,6 +377,8 @@ class BandLU:
         n = A.shape[0]
         ab = np.zeros((2 * self.kl + self.ku + 1, n), order="F")
         np.add.at(ab, (self.kl + self.ku + row - col, col), coo.data)
+        if not np.isfinite(ab).all():
+            raise NumericalError("step matrix is not finite", time_level=0)
         self.ab, self.piv, info = dgbtrf(ab, self.kl, self.ku, overwrite_ab=True)
         if info > 0:  # named by its stacked column
             j = info - 1

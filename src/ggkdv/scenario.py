@@ -201,6 +201,15 @@ def _ucp(samples, L_min, L_max, p_min, p_max, tol) -> dict:
             "p_radius": (p_min, p_max), "tol": tol}
 
 
+def _r0(re, im, lengths, tol) -> tuple:
+    """The (re axis, im axis, lengths, tol) of ``r0-check``; an axis's span
+    hi - lo must be finite for np.linspace to sample it."""
+    for name, (lo, hi, _) in (("re", re), ("im", im)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"{name} axis span {hi!r} - {lo!r} is not finite")
+    return re, im, lengths, tol
+
+
 class _Section:
     """A mapping of its own keys, each a (check, default) row like the
     table's; the checked values build ``build(**values)``, which keeps its
@@ -252,8 +261,7 @@ _TABLE = {
     "ucp": (_Section(_ucp, samples=(_COUNT, 200), L_min=(_POSITIVE, 0.05),
                      L_max=(_POSITIVE, 10.0), p_min=(_POSITIVE, 0.3),
                      p_max=(_POSITIVE, 3.0), tol=(_POSITIVE, 1e-6)), {}),
-    "r0": (_Section(lambda re, im, lengths, tol: (re, im, lengths, tol),
-                    re=(_LINSPACE, [-10, 10, 9]), im=(_LINSPACE, [-10, 10, 9]),
+    "r0": (_Section(_r0, re=(_LINSPACE, [-10, 10, 9]), im=(_LINSPACE, [-10, 10, 9]),
                     lengths=(partial(_items, checks=_POSITIVE), [0.5, 1.0, math.pi, 5.0]),
                     tol=(_POSITIVE, 1e-8)), {}),
 }

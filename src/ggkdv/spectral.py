@@ -13,11 +13,8 @@ to satisfy xi_j^2 exp(i L xi_j) = gamma / beta for one common nonzero ratio.
 The certificate computes the six roots, the values w_j = xi_j^2 e^{i L xi_j},
 and confirms the obstruction when the w_j fail to share a common value (so
 no admissible gamma/beta exists).  The transcendental structure behind the
-case analysis is z e^z = alpha, whose branch-k solutions are the zeros of
-
-    W_k(z) = log(alpha) - z - log(z) + 2 k pi i,
-
-solved here by Newton iteration with asymptotic branch seeding.
+case analysis is z e^z = alpha, whose branch-k solution W_k(alpha) comes
+from scipy's Lambert W in the standard branches.
 
 Degree certificates cover the configurations where the obstruction is purely
 algebraic: the printed numerators are degree <= 5 against the degree-6
@@ -27,6 +24,7 @@ coefficients all vanish.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import itertools
 from dataclasses import dataclass
@@ -78,7 +76,6 @@ class PolyP:
 
     coeffs: np.ndarray
     p: np.ndarray
-    params: Parameters
 
 
 @dataclass
@@ -129,7 +126,7 @@ def build_P(ps, params: Parameters) -> PolyP:
     # Q(-xi): flip the sign of odd-degree coefficients (degrees 6..0)
     coeffs = _ODD_SIGNS * q_coefficients(p, params) / (1.0 - params.a**2 * params.b)
     coeffs[:, 0] = 1.0  # exact, complex division rounds the leading entry
-    return PolyP(coeffs=coeffs, p=p, params=params)
+    return PolyP(coeffs=coeffs, p=p)
 
 
 def _horner(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -233,52 +230,28 @@ def roots_P(poly: PolyP) -> RootSet:
     return RootSet(roots=roots, residuals=residuals, girard_residuals=girard)
 
 
-def lambert_solve(alpha: complex, k: int, tol: float = 1e-10,
-                  maxiter: int = 80) -> complex:
-    """Solve z e^z = alpha on branch k by Newton iteration.
+def lambert_solve(alpha: complex, k: int) -> complex:
+    """The branch-k solution W_k(alpha) of z e^z = alpha, by scipy's lambertw.
 
-    The branch is identified by z + log z - log alpha = 2 k pi i; seeds come
-    from the asymptotic form log(alpha) + 2 k pi i - log(log(alpha) + 2 k pi i)
-    with fallbacks for small arguments on the principal branch.
+    The branches are the standard ones of Corless, Gonnet, Hare, Jeffrey &
+    Knuth, "On the Lambert W function", Adv. Comput. Math. 5 (1996); off
+    their cuts, branch k satisfies z + log z - log alpha = 2 k pi i.  A root
+    that is not finite, or whose residual |z e^z - alpha| exceeds
+    1e-10 max(1, |alpha|), raises NonConvergence.
     """
+    from scipy.special import lambertw  # here, to keep it out of `import ggkdv`
+
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("alpha = 0 is degenerate (no isolated solutions)")
-    L1 = np.log(alpha) + 2j * np.pi * k
-    seeds = []
-    if L1 != 0:
-        seeds.append(L1 - np.log(L1))
-    seeds.append(np.log(alpha) - np.log(np.log(alpha)) + 2j * np.pi * k
-                 if np.log(alpha) != 0 else L1)
-    if k == 0 and abs(alpha) < 1.0:
-        # series seed near the origin on the principal branch
-        seeds.insert(0, alpha * (1.0 - alpha + 1.5 * alpha**2))
-    target = max(1.0, abs(alpha)) * tol
-    for seed in seeds:
-        z = complex(seed)
-        ok = False
-        for _ in range(maxiter):
-            ez = np.exp(z)
-            f = z * ez - alpha
-            if abs(f) <= target:
-                ok = True
-                break
-            df = ez * (1.0 + z)
-            if df == 0:
-                break
-            step = f / df
-            # damp huge Newton steps to stay on the seeded branch
-            if abs(step) > 1.0 + abs(z):
-                step *= (1.0 + abs(z)) / abs(step)
-            z = z - step
-        if not ok or z == 0:
-            continue
-        branch = (z + np.log(z) - np.log(alpha)) / (2j * np.pi)
-        if abs(branch - k) < 1e-6:
-            return z
-    raise NonConvergence(
-        f"Newton failed to locate branch {k} for alpha = {alpha!r}"
-    )
+    z = complex(lambertw(alpha, k))
+    # a finite root has real part below 710, so cmath.exp cannot overflow
+    if not (cmath.isfinite(z)
+            and abs(z * cmath.exp(z) - alpha) <= 1e-10 * max(1.0, abs(alpha))):
+        raise NonConvergence(
+            f"no branch-{k} root of z e^z = {alpha!r} (lambertw gave {z!r})"
+        )
+    return z
 
 
 # UcpSweep.case_tag holds indices into CASE_TAGS, the order of CaseTag.
@@ -463,7 +436,6 @@ class DegreeReport:
     denominator_degree: int
     coefficient_names: tuple
     independent: bool
-    trivial_if_all_zero: bool = True
 
 
 def _numerator_arrays(config_id: str, p: complex, params: Parameters) -> tuple:
@@ -586,8 +558,10 @@ def r0_eigencheck(L, s, tol: float = 1e-8) -> EigencheckReport:
                [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
     A[zero, 3, 2] = 2.0 * Ls[zero]
     live = ~zero
-    # the principal cube root by CPython's complex power, one point at a time
-    mu0 = np.array([v ** (1.0 / 3.0) for v in ss[live].tolist()], dtype=complex)
+    # the principal cube root by CPython's complex power, one point at a time;
+    # an infinite s, where that power raises OverflowError, gets NaN instead
+    mu0 = np.array([v ** (1.0 / 3.0) if cmath.isfinite(v) else np.nan
+                    for v in ss[live].tolist()], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         mus = mu0[:, None] * np.exp(2j * np.pi * np.arange(3) / 3.0)
         eL = np.exp(mus * Ls[live][:, None])

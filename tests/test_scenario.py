@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -488,6 +489,8 @@ delta: 0.1
         MINIMAL_SIMULATE.replace("c: 1.0", "c: 1.0e-320"),
         NONLINEAR_OVERSIZED,
         MINIMAL_SIMULATE + 'initial: {u: "x^-1"}\n',
+        "command: r0-check\nr0: {re: [-1.0e308, 1.0e308, 3], im: [0, 0, 1], lengths: [1.0]}\n",
+        "command: r0-check\nr0: {re: [0, 0, 1], im: [-1.0e308, 1.0e308, 3], lengths: [1.0]}\n",
     ],
     ids=["r0-axis", "observe-samples", "tol", "seed", "initial-list",
          "ucp-samples", "picard-max", "bc-syntax", "initial-syntax",
@@ -496,7 +499,8 @@ delta: 0.1
          "initial-div-zero", "initial-overflow", "initial-missing-file",
          "initial-deep-parens", "initial-long-sum", "initial-deep-signs",
          "yaml-deep", "params-a-overflow", "params-b-over-c-overflow",
-         "nonlinear-delta", "initial-zero-negative-power"],
+         "nonlinear-delta", "initial-zero-negative-power", "r0-re-span-overflow",
+         "r0-im-span-overflow"],
 )
 def test_validate_rejects_what_run_rejects(tmp_path, capsys, text):
     path = write(tmp_path, text)
@@ -778,3 +782,17 @@ def test_failed_rename_leaves_no_temp_files(tmp_path, capsys, squatted):
     order = ["trajectory.csv", "traces.csv", "run.json"]
     assert sorted(os.listdir(out)) == sorted(order[:order.index(squatted) + 1])
     assert not any((out / squatted).iterdir())
+
+
+def test_grid_whose_stencil_weights_overflow_exits_3(tmp_path):
+    # at L = 1e-300 Fornberg's products overflow, so D1, D3 and the boundary
+    # stencils hold inf or NaN; the step matrix is refused before its LU
+    path = write(tmp_path, MINIMAL_SIMULATE.replace(
+        "grid: {L: 1.0, N: 16, T: 0.25, M: 16}", "grid: {L: 1.0e-300, N: 16, T: 1.0, M: 8}"))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_scenario(path, output_dir=str(out))
+    assert result.exit_code == 3, result.message
+    assert result.message == "step matrix is not finite (time level 0)"
+    assert not out.exists()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ggkdv import spectral
 from ggkdv.core import Parameters
-from ggkdv.errors import ConstraintViolation, NumericalError
+from ggkdv.errors import ConstraintViolation, NonConvergence, NumericalError
 from ggkdv.spectral import (
     CASE_TAGS,
     CaseTag,
@@ -135,6 +135,32 @@ def test_lambert_residuals_and_branch_separation():
         assert all(i1 > i0 for i0, i1 in zip(ims, ims[1:]))
 
 
+def test_lambert_sweep_returns_every_branch():
+    # 3,000 draws of criterion 8's domain, each on branches -3..3
+    rng = np.random.default_rng(3)
+    for _ in range(3000):
+        alpha = np.exp(rng.uniform(np.log(0.1), np.log(10.0)))
+        alpha = alpha * np.exp(2j * np.pi * rng.uniform())
+        for k in range(-3, 4):
+            z = lambert_solve(alpha, k)
+            assert abs(z * np.exp(z) - alpha) <= 1e-10 * max(1.0, abs(alpha))
+            branch = (z + np.log(z) - np.log(alpha)) / (2j * np.pi)
+            assert abs(branch - k) <= 1e-9, (alpha, k, z)
+
+
+@pytest.mark.parametrize("alpha", [-0.6876548243908573 - 0.2841318774905037j,
+                                   0.22224728597654164 - 0.9847296353531793j])
+def test_lambert_principal_branch_near_the_cut(alpha):
+    z = lambert_solve(alpha, 0)
+    assert abs(z * np.exp(z) - alpha) <= 1e-10 * max(1.0, abs(alpha))
+
+
+def test_lambert_branch_point_raises():
+    # lambertw gives NaN within about 1e-16 of the branch point -1/e
+    with pytest.raises(NonConvergence):
+        lambert_solve(-np.exp(-1), 0)
+
+
 def test_ucp_case4_zero_p():
     v = ucp_certificate(1.0, 0.0, Parameters(a=0.2, b=1.0, c=1.0, r=1.0))
     assert v.case_tag is CaseTag.ZERO
@@ -219,6 +245,12 @@ def test_r0_eigencheck_s_one():
     assert rep.sigma_min[0] > 1e-8
     assert rep.certified[0]
     assert r0_eigencheck([1.0], [2.0]).certified[0]
+
+
+def test_r0_eigencheck_infinite_s_raises():
+    # CPython's complex power raises OverflowError on an infinite s
+    with pytest.raises(NumericalError, match="not finite"):
+        r0_eigencheck(np.array([1.0]), np.array([complex(np.inf, 0)]))
 
 
 def test_r0_eigencheck_scaling_invariance():
