@@ -176,6 +176,9 @@ def extract_traces(z: np.ndarray, g: Grid) -> TraceBundle:
     return TraceBundle(data=data, grid=g)
 
 
+_TRANS = {"N": 0, "T": 1}  # dgbtrs's codes for A x = b and A^T x = b
+
+
 class Stepper:
     """One theta-scheme step operator with its banded LU factorization.
 
@@ -187,10 +190,10 @@ class Stepper:
 
     The step matrices ``B`` and ``BT`` (CSR), the factors ``lu`` and the
     boundary rows ``bc_rows`` are all in the band order of ``BandLU``, the
-    unknowns (u_0, v_0, u_1, v_1, ...).  A march carries its state in that
-    order from start to finish: inputs and outputs are stacked (u, v)
-    states, converted by strided copies once on input and once per stored
-    level.
+    unknowns (u_0, v_0, u_1, v_1, ...).  A march or sweep carries its state
+    in that order from start to finish, in buffers allocated once per call
+    (``_sweep``): inputs and outputs are stacked (u, v) states, converted
+    by a strided copy once on input and once per stored level.
     """
 
     def __init__(self, p: Parameters, g: Grid, direction: str, theta: float = 0.5):
@@ -257,14 +260,15 @@ class Stepper:
         ``bc`` is a (6, M+1) array, any other shape a ValueError (forward
         only; level-0 entries are the initial data's own traces, not read).
         ``forcing`` is a (M+1, 2 nx) array of stacked (p, q) samples applied
-        on PDE rows.  Both apply to every column of a block.
+        on PDE rows.  Both apply to every column of a block.  Besides
+        ``out``, a march allocates a few states, a copy of ``bc`` and, when
+        forced, the forcing's blend; its levels allocate nothing (``_sweep``).
         """
         g = self.g
         theta = self.theta
         z0 = np.asarray(z0, dtype=float)
-        z = _band(z0)
-        cols = (1,) * (z.ndim - 1)  # bc and forcing broadcast over a block
-        out = np.empty(z.shape[1:] + (g.nt, 2 * self.nx))
+        cols = (1,) * (z0.ndim - 1)  # bc and forcing broadcast over a block
+        out = np.empty(z0.shape[1:] + (g.nt, 2 * self.nx))
         if self.direction == "forward":
             start, levels = 0, range(1, g.nt)
         else:
@@ -277,31 +281,85 @@ class Stepper:
         if bc is not None:
             if np.shape(bc) != (6, g.nt):
                 raise ValueError("boundary signals do not match the time grid")
-            bc = np.asarray(bc).reshape(np.shape(bc) + cols)
+            # row n holds level n + 1's six values
+            bc = np.ascontiguousarray(np.transpose(bc)[1:], dtype=float)
+            bc = bc.reshape(bc.shape + cols)
+        z = np.empty_like(z0)
+        _band(z0, z)
+        by_level = np.moveaxis(_split(out), -3, 0)  # level l as (..., 2, nx)
+        forc = None
         # B's boundary rows are empty and the forcing's are zeroed, so the
         # right-hand side is zero there unless bc says otherwise.  A march
         # that overflows runs on to the end; the scan below names the first
         # non-finite level in march order, counted in steps.
         with np.errstate(over="ignore", invalid="ignore"):
             if forcing is not None:  # row n is the blend of levels n, n + 1
-                forc = np.asarray(forcing, dtype=float)
-                forc = _band((theta * forc[1:] + (1.0 - theta) * forc[:-1]).T).T
+                forcing = np.asarray(forcing, dtype=float)
+                blend = theta * forcing[1:]
+                blend += (1.0 - theta) * forcing[:-1]
+                forc = np.empty_like(blend)
+                _band(blend.T, forc.T)
                 forc[:, self.bc_rows] = 0.0
                 forc = forc.reshape(forc.shape + cols)
-            for n, level in enumerate(levels):
-                rhs = _csr_dot(self.B, z)
-                if forcing is not None:
-                    rhs += forc[n]
-                if bc is not None:
-                    rhs[self.bc_rows] = bc[:, n + 1]
-                z = self.lu.solve(rhs)
-                _unband(z, out[..., level, :].T)
-        finite = np.isfinite(out).all(axis=-1).reshape(-1, g.nt).all(axis=0)
-        bad = np.flatnonzero(~finite[levels])
-        if bad.size:
-            raise NumericalError("solution lost finiteness",
-                                 time_level=int(bad[0]) + 1)
+            for level, (zs, _) in zip(levels, self._sweep(z, g.M, forc=forc, bc=bc)):
+                by_level[level] = zs
+            # a level with a non-finite entry has a non-finite sum, and so
+            # can a finite one, by overflow: those are scanned entry by entry
+            finite = np.isfinite(out.sum(axis=-1)).reshape(-1, g.nt).all(axis=0)
+        for step in np.flatnonzero(~finite[levels]) + 1:
+            if not np.isfinite(out[..., levels[step - 1], :]).all():
+                raise NumericalError("solution lost finiteness",
+                                     time_level=int(step))
         return out
+
+    def _sweep(self, x, count, trans="N", forc=None, bc=None, solve_first=False):
+        """The level loop of every march and transpose sweep, in band order.
+
+        From the band-ordered (2 nx,) state or (2 nx, k) block ``x``, level
+        n forms y = B z (``trans="T"``: BT z), adds ``forc[n]``, writes
+        ``bc[n]`` into the boundary rows and solves A z = y (A^T z = y) in
+        place.  With ``solve_first``, ``x`` is the first y and each level
+        solves before its product.  After each of ``count`` levels it
+        yields z and y viewed in stacked order, (..., 2, nx) with a block's
+        columns first, until the next level overwrites them.
+
+        The buffers are allocated once per call.  z and y are C-ordered for
+        the ``csr_matvec(s)`` kernels of ``scipy.sparse._sparsetools``,
+        which ``@`` ends in, and y is zeroed before each product, as ``@``
+        does.  One column, 1-d or (2 nx, 1), takes the vector kernel, as
+        with ``@``, and is solved in y, after which z and y trade buffers;
+        a block is solved in a Fortran copy.  So every level has the bytes
+        of ``A @ z`` and ``BandLU.solve``.
+        """
+        A, n2, k = (self.B if trans == "N" else self.BT), len(x), x.size // len(x)
+        indptr, indices, data = A.indptr, A.indices, A.data
+        lu, rows, tr = self.lu, self.bc_rows, _TRANS[trans]
+        ab, kl, ku, piv = lu.ab, lu.kl, lu.ku, lu.piv
+        z, y = np.empty(x.shape), np.empty(x.shape)
+        (y if solve_first else z)[...] = x
+        z1, y1, zs, ys = z.reshape(-1), y.reshape(-1), _as_stacked(z), _as_stacked(y)
+        f = np.empty(x.shape, order="F") if k > 1 else None
+        steps = (not solve_first, solve_first)  # a level's two: product or solve
+        for n in range(count):
+            for product in steps:
+                if product:
+                    y.fill(0.0)
+                    if k == 1:
+                        csr_matvec(n2, n2, indptr, indices, data, z1, y1)
+                    else:
+                        csr_matvecs(n2, n2, k, indptr, indices, data, z1, y1)
+                    if forc is not None:
+                        y += forc[n]
+                    if bc is not None:
+                        y[rows] = bc[n]
+                elif k == 1:
+                    dgbtrs(ab, kl, ku, y, piv, trans=tr, overwrite_b=1)
+                    z, y, z1, y1, zs, ys = y, z, y1, z1, ys, zs
+                else:
+                    f[...] = y
+                    dgbtrs(ab, kl, ku, f, piv, trans=tr, overwrite_b=1)
+                    z[...] = f
+            yield zs, ys
 
     # -- block sweeps that assemble the HUM Gramian ---------------------------
 
@@ -325,16 +383,16 @@ class Stepper:
             raise ValueError("input_transpose applies to the forward stepper")
         g = self.g
         rows = self.bc_rows[signals]
-        pulse = np.zeros((2 * self.nx, len(rows)), order="F")
+        pulse = np.zeros((2 * self.nx, len(rows)))
         pulse[rows, np.arange(len(rows))] = 1.0
-        resp = self.lu.solve(pulse)  # z(T) after a unit pulse at level M
-        rs = np.empty_like(resp)
+        rs = np.empty((2 * self.nx, len(rows)), order="F")
+        stacked = _split(rs.T)  # stacked rows: in band order the fold rounds differently
         X = np.zeros((d.shape[2], 2 * self.nx))
-        for n in range(g.M, 0, -1):
-            if n < g.M:
-                resp = self.lu.solve(_csr_dot(self.B, resp))
-            # stacked rows: in band order the fold rounds differently
-            _unband(resp, rs)
+        # the first level solves the pulses: z(T) after a unit pulse at
+        # level M; the last level's product is not read
+        sweep = self._sweep(pulse, g.M, solve_first=True)
+        for n, (resp, _) in zip(range(g.M, 0, -1), sweep):
+            stacked[...] = resp
             dgemm(1.0, rs, d[:, n, :], 1.0, X.T, overwrite_c=True)
         return X
 
@@ -343,17 +401,20 @@ class Stepper:
 
         Returns Theta (k, M+1, 2 nx) in ascending time, with Theta[i, l] the
         gradient of readvecs[i] . z(l) with respect to the final data z(T).
-        One transposed sweep of the k read-out vectors makes it.
+        One transposed sweep of the k read-out vectors makes it: each level
+        solves with A^T, then multiplies by BT.
         """
         if self.direction != "adjoint":
             raise ValueError("readout_transpose applies to the adjoint stepper")
         g = self.g
         theta = np.empty((len(readvecs), g.nt, 2 * self.nx))
         theta[:, g.M] = readvecs
-        lam = _band(readvecs.T)
-        for n in range(g.M - 1, -1, -1):
-            lam = _csr_dot(self.BT, self.lu.solve(lam, trans="T"))
-            _unband(lam, theta[:, n].T)
+        by_level = np.moveaxis(_split(theta), 1, 0)
+        lam = np.empty(readvecs.T.shape)
+        _band(readvecs.T, lam)
+        sweep = self._sweep(lam, g.M, trans="T", solve_first=True)
+        for n, (_, lam) in zip(range(g.M - 1, -1, -1), sweep):
+            by_level[n] = lam
         return theta
 
 
@@ -364,7 +425,9 @@ class BandLU:
     (u_0, v_0, u_1, v_1, ...) instead of stacked, so the coupled five-point
     stencils fit in a band of ``kl`` sub- and ``ku`` superdiagonals (at
     most 7 each), which ``dgbtrf`` factors once.  ``solve`` takes and
-    returns band-ordered vectors and calls ``dgbtrs`` on them directly.
+    returns band-ordered vectors and calls ``dgbtrs`` on them directly;
+    ``Stepper._sweep`` calls ``dgbtrs`` on ``ab`` and ``piv`` itself, in
+    place on its own buffers, with the same arguments.
     """
 
     def __init__(self, A: sp.csr_matrix):
@@ -391,7 +454,7 @@ class BandLU:
         overwritten and returned; another is copied to Fortran order first.
         A block result is Fortran-ordered."""
         x, _ = dgbtrs(self.ab, self.kl, self.ku, rhs, self.piv,
-                      trans={"N": 0, "T": 1}[trans], overwrite_b=True)
+                      trans=_TRANS[trans], overwrite_b=True)
         return x
 
 
@@ -400,20 +463,22 @@ def _band_index(i, nx: int):
     return 2 * (i % nx) + i // nx
 
 
-def _band(z: np.ndarray) -> np.ndarray:
-    """A band-ordered copy of the stacked state(s) ``z`` (first axis 2 nx),
-    in ``z``'s memory order."""
+def _band(z: np.ndarray, out: np.ndarray):
+    """Copy the stacked state(s) ``z`` into ``out`` in band order (first
+    axis 2 nx for both)."""
     nx = len(z) // 2
-    out = np.empty_like(z)
     out[0::2], out[1::2] = z[:nx], z[nx:]
-    return out
 
 
-def _unband(z: np.ndarray, out: np.ndarray):
-    """Copy the band-ordered state(s) ``z`` into ``out`` in stacked order
-    (first axis 2 nx for both)."""
-    nx = len(z) // 2
-    out[:nx], out[nx:] = z[0::2], z[1::2]
+def _as_stacked(z: np.ndarray) -> np.ndarray:
+    """The band-ordered state(s) ``z`` (first axis 2 nx) viewed in stacked
+    order, as (2, nx) or, for a (2 nx, k) block, (k, 2, nx)."""
+    return z.reshape((len(z) // 2, 2) + z.shape[1:]).T
+
+
+def _split(a: np.ndarray) -> np.ndarray:
+    """The stacked states ``a`` (last axis 2 nx) viewed as (..., 2, nx)."""
+    return a.reshape(a.shape[:-1] + (2, a.shape[-1] // 2))
 
 
 def _interleave(M: sp.csr_matrix) -> sp.csr_matrix:
@@ -429,19 +494,6 @@ def _interleave(M: sp.csr_matrix) -> sp.csr_matrix:
     take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
     return sp.csr_matrix((M.data[take], _band_index(M.indices[take], nx), indptr),
                          shape=M.shape)
-
-
-def _csr_dot(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` for a dense 1-d or 2-d ``x``, by the sparsetools kernel
-    that ``@`` dispatches to, with its bytes and without its overhead."""
-    M, N = A.shape
-    y = np.zeros((M,) + x.shape[1:])
-    if x.ndim == 1 or x.shape[1] == 1:  # ``@`` takes one column as a vector
-        csr_matvec(M, N, A.indptr, A.indices, A.data, x.ravel(), y.ravel())
-    else:  # ravel gives the C order the kernel reads, as ``@`` does
-        csr_matvecs(M, N, x.shape[1], A.indptr, A.indices, A.data,
-                    x.ravel(), y.ravel())
-    return y
 
 
 @functools.lru_cache(maxsize=8)

@@ -237,7 +237,8 @@ def lambert_solve(alpha: complex, k: int) -> complex:
     Knuth, "On the Lambert W function", Adv. Comput. Math. 5 (1996); off
     their cuts, branch k satisfies z + log z - log alpha = 2 k pi i.  A root
     that is not finite, or whose residual |z e^z - alpha| exceeds
-    1e-10 max(1, |alpha|), raises NonConvergence.
+    1e-10 max(1, |alpha|), raises NonConvergence, and so does an alpha whose
+    modulus overflows a double.
     """
     from scipy.special import lambertw  # here, to keep it out of `import ggkdv`
 
@@ -245,9 +246,14 @@ def lambert_solve(alpha: complex, k: int) -> complex:
     if alpha == 0:
         raise ValueError("alpha = 0 is degenerate (no isolated solutions)")
     z = complex(lambertw(alpha, k))
-    # a finite root has real part below 710, so cmath.exp cannot overflow
-    if not (cmath.isfinite(z)
-            and abs(z * cmath.exp(z) - alpha) <= 1e-10 * max(1.0, abs(alpha))):
+    # a finite root has real part below 710, so cmath.exp cannot overflow;
+    # abs() can, for finite parts whose modulus is past the largest double
+    try:
+        solved = (cmath.isfinite(z) and abs(z * cmath.exp(z) - alpha)
+                  <= 1e-10 * max(1.0, abs(alpha)))
+    except OverflowError:
+        solved = False
+    if not solved:
         raise NonConvergence(
             f"no branch-{k} root of z e^z = {alpha!r} (lambertw gave {z!r})"
         )

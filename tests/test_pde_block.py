@@ -1,6 +1,8 @@
 """Block marching: ``Stepper.run`` on a (2nx, k) block against per-column
 marches, bit for bit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,46 @@ def test_forward_overflow_from_boundary_data_reports_its_level():
     with pytest.raises(NumericalError) as block:
         fw.run(np.zeros((2 * g.nx, 2)), bc=bc)
     assert block.value.time_level == 6
+
+
+def test_finite_levels_whose_sums_overflow_pass_the_scan(monkeypatch):
+    # the final scan sums each level first; a sum that overflows on finite
+    # entries must not fail the march, and the first level with a
+    # non-finite entry is still the one named, counted in steps
+    ad = pde.Stepper(P, G, "adjoint")
+    huge = np.full(2 * G.nx, 1e308)
+    levels = [huge] * G.M
+
+    def sweep(x, count, **kwargs):
+        for z in levels[:count]:
+            yield pde._as_stacked(z), None
+
+    monkeypatch.setattr(ad, "_sweep", sweep)
+    with np.errstate(over="raise"):
+        out = ad.run(huge)
+    assert np.all(out == 1e308)
+    bad = huge.copy()
+    bad[5] = np.inf
+    levels[2:] = [bad] * (G.M - 2)
+    with pytest.raises(NumericalError, match="finiteness") as err:
+        ad.run(huge)
+    assert err.value.time_level == 3
+
+
+@pytest.mark.parametrize("direction, k", [("forward", 1), ("forward", 20), ("adjoint", 20)])
+def test_march_holds_no_second_history(direction, k):
+    # at N=128/M=512 a history is 513 states; besides the returned one and
+    # the transposed copy of bc, a march allocates a few states at most
+    g = Grid(L=1.0, N=128, T=1.0, M=512)
+    stp = pde.stepper(P, g, direction, 0.5)
+    rng = np.random.default_rng(k)
+    z0 = 1e-3 * rng.standard_normal((2 * g.nx, k)).squeeze()
+    bc = 1e-3 * rng.standard_normal((6, g.nt)) if direction == "forward" else None
+    tracemalloc.start()
+    try:
+        out = stp.run(z0, bc=bc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = peak - out.nbytes - (0 if bc is None else bc.nbytes)
+    assert extra < 16 * z0.nbytes

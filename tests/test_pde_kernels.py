@@ -1,5 +1,5 @@
 """The per-level kernels of ``pde.Stepper`` against the generic operations
-they stand in for, bit for bit: the direct CSR products against ``@``, the
+they stand in for, bit for bit: the sparsetools CSR products against ``@``, the
 band-ordered marches and sweeps against stacked-order loops with ``@``
 products and gathered solves, and the Gramian against an assembly with a
 per-level ``X += ...`` fold, which any other fold must reproduce.
@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from ggkdv import hum, pde
 from ggkdv.core import ControlConfig, ControlKind, Grid, Parameters
@@ -48,15 +49,31 @@ def runs_here(N, request):
     return False
 
 
+def level_product(A, x):
+    """``A @ x`` as the level loop of ``pde.Stepper._sweep`` forms it: ``x``
+    held in a C-ordered buffer, and the private sparsetools kernel adding
+    into a zeroed C-ordered buffer through flat views, the vector kernel
+    for one column (as ``@`` takes it), the multi-vector one for a block."""
+    n, k = A.shape[0], x.size // len(x)
+    z, y = np.empty(x.shape), np.empty(x.shape)
+    z[...] = x
+    y.fill(0.0)
+    if k == 1:
+        csr_matvec(n, n, A.indptr, A.indices, A.data, z.reshape(-1), y.reshape(-1))
+    else:
+        csr_matvecs(n, n, k, A.indptr, A.indices, A.data, z.reshape(-1), y.reshape(-1))
+    return y
+
+
 @pytest.mark.parametrize("direction", ["forward", "adjoint"])
 @pytest.mark.parametrize("N", [16, 64])
-def test_csr_dot_has_the_bytes_of_matmul(direction, N):
+def test_sparsetools_kernels_have_the_bytes_of_matmul(direction, N):
     g = Grid(L=1.0, N=N, T=1.0, M=4 * N)
     stp = pde.Stepper(P, g, direction)
     rng = np.random.default_rng(N)
     n = 2 * g.nx
     # 1-d, C-ordered and Fortran-ordered blocks, the one-column block that
-    # ``@`` takes as a vector, and a block as lu.solve returns it (Fortran)
+    # ``@`` takes as a vector, and a block as dgbtrs returns it (Fortran)
     inputs = [rng.standard_normal(n)]
     for k in (1, 3, 6):
         block = rng.standard_normal((n, k))
@@ -65,7 +82,7 @@ def test_csr_dot_has_the_bytes_of_matmul(direction, N):
     assert sum(not x.flags.c_contiguous for x in inputs) == 3
     for A in (stp.B, stp.BT):
         for x in inputs:
-            got = pde._csr_dot(A, x)
+            got = level_product(A, x)
             want = A @ x
             assert got.shape == want.shape
             assert got.flags.c_contiguous

@@ -161,6 +161,13 @@ def test_lambert_branch_point_raises():
         lambert_solve(-np.exp(-1), 0)
 
 
+@pytest.mark.parametrize("alpha", [1.7e308 + 1.7e308j, -1.5e308 - 1.5e308j])
+def test_lambert_alpha_whose_modulus_overflows_raises(alpha):
+    # |alpha| is past the largest double though both parts are finite
+    with pytest.raises(NonConvergence, match="e\\+308"):
+        lambert_solve(alpha, 0)
+
+
 def test_ucp_case4_zero_p():
     v = ucp_certificate(1.0, 0.0, Parameters(a=0.2, b=1.0, c=1.0, r=1.0))
     assert v.case_tag is CaseTag.ZERO
