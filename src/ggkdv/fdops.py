@@ -12,6 +12,9 @@ discrete level.
 
 from __future__ import annotations
 
+import functools
+from types import MappingProxyType
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -121,12 +124,15 @@ def third_derivative_matrix(nx: int, dx: float) -> sp.csr_matrix:
     return _csr(*_banded_stencils(nx, dx, 3, 2))
 
 
-def boundary_stencils(nx: int, dx: float) -> dict:
+@functools.lru_cache(maxsize=8)
+def boundary_stencils(nx: int, dx: float) -> MappingProxyType:
     """One-sided trace stencils at both endpoints.
 
     Returns ``(indices, weights)`` pairs keyed by ``(side, order)`` with
     side in {"left", "right"} and derivative order in {0, 1, 2}.  First
     derivatives use 3 nodes, second derivatives 4 nodes (second order).
+    Built once per (nx, dx) and shared, so the mapping and its arrays are
+    read-only.
     """
     _require_samples(nx, 4, "boundary_stencils")
     x = np.arange(nx) * dx
@@ -137,5 +143,7 @@ def boundary_stencils(nx: int, dx: float) -> dict:
                 cols = np.arange(npts)
             else:
                 cols = np.arange(nx - npts, nx)
-            out[(side, order)] = (cols, fd_weights(x[anchor], x[cols], order))
-    return out
+            wts = fd_weights(x[anchor], x[cols], order)
+            cols.flags.writeable = wts.flags.writeable = False
+            out[(side, order)] = (cols, wts)
+    return MappingProxyType(out)

@@ -23,6 +23,7 @@ symmetry on unresolved mesh-scale data.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -448,13 +449,26 @@ def _quotient(cfg: ControlConfig, z: np.ndarray, nrm: float, p: Parameters,
     trapezoid pairing of the control read off ``z`` with its combination
     c_i, <coef_i R_i c_i, c_i> / coef_i, which is ||c_i||^2 in the class of
     c_i (an exact identity of the discrete Riesz map)."""
-    active = list(cfg.active)
-    combos = combo_read_vectors(p, g)[active] @ z.T
+    active, read, coef, weights = _quotient_terms(cfg, p, g)
+    combos = read @ z.T
     controls = combos.copy()
     _controls_in_place(controls, active, p, g.T)
-    coef = np.array([SIGNALS[i].coefficient(p) for i in active])
-    pairs = (controls * combos) @ trapezoid_weights(g.nt, g.dt) / coef
+    pairs = (controls * combos) @ weights / coef
     return float(np.sum(pairs)) / nrm**2
+
+
+@functools.lru_cache(maxsize=8)
+def _quotient_terms(cfg: ControlConfig, p: Parameters, g: Grid) -> tuple:
+    """The active signals of ``cfg``, their read-out vectors and
+    coefficients and the time trapezoid weights, which ``_quotient`` reads
+    for every sample: built once per (cfg, p, g), read-only."""
+    active = cfg.active
+    read = combo_read_vectors(p, g)[list(active)]
+    coef = np.array([SIGNALS[i].coefficient(p) for i in active])
+    weights = trapezoid_weights(g.nt, g.dt)
+    for x in (read, coef, weights):
+        x.flags.writeable = False
+    return active, read, coef, weights
 
 
 def estimate_observability(

@@ -26,6 +26,7 @@ reproduce imposed boundary data identically.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ from .core import (SIGNAL_NAMES, SIGNALS, Grid, Parameters, StatePair, _stacked,
                    boundary_row, pair_weights, x_norm)
 from .errors import ConstraintViolation, NonConvergence, NumericalError
 from .fdops import (
+    _csr,
     boundary_stencils,
     first_derivative_matrix,
     third_derivative_matrix,
@@ -188,9 +190,10 @@ class Stepper:
     transposes of the discrete input and readout maps are exposed as block
     sweeps, from which the HUM Gramian is assembled.
 
-    The step matrices ``B`` and ``BT`` (CSR), the factors ``lu`` and the
-    boundary rows ``bc_rows`` are all in the band order of ``BandLU``, the
-    unknowns (u_0, v_0, u_1, v_1, ...).  A march or sweep carries its state
+    The step matrices ``B`` and ``BT`` (CSR; ``BT`` is built on first use),
+    the factors ``lu`` and the boundary rows ``bc_rows`` are all in the band
+    order of ``BandLU``, the unknowns (u_0, v_0, u_1, v_1, ...), and are
+    assembled in that order from the grid's stencils.  A march or sweep carries its state
     in that order from start to finish, in buffers allocated once per call
     (``_sweep``): inputs and outputs are stacked (u, v) states, converted
     by a strided copy once on input and once per stored level.
@@ -200,24 +203,11 @@ class Stepper:
         if direction not in ("forward", "adjoint"):
             raise ValueError("direction must be 'forward' or 'adjoint'")
         self.p, self.g, self.direction, self.theta = p, g, direction, theta
-        nx, dx, dt = g.nx, g.dx, g.dt
+        nx, n, dt = g.nx, 2 * g.nx, g.dt
         a, b, c, r = p.a, p.b, p.c, p.r
+        d3, d1, diag, band_cols = _stencils(nx, g.dx)
 
-        D3 = third_derivative_matrix(nx, dx)
-        D1 = _first_derivative(nx, dx)[0]
-        Lop = sp.vstack(
-            [
-                sp.hstack([-D3, -a * D3]),
-                sp.hstack([-a * b * D3, -(D3 + r * D1)]),
-            ]
-        ).tocsr()
-        if direction == "adjoint":
-            Lop = -Lop
-        Mdiag = sp.diags(np.concatenate([np.ones(nx), c * np.ones(nx)]))
-        A = (Mdiag / dt - theta * Lop).tocsr()
-        B = (Mdiag / dt + (1.0 - theta) * Lop).tocsr()
-
-        st = boundary_stencils(nx, dx)
+        st = boundary_stencils(nx, g.dx)
         rows = {}  # row -> (cols, weights) of the boundary condition replacing it
         if direction == "forward":  # each signal imposes its trace on its variable
             for s in SIGNALS:
@@ -236,17 +226,54 @@ class Stepper:
                         cols = var * nx + cols
                     else:
                         w_u, w_v = pair_weights(p, var)
-                        cols, wts = np.r_[cols, nx + cols], np.r_[w_u * wts, w_v * wts]
+                        cols = np.concatenate([cols, nx + cols])
+                        wts = np.concatenate([w_u * wts, w_v * wts])
                         if var == 1:
-                            cols, wts = np.r_[cols, 2 * nx - 1], np.r_[wts, r]
+                            cols, wts = np.append(cols, 2 * nx - 1), np.append(wts, r)
                     rows[boundary_row(var, trace, nx)] = (cols, wts)
-        empty = (np.array([], dtype=int), np.array([]))
-        B = _replace_rows(B, dict.fromkeys(rows, empty))
-        # everything below is in band order: the march state never leaves it
-        self.lu = BandLU(_interleave(_replace_rows(A, rows)))
-        self.B, self.BT = _interleave(B), _interleave(B.T.tocsr())
         self.bc_rows = _band_index(np.array(list(rows)), nx)
+
+        # L = -[[D3, a D3], [a b D3, D3 + r D1]] (negated for the adjoint),
+        # A = M/dt - theta L and B = M/dt + (1 - theta) L, M = diag(1, c),
+        # each band row on its ten ``band_cols``, with the entrywise
+        # arithmetic of the sparse algebra they replace: M/dt is m (1/dt),
+        # a missing entry is 0 and an exact-zero result is left out.  The
+        # boundary rows are zeroed: B's stay empty, and A's hold their
+        # conditions instead, entries in the given order and duplicates
+        # added.  Stencil weights that overflow make A non-finite, which
+        # BandLU rejects.
+        with np.errstate(all="ignore"):
+            lop = np.empty((nx, 2, 2, 5))  # [row, row var, column var, column]
+            lop[:, 0, 0], lop[:, 0, 1] = -d3, -a * d3
+            lop[:, 1, 0], lop[:, 1, 1] = -a * b * d3, -(d3 + r * d1)
+            if direction == "adjoint":
+                lop = -lop
+            mass = np.zeros_like(lop)
+            mass[diag[0], 0, 0, diag[1]] = 1.0 / dt
+            mass[diag[0], 1, 1, diag[1]] = c * (1.0 / dt)
+            A = (mass - theta * lop).reshape(n, 10)
+            B = (mass + (1.0 - theta) * lop).reshape(n, 10)
+        A[self.bc_rows] = B[self.bc_rows] = 0.0
+        keep = A != 0
+        cols, wts = (np.concatenate(x) for x in zip(*rows.values()))
+        self.lu = BandLU(
+            np.concatenate([np.nonzero(keep)[0],
+                            np.repeat(self.bc_rows, [len(w) for _, w in rows.values()])]),
+            np.concatenate([band_cols[keep], _band_index(cols, nx)]),
+            np.concatenate([A[keep], wts]), n)
+        self.B = _csr(band_cols, B)
         self.nx = nx
+
+    @functools.cached_property
+    def BT(self) -> sp.csr_matrix:
+        """B's transpose in band order, built on first use (a transposed
+        sweep): row j holds column j of B, its entries in the stacked order
+        of their rows, as ``B.T.tocsr()`` of the stacked B orders them."""
+        B, n = self.B, 2 * self.nx
+        rows = np.repeat(np.arange(n), np.diff(B.indptr))
+        order = np.lexsort((rows // 2 + rows % 2 * self.nx, B.indices))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(B.indices, minlength=n))])
+        return sp.csr_matrix((B.data[order], rows[order], indptr), shape=(n, n))
 
     # -- marching ---------------------------------------------------------
 
@@ -262,7 +289,8 @@ class Stepper:
         ``forcing`` is a (M+1, 2 nx) array of stacked (p, q) samples applied
         on PDE rows.  Both apply to every column of a block.  Besides
         ``out``, a march allocates a few states, a copy of ``bc`` and, when
-        forced, the forcing's blend; its levels allocate nothing (``_sweep``).
+        forced, the band-ordered blend of the forcing, one history; its
+        levels allocate nothing (``_sweep``).
         """
         g = self.g
         theta = self.theta
@@ -293,11 +321,18 @@ class Stepper:
         # that overflows runs on to the end; the scan below names the first
         # non-finite level in march order, counted in steps.
         with np.errstate(over="ignore", invalid="ignore"):
-            if forcing is not None:  # row n is the blend of levels n, n + 1
+            if forcing is not None:
+                # row n is theta f[n + 1] + (1 - theta) f[n], blended in the
+                # levels of ``out`` the march has yet to write (``forc``
+                # holds the second term), then copied to band order into
+                # ``forc``: no history-sized temporary, and only contiguous
+                # operands, which numpy's ufuncs do not buffer
                 forcing = np.asarray(forcing, dtype=float)
-                blend = theta * forcing[1:]
-                blend += (1.0 - theta) * forcing[:-1]
-                forc = np.empty_like(blend)
+                forc = np.empty((g.M, 2 * self.nx))
+                blend = out.reshape(-1, g.nt, 2 * self.nx)[0, 1:]
+                np.multiply(theta, forcing[1:], out=blend)
+                np.multiply(1.0 - theta, forcing[:-1], out=forc)
+                blend += forc
                 _band(blend.T, forc.T)
                 forc[:, self.bc_rows] = 0.0
                 forc = forc.reshape(forc.shape + cols)
@@ -388,9 +423,10 @@ class Stepper:
         rs = np.empty((2 * self.nx, len(rows)), order="F")
         stacked = _split(rs.T)  # stacked rows: in band order the fold rounds differently
         X = np.zeros((d.shape[2], 2 * self.nx))
-        # the first level solves the pulses: z(T) after a unit pulse at
-        # level M; the last level's product is not read
-        sweep = self._sweep(pulse, g.M, solve_first=True)
+        # z(T) after a unit pulse at level M is the solve of the pulses; each
+        # earlier level is one more level of the sweep
+        z = self.lu.solve(pulse)
+        sweep = itertools.chain([(_as_stacked(z), None)], self._sweep(z, g.M - 1))
         for n, (resp, _) in zip(range(g.M, 0, -1), sweep):
             stacked[...] = resp
             dgemm(1.0, rs, d[:, n, :], 1.0, X.T, overwrite_c=True)
@@ -421,25 +457,22 @@ class Stepper:
 class BandLU:
     """LAPACK's band LU of a step matrix in band order.
 
-    ``A`` comes from ``_interleave``: its unknowns are numbered
-    (u_0, v_0, u_1, v_1, ...) instead of stacked, so the coupled five-point
-    stencils fit in a band of ``kl`` sub- and ``ku`` superdiagonals (at
-    most 7 each), which ``dgbtrf`` factors once.  ``solve`` takes and
-    returns band-ordered vectors and calls ``dgbtrs`` on them directly;
-    ``Stepper._sweep`` calls ``dgbtrs`` on ``ab`` and ``piv`` itself, in
-    place on its own buffers, with the same arguments.
+    The matrix comes as entries ``data`` at ``(row, col)`` of an (n, n)
+    matrix whose unknowns are numbered (u_0, v_0, u_1, v_1, ...) instead of
+    stacked, so the coupled five-point stencils fit in a band of ``kl``
+    sub- and ``ku`` superdiagonals (at most 7 each), which ``dgbtrf``
+    factors once; duplicate entries add up, in the given order.  ``solve``
+    takes and returns band-ordered vectors and calls ``dgbtrs`` on them
+    directly; ``Stepper._sweep`` calls ``dgbtrs`` on ``ab`` and ``piv``
+    itself, in place on its own buffers, with the same arguments.
     """
 
-    def __init__(self, A: sp.csr_matrix):
-        coo = A.tocoo()
-        row, col = coo.row, coo.col
+    def __init__(self, row: np.ndarray, col: np.ndarray, data: np.ndarray, n: int):
         self.kl = int(np.max(row - col, initial=0))
         self.ku = int(np.max(col - row, initial=0))
-        # LAPACK band storage, with kl extra rows for the fill-in of pivoting;
-        # duplicate entries add up
-        n = A.shape[0]
+        # LAPACK band storage, with kl extra rows for the fill-in of pivoting
         ab = np.zeros((2 * self.kl + self.ku + 1, n), order="F")
-        np.add.at(ab, (self.kl + self.ku + row - col, col), coo.data)
+        np.add.at(ab, (self.kl + self.ku + row - col, col), data)
         if not np.isfinite(ab).all():
             raise NumericalError("step matrix is not finite", time_level=0)
         self.ab, self.piv, info = dgbtrf(ab, self.kl, self.ku, overwrite_ab=True)
@@ -481,21 +514,6 @@ def _split(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[:-1] + (2, a.shape[-1] // 2))
 
 
-def _interleave(M: sp.csr_matrix) -> sp.csr_matrix:
-    """The stacked (2 nx, 2 nx) CSR ``M`` with rows and columns renumbered
-    in band order.  Each row keeps its entries in their stored order, with
-    relabeled but unsorted column indices, so the CSR kernels sum a row's
-    products in the order they sum them on ``M``; sorting the indices (or
-    ``.T.tocsr()`` of the result) would change the rounding."""
-    nx = M.shape[0] // 2
-    order = np.arange(2 * nx).reshape(2, nx).T.ravel()  # band -> stacked
-    starts, lengths = M.indptr[order], np.diff(M.indptr)[order]
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    take = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
-    return sp.csr_matrix((M.data[take], _band_index(M.indices[take], nx), indptr),
-                         shape=M.shape)
-
-
 @functools.lru_cache(maxsize=8)
 def stepper(p: Parameters, g: Grid, direction: str, theta: float) -> Stepper:
     """The factorized Stepper of a key, shared by all callers (read-only);
@@ -510,25 +528,30 @@ def _first_derivative(nx: int, dx: float) -> tuple:
     return D1, D1.T.tocsr()
 
 
-def _replace_rows(M: sp.csr_matrix, new: dict) -> sp.csr_matrix:
-    """``M`` with each row ``new`` names replaced by its (cols, weights).
+@functools.lru_cache(maxsize=8)
+def _stencils(nx: int, dx: float) -> tuple:
+    """The derivative stencils of both step matrices of a grid, built once
+    per (nx, dx) for both directions; read-only.
 
-    The entries are kept in the given order, duplicates and zeros included,
-    as assigning a LIL row's lists does.
+    D3's row i has the columns lo_i .. lo_i + 4 (clipped to the grid);
+    ``d3`` and ``d1`` are the rows of D3 and D1 on those columns (nx, 5),
+    0 where a matrix has no entry.  ``diag`` is the (row, column) position
+    of each row's diagonal, and ``band_cols`` (2 nx, 10) are the columns of
+    band row 2i + var: lo_i .. lo_i + 4 of u, then of v, in stacked order.
     """
-    indices, data, lengths = [], [], np.diff(M.indptr)
-    start = 0
-    for row in sorted(new):
-        cols, wts = new[row]
-        indices += [M.indices[M.indptr[start]:M.indptr[row]], cols]
-        data += [M.data[M.indptr[start]:M.indptr[row]], wts]
-        lengths[row] = len(cols)
-        start = row + 1
-    indices.append(M.indices[M.indptr[start]:])
-    data.append(M.data[M.indptr[start]:])
-    indptr = np.concatenate([[0], np.cumsum(lengths)])
-    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
-                         shape=M.shape)
+    D3 = third_derivative_matrix(nx, dx)
+    i = np.arange(nx)
+    lo = np.clip(i - 2, 0, nx - 5)  # as fdops places its five-point rows
+    d3, d1 = np.zeros((nx, 5)), np.zeros((nx, 5))
+    for w, D in ((d3, D3), (d1, _first_derivative(nx, dx)[0])):
+        at = np.repeat(i, np.diff(D.indptr))
+        w[at, D.indices - lo[at]] = D.data
+    diag = np.stack([i, i - lo])
+    cols = 2 * (lo[:, None, None, None] + np.arange(5)) + np.arange(2)[:, None]
+    band_cols = np.repeat(cols, 2, axis=1).reshape(2 * nx, 10)
+    for x in (d3, d1, diag, band_cols):
+        x.flags.writeable = False
+    return d3, d1, diag, band_cols
 
 
 def _forcing_array(forcing, g: Grid) -> np.ndarray:

@@ -217,6 +217,72 @@ def test_stepper_matrices_and_factors_have_the_oracle_bytes(monkeypatch, p, dire
     assert stp.lu.piv.tobytes() == piv.tobytes()
 
 
+GENERIC = Parameters(a=0.3, b=1.3, c=0.8, r=0.9)
+# theta 0.6 and 1.0 at every size, and theta 0.5 where the test above does
+# not reach: N=256 and generic parameters
+CASES = [(theta, N, p) for theta in (0.5, 0.6, 1.0) for N in (8, 48, 256)
+         for p in PARAMS + (GENERIC,) if theta != 0.5 or N == 256 or p is GENERIC]
+
+
+@pytest.mark.parametrize("direction", ("forward", "adjoint"))
+@pytest.mark.parametrize("theta, N, p", CASES, ids=[
+    f"theta={theta}-N={N}-a={p.a}" for theta, N, p in CASES])
+def test_stepper_bytes_hold_at_other_thetas_sizes_and_parameters(
+        monkeypatch, theta, N, p, direction):
+    g = Grid(L=1.0, N=N, T=1.0, M=4 * N)
+    handed = []
+    dgbtrf = pde.dgbtrf
+
+    def recording(ab, kl, ku, **kwargs):
+        handed.append((ab.copy(order="F"), kl, ku))
+        return dgbtrf(ab, kl, ku, **kwargs)
+
+    monkeypatch.setattr(pde, "dgbtrf", recording)
+    stp = pde.Stepper(p, g, direction, theta)
+    A, B = oracle_step_matrices(p, g, direction, theta)
+    [(ab, kl, ku)] = handed
+    assert (kl, ku) == ((6, 7) if direction == "forward" else (7, 5))
+    want = oracle_band(A, g.nx, kl, ku)
+    assert ab.shape == want.shape
+    assert ab.tobytes(order="F") == want.tobytes(order="F")
+    assert_same_arrays(stacked_ops(stp).B, B)
+    assert_same_arrays(stacked_ops(stp).BT, B.T.tocsr())
+    lu, piv, info = dgbtrf(want, kl, ku)
+    assert info == 0
+    assert stp.lu.ab.tobytes(order="F") == lu.tobytes(order="F")
+    assert stp.lu.piv.tobytes() == piv.tobytes()
+
+
+def test_both_steppers_of_a_grid_evaluate_its_stencils_once(monkeypatch):
+    calls = []
+    for name in ("first_derivative_matrix", "third_derivative_matrix"):
+        def counting(nx, dx, build=getattr(fdops, name), name=name):
+            calls.append(name)
+            return build(nx, dx)
+        monkeypatch.setattr(pde, name, counting)
+    for cache in (pde._stencils, pde._first_derivative, fdops.boundary_stencils):
+        cache.cache_clear()
+    g = Grid(L=1.0, N=24, T=1.0, M=48)
+    fw, ad = (pde.Stepper(PARAMS[0], g, d, 0.5) for d in ("forward", "adjoint"))
+    assert sorted(calls) == ["first_derivative_matrix", "third_derivative_matrix"]
+    assert fdops.boundary_stencils.cache_info().misses == 1
+    # B's transpose is built only for a transposed sweep
+    fw.run(np.zeros(2 * g.nx))
+    ad.run(np.zeros(2 * g.nx))
+    assert "BT" not in vars(fw) and "BT" not in vars(ad)
+    ad.readout_transpose(np.ones((1, 2 * g.nx)))
+    assert "BT" in vars(ad)
+
+
+def test_boundary_stencils_are_shared_and_read_only():
+    st = boundary_stencils(12, 0.1)
+    assert boundary_stencils(12, 0.1) is st
+    with pytest.raises(TypeError):
+        st[("left", 0)] = st[("left", 1)]
+    for cols, wts in st.values():
+        assert not cols.flags.writeable and not wts.flags.writeable
+
+
 # normwise backward error |A x - b| / (|A| |x| + |b|) in the inf-norm, per
 # column; the largest measured over these cases is 0.40 eps (N=256 forward)
 BACKWARD_EPS = 4.0
@@ -250,7 +316,8 @@ def test_band_lu_is_narrow_and_backward_stable(p, direction, N):
 
 def test_singular_step_matrix_raises_at_level_zero():
     nx = 5
-    A = sp.diags(np.where(np.arange(2 * nx) == 6, 0.0, 1.0)).tocsr()  # v_1 row
+    band = np.arange(2 * nx)  # the identity with a zero in the v_1 row
+    diag = np.where(band == pde._band_index(6, nx), 0.0, 1.0)
     with pytest.raises(NumericalError, match=r"singular step matrix: zero pivot in column 6 \(") as err:
-        pde.BandLU(pde._interleave(A))
+        pde.BandLU(band, band, diag, 2 * nx)
     assert err.value.time_level == 0

@@ -631,6 +631,23 @@ def test_observability_builds_first_derivative_once(monkeypatch):
     assert calls == [g.nx]
 
 
+def test_observability_reads_its_signals_once_per_call(monkeypatch):
+    # the read-out vectors, coefficients and time weights of the quotient
+    # are built once, not once per sample
+    calls = []
+    build = hum.combo_read_vectors
+
+    def counting(p, g):
+        calls.append(g)
+        return build(p, g)
+
+    monkeypatch.setattr(hum, "combo_read_vectors", counting)
+    hum._quotient_terms.cache_clear()
+    g = Grid(L=1.0, N=20, T=0.5, M=40)
+    estimate_observability(FOUR_I, 4, P, g, seed=3)
+    assert calls == [g]
+
+
 def test_observability_marches_each_sample_once(monkeypatch):
     g = Grid(L=1.0, N=24, T=0.5, M=48)
     runs = count_calls(monkeypatch, "run")

@@ -221,3 +221,24 @@ def test_march_holds_no_second_history(direction, k):
         tracemalloc.stop()
     extra = peak - out.nbytes - (0 if bc is None else bc.nbytes)
     assert extra < 16 * z0.nbytes
+
+
+def test_forced_march_holds_one_blend_history():
+    # at N=128/M=512, besides the result, the transposed copy of bc and the
+    # forcing, a forced march allocates its band-ordered blend (M states)
+    # and a few states: measured 524 states (the blend and 12), 1,036 when
+    # the blend was built in history-sized temporaries
+    g = Grid(L=1.0, N=128, T=1.0, M=512)
+    stp = pde.stepper(P, g, "forward", 0.5)
+    rng = np.random.default_rng(3)
+    z0 = 1e-3 * rng.standard_normal(2 * g.nx)
+    bc = 1e-3 * rng.standard_normal((6, g.nt))
+    forcing = 1e-3 * rng.standard_normal((g.nt, 2 * g.nx))
+    tracemalloc.start()
+    try:
+        out = stp.run(z0, bc=bc, forcing=forcing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = peak - out.nbytes - bc.nbytes
+    assert extra < (g.M + 32) * z0.nbytes
