@@ -296,11 +296,10 @@ def x_weights(p: Parameters, g: Grid) -> np.ndarray:
     return np.concatenate([(p.b / p.c) * w, w])
 
 
-def _binary_exponent(z) -> int:
-    """The binary exponent e of the largest magnitude in ``z`` (0 for all
-    zeros): ``np.ldexp(z, -e)`` has its largest magnitude in [1/2, 1), is
-    exact, and its squares do not underflow however small ``z`` is."""
-    return int(np.frexp(np.max(np.abs(z)))[1])
+def _binary_exponent(z):
+    """The binary exponent e of the largest magnitude along the last axis of
+    ``z`` (0 for zeros): the exact ``np.ldexp(z, -e)`` peaks in [1/2, 1)."""
+    return np.frexp(np.max(np.abs(z), axis=-1))[1]
 
 
 def _x_sum(W: np.ndarray, z1, z2):
@@ -328,6 +327,20 @@ def x_inner(s1, s2, p: Parameters, g: Grid):
 
 def x_norm(s, p: Parameters, g: Grid):
     """The weighted state norm sqrt((b/c) int u^2 + int v^2) (trapezoid), of
-    one state or of each row, as ``x_inner`` takes them."""
-    out = np.sqrt(np.maximum(x_inner(s, s, p, g), 0.0))
+    one state or of each row, as ``x_inner`` takes them.
+
+    A state whose weighted sum of squares is not finite or is below 2^-960
+    (a subnormal term is under 2^-62 of that) is normed again as 2^-e times
+    itself (``_binary_exponent``) and scaled back.  That is exact: other
+    norms keep their bits, and a finite state's norm is finite unless it is
+    past the largest double.
+    """
+    W, z = x_weights(p, g), _stacked(s, g)
+    with np.errstate(over="ignore"):
+        sq = np.asarray(_x_sum(W, z, z))  # never negative: (W z) z
+        out = np.sqrt(sq, out=np.empty(sq.shape))
+        redo = ~((sq >= 2.0**-960) & (sq < np.inf))
+        e = _binary_exponent(z[redo])
+        y = np.ldexp(z[redo], -e[:, None])
+        out[redo] = np.ldexp(np.sqrt(_x_sum(W, y, y)), e)
     return out if out.ndim else float(out)

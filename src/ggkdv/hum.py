@@ -54,7 +54,6 @@ from .pde import (
     BoundarySignals,
     SchemeConfig,
     Stepper,
-    Trajectory,
     _first_derivative,
     nonlinear_forcing,
     solve_nonlinear,
@@ -130,7 +129,6 @@ class NonlinearControlResult:
     history: list
     terminal_error: float
     achieved: StatePair
-    trajectory: Trajectory
 
 
 def combo_read_vectors(p: Parameters, g: Grid) -> np.ndarray:
@@ -241,8 +239,7 @@ def gramian_operator(cfg: ControlConfig, p: Parameters, g: Grid,
 gramian_operator.cache_clear = _GRAMIAN.clear
 
 
-def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, maxiter: int,
-          x0: np.ndarray = None):
+def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, x0: np.ndarray = None):
     """CG on the normal equations in the weighted state inner product.
 
     The normal residual directions are kept fully orthogonal (modified
@@ -250,7 +247,7 @@ def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, maxiter: int,
     the iteration well above the target on ill-conditioned configurations.
     Each iteration costs two dense products with the assembled Gramian and
     one pass over the stored basis.  Stops at ``tol``, a breakdown or
-    ``maxiter``; returns the best iterate, its number and the residual
+    ``MAXITER``; returns the best iterate, its number and the residual
     history up to it if it is within 10·tol, else raises NonConvergence.
     """
     nrhs = np.sqrt(op.xdot(rhs, rhs))
@@ -262,7 +259,7 @@ def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, maxiter: int,
     pdir = s.copy()
     basis = [s / np.sqrt(gam)] if gam > 0 else []
     best, k_best = x, 0
-    for it in range(1, maxiter + 1):
+    for it in range(1, MAXITER + 1):
         if hist[-1] <= tol or gam <= 0:
             break
         q = op.apply(pdir)
@@ -315,6 +312,8 @@ def _free_end(fw: Stepper, z_init: np.ndarray):
     return fw.run(z_init)[-1] if np.any(z_init) else None
 
 
+# extreme T overflows: the Gramian, CGLS stall and strict-JSON checks catch it
+@np.errstate(over="ignore", invalid="ignore")
 def _steer(
     cfg: ControlConfig,
     z_free: np.ndarray,
@@ -341,19 +340,15 @@ def _steer(
     # CGLS runs on rhs scaled by a power of two, exactly, so that the
     # squares of a tiny rhs do not underflow
     e = _binary_exponent(rhs)
-    xsol, iters, hist = _cgls(op, np.ldexp(rhs, -e), tol, MAXITER,
+    xsol, iters, hist = _cgls(op, np.ldexp(rhs, -e), tol,
                               x0=None if x0 is None else np.ldexp(x0, -e))
     xsol = np.ldexp(xsol, e)
     return _bundle(op.controls(xsol), g.T), iters, hist, xsol
 
 
 def _x_ratio(z: np.ndarray, z_target: np.ndarray, p: Parameters, g: Grid) -> float:
-    """||z||_X / ||target||_X, both taken on data scaled by the power of two
-    of the target (``core._binary_exponent``): exact, and free of underflow
-    for a tiny target.  An exactly zero target counts as norm 1e-30."""
-    e = _binary_exponent(z_target)
-    tnorm = x_norm(np.ldexp(z_target, -e), p, g) if np.any(z_target) else 1e-30
-    return x_norm(np.ldexp(z, -e), p, g) / tnorm
+    """||z||_X / ||target||_X; an exactly zero target counts as norm 1e-30."""
+    return x_norm(z, p, g) / (x_norm(z_target, p, g) if np.any(z_target) else 1e-30)
 
 
 def solve_control(
@@ -391,8 +386,8 @@ def solve_control(
     )
 
 
-def _mollify(f: np.ndarray, passes: int = 3) -> np.ndarray:
-    for _ in range(passes):
+def _mollify(f: np.ndarray) -> np.ndarray:
+    for _ in range(3):  # the passes random_final_state documents
         out = f.copy()
         out[1:-1] = 0.25 * f[:-2] + 0.5 * f[1:-1] + 0.25 * f[2:]
         out[0] = 0.5 * (f[0] + f[1])
@@ -525,8 +520,7 @@ def check_data_size(init: StatePair, target: StatePair, delta: float,
                     p: Parameters, g: Grid):
     """Raise ConstraintViolation unless ||init||_X + ||target||_X <= ``delta``,
     the data size ``solve_nonlinear_control`` takes."""
-    with np.errstate(over="ignore"):
-        sizes = x_norm(init, p, g) + x_norm(target, p, g)
+    sizes = x_norm(init, p, g) + x_norm(target, p, g)
     if sizes > delta:
         raise ConstraintViolation(
             f"data too large: ||init|| + ||target|| = {sizes:.3g} > delta = {delta:.3g}")
@@ -568,11 +562,10 @@ def solve_nonlinear_control(
         try:
             traj, _ = solve_nonlinear(p, g, init, controls.signals, scheme=scheme)
         except (NonConvergence, NumericalError) as exc:
-            raise NonConvergence(
-                "nonlinear resimulation diverged (delta too large); outer "
-                f"history {history}",
-                history=history,
-            ) from exc
+            cause = (f"failed: {exc}" if isinstance(exc, NonConvergence)
+                     else "diverged (delta too large)")
+            raise NonConvergence(f"nonlinear resimulation {cause}; outer history "
+                                 f"{history}", history=history) from exc
         # endpoint Duhamel correction of the nonlinear terms
         forc = -nonlinear_forcing(traj.z, p, g)
         ups = fw.run(np.zeros(2 * g.nx), forcing=forc)[-1]
@@ -599,5 +592,4 @@ def solve_nonlinear_control(
         history=history,
         terminal_error=_x_ratio(traj.z[-1] - z_target, z_target, p, g),
         achieved=traj.final_state,
-        trajectory=traj,
     )

@@ -390,44 +390,36 @@ def parse_scenario(path: str) -> Scenario:
 # -- CSV helpers --------------------------------------------------------------
 
 
-def _cells(col: np.ndarray) -> np.ndarray:
-    return emit.string_cells(col) if col.dtype.kind in "US" else emit.format_e16(col)
+def _cells(cols: list) -> list:
+    """The fields of equal-shape columns: strings as they are, and every
+    numeric column in one ``%.16e`` call (its fixed costs are per call)."""
+    nums = iter(emit.format_e16(np.stack([c for c in cols if c.dtype.kind not in "US"])))
+    return [emit.string_cells(c) if c.dtype.kind in "US" else next(nums) for c in cols]
 
 
 def _csv(header: list, cols: list):
-    """Chunks of the CSV text of equal-length columns: the header, then
-    about ``_CHUNK`` values at a time.
-
-    Numeric columns are written as ``%.16e``, string columns as they are.
-    """
+    """Chunks of the CSV text of columns that broadcast to one table shape,
+    each with its number of axes (t as (M+1, 1) and x as (1, N+2) of a
+    trajectory): the header, then a row per index in C order.  A broadcast
+    column is formatted once, the others about ``_CHUNK`` values a chunk."""
     yield ",".join(header) + "\n"
     cols = [np.asarray(c) for c in cols]
-    step = max(1, _CHUNK // len(cols))
-    for start in range(0, len(cols[0]), step):
-        part = [_cells(c[start:start + step]) for c in cols]
-        yield emit.csv_rows((len(part[0]),), part)
-
-
-def _trajectory_csv(traj: pde.Trajectory):
-    """Chunks of trajectory.csv, a few time levels each: the ``t`` and ``x``
-    columns are formatted once, and each chunk formats about ``_CHUNK``
-    values of (u, v)."""
-    g = traj.grid
-    yield "t,x,u,v\n"
-    t_cells = emit.format_e16(g.t)[:, None]
-    x_cells = emit.format_e16(g.x)
-    step = max(1, _CHUNK // (2 * g.nx))
-    for start in range(0, g.nt, step):
-        uv = emit.format_e16(traj.z[start:start + step])
-        yield emit.csv_rows((len(uv), g.nx), [t_cells[start:start + step], x_cells,
-                                              uv[:, :g.nx], uv[:, g.nx:]])
+    shape = np.broadcast_shapes(*(c.shape for c in cols))
+    once = [None if c.shape == shape else _cells([c])[0] for c in cols]
+    step = max(1, _CHUNK // (math.prod(shape[1:]) * sum(x is None for x in once)))
+    for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
+        fresh = iter(_cells([c[rows] for c, x in zip(cols, once) if x is None]))
+        part = [next(fresh) if x is None else x[rows] if len(x) > 1 else x for x in once]
+        yield emit.csv_rows((min(step, shape[0] - start),) + shape[1:], part)
 
 
 def _trajectory_artifacts(traj: pde.Trajectory, traces: pde.TraceBundle) -> dict:
     """trajectory.csv and traces.csv, as chunk generators."""
-    return {"trajectory.csv": _trajectory_csv(traj),
-            "traces.csv": _csv(["t"] + traces.column_names(),
-                               [traj.grid.t] + traces.columns())}
+    g, z = traj.grid, traj.z
+    return {"trajectory.csv": _csv(["t", "x", "u", "v"], [g.t[:, None], g.x[None, :],
+                                                        z[:, :g.nx], z[:, g.nx:]]),
+            "traces.csv": _csv(["t"] + traces.column_names(), [g.t] + traces.columns())}
 
 
 def _controls_csv(signals: pde.BoundarySignals, g: Grid):
@@ -614,11 +606,13 @@ def run_scenario(path: str, output_dir: str = None, seed: int = None) -> RunResu
         "scenario": sc.raw,
         "summary": summary,
     }
-    artifacts = dict(artifacts)
-    artifacts["run.json"] = [json.dumps(run_json, sort_keys=True, indent=2) + "\n"]
+    try:  # strict JSON: a non-finite number is a numerical failure
+        text = json.dumps(run_json, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        return RunResult(3, {}, {}, message=f"run.json would not be strict JSON: {exc}")
     out_dir = output_dir or sc.output_dir or "."
     try:
-        texts = _atomic_write(out_dir, artifacts)
+        texts = _atomic_write(out_dir, dict(artifacts, **{"run.json": [text]}))
     except OSError as exc:
         return RunResult(2, {}, {}, message=f"cannot write artifacts: {exc}")
     return RunResult(0, summary, texts)

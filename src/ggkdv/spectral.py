@@ -161,9 +161,9 @@ def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _polish_roots(coeffs: np.ndarray, roots: np.ndarray, sweeps: int = 3):
+def _polish_roots(coeffs: np.ndarray, roots: np.ndarray):
     dcoeffs = coeffs[:, :-1] * np.arange(coeffs.shape[1] - 1, 0, -1)
-    for _ in range(sweeps):
+    for _ in range(3):  # Newton sweeps
         val = _horner(coeffs, roots)
         der = _horner(dcoeffs, roots)
         safe = np.abs(der) > 0
@@ -265,12 +265,12 @@ CASE_TAGS = tuple(CaseTag)
 _COMPLEX, _REAL, _IMAGINARY, _ZERO = range(len(CASE_TAGS))
 
 
-def _classify(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _classify(p: np.ndarray) -> np.ndarray:
     """The case of each entry of the complex array ``p``, as indices into
     CASE_TAGS.  np.hypot rounds |p| as Python's abs of a complex does."""
     ap = np.hypot(p.real, p.imag)
-    return np.select([ap < 1e-14, np.abs(p.imag) <= tol * ap,
-                      np.abs(p.real) <= tol * ap],
+    return np.select([ap < 1e-14, np.abs(p.imag) <= 1e-12 * ap,
+                      np.abs(p.real) <= 1e-12 * ap],
                      [_ZERO, _REAL, _IMAGINARY], _COMPLEX)
 
 

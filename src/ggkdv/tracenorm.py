@@ -10,8 +10,8 @@ t = 0, T), and the norm is computed from DFT coefficients,
 with w_k the angular frequencies of the reflected grid.  At s = 0 this is
 exactly the composite trapezoid rule for the L^2(0, T) norm.  Every norm and
 Riesz map here comes from one kernel, the real FFT of the reflected series
-down the columns of a block, so a single series has the bits of its column
-in a block.
+down the columns of a block: a Riesz map has the bits of its column in a
+block, a norm may not (BLAS sums a block's spectra in another order).
 
 The Riesz map ``riesz_columns`` applies the multiplier (1 + w^2)^s in
 reflected frequency.  With R_s f the series f after ``riesz_columns(f, s,

@@ -128,6 +128,22 @@ def test_x_norm_homogeneous(alpha):
     )
 
 
+@pytest.mark.parametrize("k", [600, -600])
+def test_x_norm_of_a_scaled_state_is_its_norm_scaled_exactly(k):
+    # 2^600 overflows the squares and 2^-600 underflows them: both states
+    # are summed again at their own binary exponent
+    g = Grid(L=1.3, N=37, T=1.0, M=16)
+    p = Parameters(a=0.3, b=1.7, c=0.6, r=0.5)
+    rng = np.random.default_rng(8)
+    block = rng.standard_normal((4, 2 * g.nx))
+    block[2] = 0.0
+    want = np.ldexp(x_norm(block, p, g), k)
+    assert 0.0 < want[0] < np.inf
+    assert x_norm(np.ldexp(block, k), p, g).tobytes() == want.tobytes()
+    s = StatePair(np.ldexp(block[1, :g.nx], k), np.ldexp(block[1, g.nx:], k))
+    assert x_norm(s, p, g) == want[1]
+
+
 def test_x_inner_dimension_mismatch():
     g = Grid(L=1.0, N=16, T=1.0, M=4)
     p = Parameters(a=0.0, b=1.0, c=1.0, r=0.0)

@@ -796,3 +796,100 @@ def test_grid_whose_stencil_weights_overflow_exits_3(tmp_path):
     assert result.exit_code == 3, result.message
     assert result.message == "step matrix is not finite (time level 0)"
     assert not out.exists()
+
+
+def extreme(command, T, extra=""):
+    """A ``command`` scenario at N=16/M=32 and horizon ``T``."""
+    params = "{a: 0.2, b: 1.0, c: 1.0, r: 1.0, a1: 0.4, a2: 0.3}"
+    data = {
+        "simulate": 'initial: {u: "1e-3", v: "0"}\n',
+        "adjoint": 'final: {u: "1e-3", v: "0"}\n',
+        "control": 'config: FOUR_I\ntarget: {u: "1e-3*gaussian(0.5,0.1)", v: "0"}\n',
+        "nonlinear-control":
+            'config: FOUR_I\ntarget: {u: "1e-3*gaussian(0.5,0.1)", v: "0"}\n',
+        "observe": "config: FOUR_I\nobserve: {samples: 3}\n",
+    }[command]
+    return (f"command: {command}\nparams: {params}\n"
+            f"grid: {{L: 1.0, N: 16, T: {T}, M: 32}}\n{data}{extra}")
+
+
+def strict_json(text):
+    def reject(name):
+        raise ValueError(f"run.json holds {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("T", ["1.0e-300", "1.0e-120", "1.0e+300"])
+@pytest.mark.parametrize("command", ["simulate", "adjoint", "control",
+                                     "nonlinear-control", "observe"])
+def test_extreme_horizons_exit_cleanly_without_warning(tmp_path, command, T):
+    # the Riesz weights overflow at T = 1e-300 and the CGLS inner products
+    # at T = 1e-120: each run finishes or fails with one message, unwarned
+    path = write(tmp_path, extreme(command, T))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_scenario(path, output_dir=str(out))
+    assert result.exit_code in (0, 3, 4), result.message
+    if result.exit_code:
+        assert result.message and not out.exists()
+    else:
+        strict_json(result.artifacts["run.json"])
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("simulate", ("initial_x_norm", "terminal_x_norm")),
+    ("adjoint", ("final_x_norm", "initial_x_norm"))])
+def test_tiny_horizon_reports_finite_norms(tmp_path, command, keys):
+    # the march grows the 1e-3 state past 1e154, whose squares overflow
+    path = write(tmp_path, extreme(command, "1.0e-300"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_scenario(path, output_dir=str(tmp_path / "out"))
+    assert result.exit_code == 0, result.message
+    summary = strict_json(result.artifacts["run.json"])["summary"]
+    assert all(0.0 < summary[key] < np.inf for key in keys)
+    assert max(summary[key] for key in keys) > 1e154
+
+
+def test_non_finite_control_norms_exit_3_without_warning(tmp_path):
+    # h0 alone keeps G finite, but the H^{1/3} norms of the controls weigh
+    # frequencies near 1e200 by an overflowed (1 + w^2)^{1/3}: NaN norms
+    path = write(tmp_path, extreme("control", "1.0e-200").replace(
+        "config: FOUR_I", "config: {mask: [true, false, false, false, false, false]}")
+        + "tol: 0.5\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_scenario(path, output_dir=str(out))
+    assert result.exit_code == 3
+    assert result.message == ("run.json would not be strict JSON: Out of range "
+                              "float values are not JSON compliant: nan")
+    assert not out.exists()
+
+
+def test_norm_past_the_double_range_exits_3(tmp_path):
+    # ||(1e306, 0)||_X over L = 1e6 is about 1.4e309: run.json would hold
+    # Infinity, which is not JSON
+    path = write(tmp_path, extreme("simulate", "1.0").replace(
+        "L: 1.0,", "L: 1.0e6,").replace('u: "1e-3"', 'u: "1.0e306"'))
+    out = tmp_path / "out"
+    result = run_scenario(path, output_dir=str(out))
+    assert result.exit_code == 3
+    assert result.message.startswith("run.json would not be strict JSON")
+    assert not out.exists()
+
+
+def test_nonlinear_control_names_a_capped_picard_loop(tmp_path):
+    # one Picard sweep cannot reach 1e-8: the message names the cap, not a
+    # divergence
+    path = write(tmp_path, extreme("nonlinear-control", "1.0")
+                 + "tol: 0.05\nscheme: {picard_max: 1}\n")
+    out = tmp_path / "out"
+    result = run_scenario(path, output_dir=str(out))
+    assert result.exit_code == NonConvergence.exit_code == 3
+    assert result.message.startswith("nonlinear resimulation failed: Picard iteration "
+                                     "did not reach 1.0e-08 in 1 sweeps")
+    assert result.message.endswith("; outer history []")
+    assert "diverged" not in result.message
+    assert not out.exists()

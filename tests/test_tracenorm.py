@@ -153,6 +153,19 @@ def test_single_series_are_batch_columns():
             assert np.array_equal(riesz_map(f, s, T), mapped[:, j])
 
 
+@pytest.mark.parametrize("M", [3, 16, 63, 128, 255])
+def test_riesz_columns_of_a_block_are_the_columns_mapped_alone(M):
+    # the FFT kernel treats each column alone, in either 32-column chunk;
+    # norms do not share this: their spectral sum is a gemv for a block
+    rng = np.random.default_rng(M)
+    block = rng.standard_normal((M + 1, 40))
+    for s in (-1 / 3, 1 / 3):
+        mapped = block.copy()
+        riesz_columns(mapped, s, 0.7)
+        for j in range(block.shape[1]):
+            assert riesz_map(block[:, j], s, 0.7).tobytes() == mapped[:, j].tobytes()
+
+
 def test_short_series_rejected():
     with pytest.raises(ValueError, match="short"):
         sobolev_trace_norm(np.ones(3), 0.0, 1.0)
