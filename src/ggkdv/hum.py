@@ -79,6 +79,9 @@ CONTROL_CLASS = {s.name: 0.0 - s.trace_class for s in SIGNALS}
 # the CGLS iteration cap, and the samples of the three-control gate
 MAXITER = 500
 FEASIBILITY_SAMPLES = 8
+# the most observe samples marched as one block: their trajectories are the
+# largest memory an observe run holds
+OBSERVE_GROUP = 5
 
 
 @dataclass
@@ -480,7 +483,11 @@ def estimate_observability(
     quotient and, for each derivative order j, the largest H^{(1-j)/3}(0,T)
     norm of the adjoint traces over every grid abscissa (the discrete
     surrogate of the hidden-regularity constants C_j).  All samples are
-    drawn first and marched as one block; each is then read from its slice.
+    drawn first, then marched in groups of at most ``OBSERVE_GROUP``, each
+    group reduced to its quotients and constants before the next is marched;
+    a sample's march has the bytes of that sample marched alone.  A march
+    that loses finiteness raises from the first group that does, with that
+    group's first non-finite time level.
     Raises NumericalError when a quotient or constant is not finite.
     """
     if nsamples < 1:
@@ -488,21 +495,13 @@ def estimate_observability(
     rng = np.random.default_rng(seed)
     finals = [random_final_state(rng, p, g) for _ in range(nsamples)]
     ad = stepper(p, g, "adjoint", (scheme or SchemeConfig()).theta)
-    block = ad.run(np.stack([_stacked(f, g) for f in finals], axis=1))
-    D1 = _first_derivative(g.nx, g.dx)[1]
-    D2 = second_derivative_matrix(g.nx, g.dx).T.tocsr()
+    derivs = (_first_derivative(g.nx, g.dx), second_derivative_matrix(g.nx, g.dx))
     quots = np.empty(nsamples)
     c_hidden = np.zeros(3)
-    # overflow only happens on a degenerate time grid; the check below turns
-    # it into a clean error
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, (final, states) in enumerate(zip(finals, block)):
-            quots[k] = _quotient(cfg, states, x_norm(final, p, g), p, g)
-            for var in (0, 1):
-                blk = states[:, var * g.nx : (var + 1) * g.nx]
-                for j, deriv in ((0, blk), (1, blk @ D1), (2, blk @ D2)):
-                    norms = sobolev_norms_batch(deriv, (1.0 - j) / 3.0, g.T)
-                    c_hidden[j] = np.maximum(c_hidden[j], np.max(norms))
+    for start in range(0, nsamples, OBSERVE_GROUP):
+        group = finals[start:start + OBSERVE_GROUP]
+        quots[start:start + len(group)] = _observe_group(cfg, ad, derivs, group,
+                                                         c_hidden, p, g)
     if not (np.all(np.isfinite(quots)) and np.all(np.isfinite(c_hidden))):
         raise NumericalError("observability estimates lost finiteness")
     return ObservabilityReport(
@@ -514,6 +513,28 @@ def estimate_observability(
         c_hidden=c_hidden,
         quotients=quots,
     )
+
+
+def _observe_group(cfg: ControlConfig, ad: Stepper, derivs: tuple, finals: list,
+                   c_hidden: np.ndarray, p: Parameters, g: Grid) -> np.ndarray:
+    """March the final states ``finals`` as one block; returns their
+    quotients and raises ``c_hidden`` to their constants, in place, with
+    ``derivs`` the CSR D1 and D2.  The block's trajectories are released on
+    return."""
+    D1, D2 = derivs
+    block = ad.run(np.stack([_stacked(f, g) for f in finals], axis=1))
+    quots = np.empty(len(finals))
+    # overflow only happens on a degenerate time grid; the caller's check
+    # turns it into a clean error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (final, states) in enumerate(zip(finals, block)):
+            quots[k] = _quotient(cfg, states, x_norm(final, p, g), p, g)
+            for var in (0, 1):
+                blk = states[:, var * g.nx : (var + 1) * g.nx]
+                for j, deriv in ((0, blk), (1, (D1 @ blk.T).T), (2, (D2 @ blk.T).T)):
+                    norms = sobolev_norms_batch(deriv, (1.0 - j) / 3.0, g.T)
+                    c_hidden[j] = np.maximum(c_hidden[j], np.max(norms))
+    return quots
 
 
 def check_data_size(init: StatePair, target: StatePair, delta: float,

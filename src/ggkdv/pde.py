@@ -522,10 +522,10 @@ def stepper(p: Parameters, g: Grid, direction: str, theta: float) -> Stepper:
 
 
 @functools.lru_cache(maxsize=8)
-def _first_derivative(nx: int, dx: float) -> tuple:
-    """D1 and its CSR transpose, built once per (nx, dx); read-only."""
-    D1 = first_derivative_matrix(nx, dx)
-    return D1, D1.T.tocsr()
+def _first_derivative(nx: int, dx: float) -> sp.csr_matrix:
+    """D1, built once per (nx, dx); read-only.  Its products with a block
+    of states in rows are taken as ``(D1 @ z.T).T``."""
+    return first_derivative_matrix(nx, dx)
 
 
 @functools.lru_cache(maxsize=8)
@@ -543,7 +543,7 @@ def _stencils(nx: int, dx: float) -> tuple:
     i = np.arange(nx)
     lo = np.clip(i - 2, 0, nx - 5)  # as fdops places its five-point rows
     d3, d1 = np.zeros((nx, 5)), np.zeros((nx, 5))
-    for w, D in ((d3, D3), (d1, _first_derivative(nx, dx)[0])):
+    for w, D in ((d3, D3), (d1, _first_derivative(nx, dx))):
         at = np.repeat(i, np.diff(D.indptr))
         w[at, D.indices - lo[at]] = D.data
     diag = np.stack([i, i - lo])
@@ -605,15 +605,15 @@ def nonlinear_forcing(traj_z: np.ndarray, p: Parameters, g: Grid) -> np.ndarray:
     equation), plus the coupling terms weighted by a1, a2.
     """
     nx = g.nx
-    D1T = _first_derivative(nx, g.dx)[1]
+    D1 = _first_derivative(nx, g.dx)
     u = traj_z[:, :nx]
     v = traj_z[:, nx:]
     # overflow here only happens on diverging Picard iterates; the stepper's
     # finiteness check turns it into a clean error
     with np.errstate(over="ignore", invalid="ignore"):
-        ux = u @ D1T
-        vx = v @ D1T
-        uvx = (u * v) @ D1T
+        ux = (D1 @ u.T).T
+        vx = (D1 @ v.T).T
+        uvx = (D1 @ (u * v).T).T
         pf = -(p.a1 * v * vx + p.a2 * uvx) - u * ux
         qf = -(p.a2 * p.b * u * ux + p.a1 * p.b * uvx) - v * vx
     return np.concatenate([pf, qf], axis=1)

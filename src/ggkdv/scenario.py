@@ -563,12 +563,15 @@ def _atomic_write(directory: str, artifacts: dict) -> dict:
             tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}")
             fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
             pending.append((tmp, os.path.join(directory, name)))
-            parts = []
+            # ``text`` is the only reference to the text so far, which
+            # CPython extends in place: the text is held once, where a
+            # list of chunks and their join would hold it twice
+            text = ""
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 for chunk in chunks:
                     fh.write(chunk)
-                    parts.append(chunk)
-            texts[name] = "".join(parts)
+                    text += chunk
+            texts[name] = text
         for tmp, path in pending:
             os.replace(tmp, path)
     except BaseException:

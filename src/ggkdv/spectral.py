@@ -540,6 +540,11 @@ class EigencheckReport:
     certified: np.ndarray
 
 
+# the most r0-check points assembled and decomposed at once: their stacked
+# 5 x 3 matrices and temporaries are the largest memory r0-check holds
+R0_BLOCK = 4096
+
+
 def r0_eigencheck(L, s, tol: float = 1e-8) -> EigencheckReport:
     """Certify that s phi = phi''' with the five clamped conditions
 
@@ -550,13 +555,23 @@ def r0_eigencheck(L, s, tol: float = 1e-8) -> EigencheckReport:
     monomials 1, x, x^2 when s = 0) and reports the smallest singular value
     of the row-normalized 5 x 3 matrix.
 
-    ``L`` and ``s`` are equal-length 1-D arrays of points; one stacked SVD
-    covers them all.
+    ``L`` and ``s`` are equal-length 1-D arrays of points; they are
+    assembled and decomposed ``R0_BLOCK`` points at a time, each block by
+    one stacked SVD, which treats every point alone.
     """
     Ls = np.asarray(L, dtype=float)
     ss = np.asarray(s, dtype=complex)
     if np.any(Ls <= 0):
         raise ValueError("L must be positive")
+    smin = np.concatenate([_r0_sigma_min(Ls[k:k + R0_BLOCK], ss[k:k + R0_BLOCK])
+                           for k in range(0, len(ss), R0_BLOCK)] or [np.empty(0)])
+    return EigencheckReport(L=Ls, s=ss, sigma_min=smin, certified=smin > tol)
+
+
+def _r0_sigma_min(Ls: np.ndarray, ss: np.ndarray) -> np.ndarray:
+    """The smallest singular value of the r = 0 boundary matrix at each
+    point (L, s) of one block; NumericalError names the first point whose
+    matrix is not finite."""
     zero = np.hypot(ss.real, ss.imag) < 1e-14
     A = np.zeros((len(ss), 5, 3), dtype=complex)
     # monomials 1, x, x^2: rows phi(0), phi_x(0), phi_xx(0), phi_x(L), phi_xx(L)
@@ -586,5 +601,4 @@ def r0_eigencheck(L, s, tol: float = 1e-8) -> EigencheckReport:
             f"r0 boundary matrix is not finite at L = {float(Ls[k])!r}, "
             f"s = {complex(ss[k])!r}"
         )
-    smin = np.linalg.svd(A, compute_uv=False)[:, -1]
-    return EigencheckReport(L=Ls, s=ss, sigma_min=smin, certified=smin > tol)
+    return np.linalg.svd(A, compute_uv=False)[:, -1]

@@ -60,11 +60,17 @@ def _check(series: np.ndarray, s: float, T: float) -> np.ndarray:
 
 def _spectrum(block: np.ndarray, s: float, T: float):
     """The rfft down each column of the even reflection of ``block`` (M+1,
-    ...), and the weights (1 + w^2)^s of its M+1 angular frequencies."""
+    ...), and the weights (1 + w^2)^s of its M+1 angular frequencies.
+    Above w = 2^64, where 1 + w^2 rounds to w^2 and w^2 may overflow, a
+    weight is w^(2s) instead."""
     M = block.shape[0] - 1
     ext = np.concatenate([block, block[-2:0:-1]])
     om = 2.0 * np.pi * np.fft.rfftfreq(2 * M, d=T / M)
-    return np.fft.rfft(ext, axis=0), (1.0 + om**2) ** s
+    big = om > 2.0**64
+    w = np.empty_like(om)
+    w[~big] = (1.0 + om[~big] ** 2) ** s
+    w[big] = om[big] ** (2.0 * s)
+    return np.fft.rfft(ext, axis=0), w
 
 
 def _spectral_sum(w: np.ndarray, power: np.ndarray, T: float) -> np.ndarray:

@@ -4,6 +4,7 @@ pure-Python join; and the streamed artifact write."""
 
 import io
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,20 +203,58 @@ def test_failing_chunk_stream_leaves_no_files(tmp_path):
     assert os.listdir(out) == []
 
 
-SIMULATE = """command: simulate
-params: {a: 0.2, b: 1.0, c: 1.0, r: 1.0}
-grid: {L: 1.0, N: %d, T: 1.0, M: %d}
-initial: {u: "1e-2*gaussian(0.5,0.1)", v: "0"}
-"""
+def test_atomic_write_holds_each_text_once(tmp_path):
+    # the returned text is built in place as its chunks are written: the
+    # traced peak stays near one text (a chunk list and its join hold two)
+    def chunks():
+        for k in range(32):
+            yield f"{k:07d}" * 8192 + "\n"
+
+    tracemalloc.start()
+    try:
+        texts = scenario._atomic_write(str(tmp_path / "out"), {"big.csv": chunks()})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = len(texts["big.csv"])
+    assert size == 32 * (7 * 8192 + 1)
+    assert texts["big.csv"].encode("ascii") == (tmp_path / "out" / "big.csv").read_bytes()
+    assert peak < 1.25 * size, (peak, size)
 
 
-def test_artifacts_are_the_written_bytes(tmp_path):
-    path = tmp_path / "sim.yaml"
-    path.write_text(SIMULATE % (12, 16))
+PARAMS = "params: {a: 0.2, b: 1.0, c: 1.0, r: 1.0}\n"
+GRID = "grid: {L: 1.0, N: 16, T: 1.0, M: 32}\n"
+TARGET = 'config: FOUR_I\ntarget: {u: "1e-2*gaussian(0.5,0.147)", v: "0"}\n'
+# one small scenario per command, and the artifacts each writes
+COMMAND_RUNS = {
+    "simulate": ("command: simulate\n" + PARAMS + "grid: {L: 1.0, N: 12, T: 1.0, M: 16}\n"
+                 + 'initial: {u: "1e-2*gaussian(0.5,0.1)", v: "0"}\n',
+                 ["traces.csv", "trajectory.csv"]),
+    "adjoint": ("command: adjoint\n" + PARAMS + GRID + 'final: {u: "sin(3*x)", v: "0"}\n',
+                ["traces.csv", "trajectory.csv"]),
+    "control": ("command: control\n" + PARAMS + GRID + TARGET + "tol: 5.0e-2\n",
+                ["controls.csv"]),
+    "nonlinear-control": (
+        "command: nonlinear-control\nparams: {a: 0.2, b: 1.0, c: 1.0, r: 1.0, a1: 0.4, "
+        "a2: 0.3}\n" + GRID + TARGET + "tol: 5.0e-2\ndelta: 0.1\n", ["controls.csv"]),
+    "observe": ("command: observe\nseed: 3\n" + PARAMS + GRID
+                + "config: FOUR_I\nobserve: {samples: 7}\n", ["observability.csv"]),
+    "ucp-sweep": ("command: ucp-sweep\nseed: 5\n" + PARAMS + "ucp: {samples: 13}\n",
+                  ["ucp.csv"]),
+    "r0-check": ("command: r0-check\nr0: {re: [-1, 1, 3], im: [-1, 1, 3], lengths: [1.0]}\n",
+                 ["r0.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", scenario.COMMANDS)
+def test_artifacts_are_the_written_bytes(tmp_path, command):
+    text, names = COMMAND_RUNS[command]
+    path = tmp_path / "scen.yaml"
+    path.write_text(text)
     out = tmp_path / "out"
     result = scenario.run_scenario(str(path), output_dir=str(out))
-    assert result.exit_code == 0
+    assert result.exit_code == 0, result.message
     assert sorted(result.artifacts) == sorted(os.listdir(out))
-    assert sorted(result.artifacts) == ["run.json", "traces.csv", "trajectory.csv"]
+    assert sorted(result.artifacts) == sorted(names + ["run.json"])
     for name in result.artifacts:
         assert result.artifacts[name].encode("utf-8") == (out / name).read_bytes()

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -653,35 +654,52 @@ def test_observability_reads_its_signals_once_per_call(monkeypatch):
 def test_observability_marches_each_sample_once(monkeypatch):
     g = Grid(L=1.0, N=24, T=0.5, M=48)
     runs = count_calls(monkeypatch, "run")
-    rep = estimate_observability(FOUR_I, 5, P, g, seed=11)
-    # one block march: a single Stepper.run call carrying all five columns
-    assert rep.sample_count == 5 and len(runs) == 1
-    assert runs[0][0].shape == (2 * g.nx, 5)
-    # each quotient equals that of its sample marched alone
+    rep = estimate_observability(FOUR_I, 12, P, g, seed=11)
+    # bounded block marches: one Stepper.run call per group of at most
+    # OBSERVE_GROUP columns
+    assert hum.OBSERVE_GROUP == 5
+    assert rep.sample_count == 12
+    assert [r[0].shape for r in runs] == [(2 * g.nx, 5), (2 * g.nx, 5), (2 * g.nx, 2)]
+
+
+def test_observability_estimates_match_per_sample_marches():
+    # the quotients and c_hidden of the group marches equal one-column
+    # marches, bit for bit, with the derivatives taken by products with the
+    # CSR transposes
+    g = Grid(L=1.0, N=24, T=0.5, M=48)
+    rep = estimate_observability(FOUR_I, 12, P, g, seed=11)
+    D1 = pde._first_derivative(g.nx, g.dx).T.tocsr()
+    D2 = second_derivative_matrix(g.nx, g.dx).T.tocsr()
     ad = pde.stepper(P, g, "adjoint", 0.5)
     rng = np.random.default_rng(11)
-    for q in rep.quotients:
+    quots, c_hidden = [], np.zeros(3)
+    for _ in range(12):
         final = random_final_state(rng, P, g)
         z = ad.run(np.concatenate([final.u, final.v]))
-        assert hum._quotient(FOUR_I, z, x_norm(final, P, g), P, g) == q
-
-
-def test_observability_constants_match_per_sample_marches():
-    # c_hidden from the block march equals per-sample marches, bit for bit
-    g = Grid(L=1.0, N=24, T=0.5, M=48)
-    rep = estimate_observability(FOUR_I, 5, P, g, seed=11)
-    D1 = pde._first_derivative(g.nx, g.dx)[1]
-    D2 = second_derivative_matrix(g.nx, g.dx).T.tocsr()
-    rng = np.random.default_rng(11)
-    want = np.zeros(3)
-    for _ in range(5):
-        z = solve_adjoint_backward(P, g, random_final_state(rng, P, g))[0].z
+        quots.append(hum._quotient(FOUR_I, z, x_norm(final, P, g), P, g))
         for var in (0, 1):
             blk = z[:, var * g.nx : (var + 1) * g.nx]
             for j, deriv in ((0, blk), (1, blk @ D1), (2, blk @ D2)):
                 norms = sobolev_norms_batch(deriv, (1.0 - j) / 3.0, g.T)
-                want[j] = max(want[j], float(np.max(norms)))
-    assert np.array_equal(rep.c_hidden, want)
+                c_hidden[j] = max(c_hidden[j], float(np.max(norms)))
+    assert rep.quotients.tobytes() == np.array(quots).tobytes()
+    assert rep.c_hidden.tobytes() == c_hidden.tobytes()
+
+
+def test_observability_memory_is_bounded_by_its_group():
+    # only OBSERVE_GROUP samples' trajectories are held at once: the traced
+    # peak at 20 samples is close to that at 5 (4x at a whole-block march)
+    g = Grid(L=1.0, N=32, T=0.5, M=128)
+    estimate_observability(FOUR_I, 1, P, g)  # build the cached operators
+    peaks = []
+    for n in (5, 20):
+        tracemalloc.start()
+        try:
+            estimate_observability(FOUR_I, n, P, g, seed=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_observability_rejects_non_finite_estimates():

@@ -615,3 +615,29 @@ def test_r0_grid_matches_scalar_oracle():
         assert one.sigma_min.shape == one.certified.shape == (1,)
         assert _bits(one.sigma_min) == _bits(want[[k]])
         assert one.certified[0] == (want[k] > 1e-8)
+
+
+def test_r0_eigencheck_blocks_are_stacked_calls(monkeypatch):
+    # points are assembled and decomposed R0_BLOCK at a time; each block is
+    # the same per-point stacked SVD as a call on that block alone, or as
+    # one block of every point
+    rng = np.random.default_rng(31)
+    n = spectral.R0_BLOCK + 900
+    L = rng.uniform(0.5, 5.0, n)
+    s = rng.uniform(-10, 10, n) + 1j * rng.uniform(-10, 10, n)
+    s[[5, spectral.R0_BLOCK + 7]] = 0.0
+    rep = r0_eigencheck(L, s)
+    blocks = [r0_eigencheck(L[k:k + spectral.R0_BLOCK], s[k:k + spectral.R0_BLOCK])
+              for k in (0, spectral.R0_BLOCK)]
+    assert _bits(rep.sigma_min) == _bits(np.concatenate([b.sigma_min for b in blocks]))
+    assert rep.sigma_min.shape == rep.certified.shape == (n,)
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "R0_BLOCK", n)
+        assert _bits(r0_eigencheck(L, s).sigma_min) == _bits(rep.sigma_min)
+    # a non-finite point of the second block is named by its own (L, s)
+    k = spectral.R0_BLOCK + 123
+    s[k] = complex(np.inf, 0)
+    with pytest.raises(NumericalError) as err:
+        r0_eigencheck(L, s)
+    assert str(err.value) == (f"r0 boundary matrix is not finite at L = {float(L[k])!r}, "
+                              f"s = {complex(s[k])!r}")

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from ggkdv import tracenorm
 from ggkdv.tracenorm import riesz_columns, sobolev_norms_batch, sobolev_trace_norm
 
 
@@ -174,3 +177,20 @@ def test_short_series_rejected():
 def test_bad_exponent_rejected():
     with pytest.raises(ValueError):
         sobolev_trace_norm(np.ones(9), 0.5, 1.0)
+
+
+def test_weights_past_the_double_range_do_not_overflow():
+    # at T = 1e-300 the angular frequencies reach about 1e302, whose squares
+    # overflow; above 2^64 the weight is w^(2s), which 1 + w^2 rounds to anyway
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sobolev_norms_batch(np.zeros((33, 2)), 1 / 3, 1e-300).tolist() == [0.0, 0.0]
+        for s in (-1 / 3, 0.0, 1 / 3):
+            for T in (1.0, 1e-15, 1e-300):
+                w = tracenorm._spectrum(np.zeros((65, 1)), s, T)[1]
+                om = 2.0 * np.pi * np.fft.rfftfreq(128, d=T / 64)
+                big = om > 2.0**64
+                assert np.all(np.isfinite(w)) and big.any() == (T == 1e-300)
+                # every weight in range keeps its bits
+                assert w[~big].tobytes() == ((1.0 + om[~big] ** 2) ** s).tobytes()
+                assert w[big].tobytes() == (om[big] ** (2 * s)).tobytes()
