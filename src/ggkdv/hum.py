@@ -23,7 +23,6 @@ symmetry on unresolved mesh-scale data.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +53,7 @@ from .pde import (
     BoundarySignals,
     SchemeConfig,
     Stepper,
-    _first_derivative,
+    _stencils,
     nonlinear_forcing,
     solve_nonlinear,
     stepper,
@@ -76,8 +75,7 @@ __all__ = [
 
 # the fractional class of each control signal, opposite to its combination's
 CONTROL_CLASS = {s.name: 0.0 - s.trace_class for s in SIGNALS}
-# the CGLS iteration cap, and the samples of the three-control gate
-MAXITER = 500
+# the samples of the three-control gate
 FEASIBILITY_SAMPLES = 8
 # the most observe samples marched as one block: their trajectories are the
 # largest memory an observe run holds
@@ -249,9 +247,11 @@ def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, x0: np.ndarray = Non
     Gram-Schmidt against all previous ones); without this, roundoff stalls
     the iteration well above the target on ill-conditioned configurations.
     Each iteration costs two dense products with the assembled Gramian and
-    one pass over the stored basis.  Stops at ``tol``, a breakdown or
-    ``MAXITER``; returns the best iterate, its number and the residual
-    history up to it if it is within 10·tol, else raises NonConvergence.
+    one pass over the stored basis.  Stops at ``tol``, a breakdown or after
+    ``len(rhs)`` iterations, the most directions the basis can hold; returns
+    the best iterate, its number and the residual history up to it if it is
+    within ``tol``, or within 10·tol and below the residual 1 of no control,
+    else raises NonConvergence.
     """
     nrhs = np.sqrt(op.xdot(rhs, rhs))
     x = np.zeros_like(rhs) if x0 is None else x0.copy()
@@ -262,7 +262,7 @@ def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, x0: np.ndarray = Non
     pdir = s.copy()
     basis = [s / np.sqrt(gam)] if gam > 0 else []
     best, k_best = x, 0
-    for it in range(1, MAXITER + 1):
+    for it in range(1, len(rhs) + 1):
         if hist[-1] <= tol or gam <= 0:
             break
         q = op.apply(pdir)
@@ -285,9 +285,10 @@ def _cgls(op: GramianOperator, rhs: np.ndarray, tol: float, x0: np.ndarray = Non
             basis.append(s / np.sqrt(gam_new))
             pdir = s + (gam_new / gam) * pdir
         gam = gam_new
-    if not hist[k_best] <= 10 * tol:  # NaN included
+    res_best = hist[k_best]
+    if not (res_best <= tol or (res_best <= 10 * tol and res_best < 1)):  # NaN too
         raise NonConvergence(
-            f"control CG stalled at relative residual {hist[k_best]:.3e} "
+            f"control CG stalled at relative residual {res_best:.3e} "
             f"(target {tol:.1e}, {len(hist) - 1} iterations)",
             history=hist,
         )
@@ -440,14 +441,15 @@ def random_final_state(rng: np.random.Generator, p: Parameters, g: Grid) -> Stat
     return s
 
 
-def _quotient(cfg: ControlConfig, z: np.ndarray, nrm: float, p: Parameters,
+def _quotient(terms: tuple, z: np.ndarray, nrm: float, p: Parameters,
               g: Grid) -> float:
     """The observability quotient of the adjoint trajectory ``z`` (M+1, 2nx)
-    marched from final data of X-norm ``nrm``.  Each active term is the
-    trapezoid pairing of the control read off ``z`` with its combination
-    c_i, <coef_i R_i c_i, c_i> / coef_i, which is ||c_i||^2 in the class of
-    c_i (an exact identity of the discrete Riesz map)."""
-    active, read, coef, weights = _quotient_terms(cfg, p, g)
+    marched from final data of X-norm ``nrm``, with ``terms`` those of
+    ``_quotient_terms``.  Each active term is the trapezoid pairing of the
+    control read off ``z`` with its combination c_i,
+    <coef_i R_i c_i, c_i> / coef_i, which is ||c_i||^2 in the class of c_i
+    (an exact identity of the discrete Riesz map)."""
+    active, read, coef, weights = terms
     combos = read @ z.T
     controls = combos.copy()
     _controls_in_place(controls, active, p, g.T)
@@ -455,18 +457,14 @@ def _quotient(cfg: ControlConfig, z: np.ndarray, nrm: float, p: Parameters,
     return float(np.sum(pairs)) / nrm**2
 
 
-@functools.lru_cache(maxsize=8)
 def _quotient_terms(cfg: ControlConfig, p: Parameters, g: Grid) -> tuple:
     """The active signals of ``cfg``, their read-out vectors and
     coefficients and the time trapezoid weights, which ``_quotient`` reads
-    for every sample: built once per (cfg, p, g), read-only."""
+    for every sample."""
     active = cfg.active
     read = combo_read_vectors(p, g)[list(active)]
     coef = np.array([SIGNALS[i].coefficient(p) for i in active])
-    weights = trapezoid_weights(g.nt, g.dt)
-    for x in (read, coef, weights):
-        x.flags.writeable = False
-    return active, read, coef, weights
+    return active, read, coef, trapezoid_weights(g.nt, g.dt)
 
 
 def estimate_observability(
@@ -495,12 +493,13 @@ def estimate_observability(
     rng = np.random.default_rng(seed)
     finals = [random_final_state(rng, p, g) for _ in range(nsamples)]
     ad = stepper(p, g, "adjoint", (scheme or SchemeConfig()).theta)
-    derivs = (_first_derivative(g.nx, g.dx), second_derivative_matrix(g.nx, g.dx))
+    terms = _quotient_terms(cfg, p, g)
+    derivs = (_stencils(g.nx, g.dx)[4], second_derivative_matrix(g.nx, g.dx))
     quots = np.empty(nsamples)
     c_hidden = np.zeros(3)
     for start in range(0, nsamples, OBSERVE_GROUP):
         group = finals[start:start + OBSERVE_GROUP]
-        quots[start:start + len(group)] = _observe_group(cfg, ad, derivs, group,
+        quots[start:start + len(group)] = _observe_group(terms, ad, derivs, group,
                                                          c_hidden, p, g)
     if not (np.all(np.isfinite(quots)) and np.all(np.isfinite(c_hidden))):
         raise NumericalError("observability estimates lost finiteness")
@@ -515,12 +514,12 @@ def estimate_observability(
     )
 
 
-def _observe_group(cfg: ControlConfig, ad: Stepper, derivs: tuple, finals: list,
+def _observe_group(terms: tuple, ad: Stepper, derivs: tuple, finals: list,
                    c_hidden: np.ndarray, p: Parameters, g: Grid) -> np.ndarray:
     """March the final states ``finals`` as one block; returns their
     quotients and raises ``c_hidden`` to their constants, in place, with
-    ``derivs`` the CSR D1 and D2.  The block's trajectories are released on
-    return."""
+    ``terms`` those of ``_quotient_terms`` and ``derivs`` the CSR D1 and
+    D2.  The block's trajectories are released on return."""
     D1, D2 = derivs
     block = ad.run(np.stack([_stacked(f, g) for f in finals], axis=1))
     quots = np.empty(len(finals))
@@ -528,7 +527,7 @@ def _observe_group(cfg: ControlConfig, ad: Stepper, derivs: tuple, finals: list,
     # turns it into a clean error
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (final, states) in enumerate(zip(finals, block)):
-            quots[k] = _quotient(cfg, states, x_norm(final, p, g), p, g)
+            quots[k] = _quotient(terms, states, x_norm(final, p, g), p, g)
             for var in (0, 1):
                 blk = states[:, var * g.nx : (var + 1) * g.nx]
                 for j, deriv in ((0, blk), (1, (D1 @ blk.T).T), (2, (D2 @ blk.T).T)):

@@ -49,7 +49,6 @@ __all__ = [
     "BoundarySignals",
     "SchemeConfig",
     "Trajectory",
-    "TraceBundle",
     "Stepper",
     "stepper",
     "solve_linear_forward",
@@ -147,35 +146,21 @@ class Trajectory:
 TRACE_KEYS = [
     (var, order, side) for var in (0, 1) for side in ("0", "L") for order in (0, 1, 2)
 ]
+# the traces.csv column of each key, in the same order
+TRACE_NAMES = [f"{'uv'[var]}{('', 'x', 'xx')[order]}_x{side}"
+               for var, order, side in TRACE_KEYS]
 
 
-@dataclass
-class TraceBundle:
-    """Boundary traces of a trajectory: value, first and second derivative
-    at x = 0 and x = L, extracted by one-sided second-order stencils."""
-
-    data: dict
-    grid: Grid
-
-    def series(self, var: int, order: int, side: str) -> np.ndarray:
-        return self.data[(var, order, side)]
-
-    def column_names(self) -> list:
-        return [f"{'uv'[var]}{('', 'x', 'xx')[order]}_x{side}"
-                for var, order, side in TRACE_KEYS]
-
-    def columns(self) -> list:
-        return [self.data[k] for k in TRACE_KEYS]
-
-
-def extract_traces(z: np.ndarray, g: Grid) -> TraceBundle:
-    """One-sided finite-difference traces of a stacked trajectory array."""
+def extract_traces(z: np.ndarray, g: Grid) -> dict:
+    """The boundary traces of a stacked trajectory array: value, first and
+    second derivative at x = 0 and x = L by one-sided second-order
+    stencils, keyed by ``TRACE_KEYS`` in that order."""
     st = boundary_stencils(g.nx, g.dx)
-    data = {}
+    traces = {}
     for var, order, side in TRACE_KEYS:
         cols, wts = st[("left" if side == "0" else "right", order)]
-        data[(var, order, side)] = z[:, var * g.nx + cols] @ wts
-    return TraceBundle(data=data, grid=g)
+        traces[(var, order, side)] = z[:, var * g.nx + cols] @ wts
+    return traces
 
 
 _TRANS = {"N": 0, "T": 1}  # dgbtrs's codes for A x = b and A^T x = b
@@ -205,7 +190,7 @@ class Stepper:
         self.p, self.g, self.direction, self.theta = p, g, direction, theta
         nx, n, dt = g.nx, 2 * g.nx, g.dt
         a, b, c, r = p.a, p.b, p.c, p.r
-        d3, d1, diag, band_cols = _stencils(nx, g.dx)
+        d3, d1, diag, band_cols, _ = _stencils(nx, g.dx)
 
         st = boundary_stencils(nx, g.dx)
         rows = {}  # row -> (cols, weights) of the boundary condition replacing it
@@ -522,28 +507,23 @@ def stepper(p: Parameters, g: Grid, direction: str, theta: float) -> Stepper:
 
 
 @functools.lru_cache(maxsize=8)
-def _first_derivative(nx: int, dx: float) -> sp.csr_matrix:
-    """D1, built once per (nx, dx); read-only.  Its products with a block
-    of states in rows are taken as ``(D1 @ z.T).T``."""
-    return first_derivative_matrix(nx, dx)
-
-
-@functools.lru_cache(maxsize=8)
 def _stencils(nx: int, dx: float) -> tuple:
-    """The derivative stencils of both step matrices of a grid, built once
-    per (nx, dx) for both directions; read-only.
+    """The derivative stencils of a grid, built once per (nx, dx) for both
+    step matrices and the nonlinear and hidden-regularity terms; read-only.
 
     D3's row i has the columns lo_i .. lo_i + 4 (clipped to the grid);
     ``d3`` and ``d1`` are the rows of D3 and D1 on those columns (nx, 5),
     0 where a matrix has no entry.  ``diag`` is the (row, column) position
     of each row's diagonal, and ``band_cols`` (2 nx, 10) are the columns of
     band row 2i + var: lo_i .. lo_i + 4 of u, then of v, in stacked order.
+    ``D1`` is the CSR matrix itself; its products with a block of states in
+    rows are taken as ``(D1 @ z.T).T``.
     """
-    D3 = third_derivative_matrix(nx, dx)
+    D3, D1 = third_derivative_matrix(nx, dx), first_derivative_matrix(nx, dx)
     i = np.arange(nx)
     lo = np.clip(i - 2, 0, nx - 5)  # as fdops places its five-point rows
     d3, d1 = np.zeros((nx, 5)), np.zeros((nx, 5))
-    for w, D in ((d3, D3), (d1, _first_derivative(nx, dx))):
+    for w, D in ((d3, D3), (d1, D1)):
         at = np.repeat(i, np.diff(D.indptr))
         w[at, D.indices - lo[at]] = D.data
     diag = np.stack([i, i - lo])
@@ -551,7 +531,7 @@ def _stencils(nx: int, dx: float) -> tuple:
     band_cols = np.repeat(cols, 2, axis=1).reshape(2 * nx, 10)
     for x in (d3, d1, diag, band_cols):
         x.flags.writeable = False
-    return d3, d1, diag, band_cols
+    return d3, d1, diag, band_cols, D1
 
 
 def _forcing_array(forcing, g: Grid) -> np.ndarray:
@@ -574,7 +554,7 @@ def solve_linear_forward(
     forcing=None,
     scheme: SchemeConfig = None,
 ):
-    """Solve the linearized forward system; returns (Trajectory, TraceBundle)."""
+    """Solve the linearized forward system; returns (Trajectory, traces)."""
     init.check(g)
     scheme = scheme or SchemeConfig()
     stp = stepper(p, g, "forward", scheme.theta)
@@ -605,7 +585,7 @@ def nonlinear_forcing(traj_z: np.ndarray, p: Parameters, g: Grid) -> np.ndarray:
     equation), plus the coupling terms weighted by a1, a2.
     """
     nx = g.nx
-    D1 = _first_derivative(nx, g.dx)
+    D1 = _stencils(nx, g.dx)[4]
     u = traj_z[:, :nx]
     v = traj_z[:, nx:]
     # overflow here only happens on diverging Picard iterates; the stepper's

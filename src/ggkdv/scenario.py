@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from functools import partial
 
 import numpy as np
@@ -38,9 +38,6 @@ from .expr import compile_expression
 
 __all__ = ["Scenario", "parse_scenario", "parse_scenario_text", "run_scenario",
            "RunResult"]
-
-COMMANDS = ("simulate", "adjoint", "control", "nonlinear-control",
-            "observe", "ucp-sweep", "r0-check")
 
 # values formatted per CSV chunk, 15 trajectory time levels at N=256: fixed
 # numpy call costs dominate smaller chunks.  simulate-certify's peak was
@@ -294,9 +291,9 @@ def _fields(mapping, table: dict, command, section: str = None) -> dict:
     return values
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """A checked scenario, one typed attribute per key of the schema table.
+Scenario = make_dataclass("Scenario", ["raw", *_TABLE], frozen=True, eq=False, namespace={
+    "__module__": __name__,
+    "__doc__": """A checked scenario, one typed attribute per key of the schema table.
 
     ``raw`` is the file's mapping verbatim (run.json echoes it), and two
     scenarios are equal when their ``raw`` are.  ``params``, ``grid`` and
@@ -306,28 +303,9 @@ class Scenario:
     ``observe`` is the sample count, ``ucp`` the keyword arguments of
     ``spectral.ucp_sweep`` and ``r0`` the tuple (re axis, im axis, lengths,
     tol), each axis (lo, hi, points).
-    """
-
-    raw: dict
-    command: str
-    seed: int
-    output_dir: str | None
-    tol: float
-    delta: float
-    config: ControlConfig | None
-    params: Parameters | None
-    grid: Grid | None
-    scheme: pde.SchemeConfig
-    initial: StatePair | None
-    final: StatePair | None
-    target: StatePair | None
-    bc: pde.BoundarySignals | None
-    observe: int
-    ucp: dict
-    r0: tuple
-
-    def __eq__(self, other):
-        return isinstance(other, Scenario) and self.raw == other.raw
+    """,
+    "__eq__": lambda self, other: isinstance(other, Scenario) and self.raw == other.raw,
+})
 
 
 def _scenario(raw, base: str = "") -> Scenario:
@@ -414,12 +392,12 @@ def _csv(header: list, cols: list):
         yield emit.csv_rows((min(step, shape[0] - start),) + shape[1:], part)
 
 
-def _trajectory_artifacts(traj: pde.Trajectory, traces: pde.TraceBundle) -> dict:
+def _trajectory_artifacts(traj: pde.Trajectory, traces: dict) -> dict:
     """trajectory.csv and traces.csv, as chunk generators."""
     g, z = traj.grid, traj.z
     return {"trajectory.csv": _csv(["t", "x", "u", "v"], [g.t[:, None], g.x[None, :],
                                                         z[:, :g.nx], z[:, g.nx:]]),
-            "traces.csv": _csv(["t"] + traces.column_names(), [g.t] + traces.columns())}
+            "traces.csv": _csv(["t"] + pde.TRACE_NAMES, [g.t, *traces.values()])}
 
 
 def _controls_csv(signals: pde.BoundarySignals, g: Grid):
@@ -536,6 +514,7 @@ _RUNNERS = {
     "ucp-sweep": _run_ucp_sweep,
     "r0-check": _run_r0_check,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 @dataclass

@@ -120,17 +120,16 @@ def test_criterion_2_duality_identity():
         bc = BoundarySignals(*(smooth_signal(rng, g) for _ in range(6)))
         final = shaped_state(rng, g, decay=1.0)
         fw, _ = solve_linear_forward(P, g, StatePair.zeros(g), bc)
-        _, traces = solve_adjoint_backward(P, g, final)
+        _, tr = solve_adjoint_backward(P, g, final)
         lhs = x_inner(fw.final_state, final, P, g)
         a, b, c = P.a, P.b, P.c
-        tr = traces.series
         terms = [
-            -(b / c) * trapz(bc.h2 * (tr(0, 0, "L") + a * tr(1, 0, "L")), g.dt),
-            (b / c) * trapz(bc.h1 * (tr(0, 1, "L") + a * tr(1, 1, "L")), g.dt),
-            (b / c) * trapz(bc.h0 * (tr(0, 2, "0") + a * tr(1, 2, "0")), g.dt),
-            -(1 / c) * trapz(bc.g2 * (a * b * tr(0, 0, "L") + tr(1, 0, "L")), g.dt),
-            (1 / c) * trapz(bc.g1 * (a * b * tr(0, 1, "L") + tr(1, 1, "L")), g.dt),
-            (1 / c) * trapz(bc.g0 * (a * b * tr(0, 2, "0") + tr(1, 2, "0")), g.dt),
+            -(b / c) * trapz(bc.h2 * (tr[0, 0, "L"] + a * tr[1, 0, "L"]), g.dt),
+            (b / c) * trapz(bc.h1 * (tr[0, 1, "L"] + a * tr[1, 1, "L"]), g.dt),
+            (b / c) * trapz(bc.h0 * (tr[0, 2, "0"] + a * tr[1, 2, "0"]), g.dt),
+            -(1 / c) * trapz(bc.g2 * (a * b * tr[0, 0, "L"] + tr[1, 0, "L"]), g.dt),
+            (1 / c) * trapz(bc.g1 * (a * b * tr[0, 1, "L"] + tr[1, 1, "L"]), g.dt),
+            (1 / c) * trapz(bc.g0 * (a * b * tr[0, 2, "0"] + tr[1, 2, "0"]), g.dt),
         ]
         rhs = sum(terms)
         # backward-stable scale: the six pairings may cancel in the sum

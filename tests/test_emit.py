@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggkdv import emit, scenario, spectral
+from ggkdv import emit, pde, scenario, spectral
 from ggkdv.core import SIGNAL_NAMES, ControlConfig, Grid, Parameters, StatePair
 from ggkdv.hum import estimate_observability
 from ggkdv.pde import BoundarySignals, solve_linear_forward
@@ -53,11 +53,11 @@ def trajectory_cases():
     arts = scenario._trajectory_artifacts(traj, traces)
     rows = ((g.t[n], g.x[i], traj.z[n, i], traj.z[n, g.nx + i])
             for n in range(g.nt) for i in range(g.nx))
-    cols = traces.columns()
+    cols = traces.values()
     trace_rows = ((g.t[n], *(c[n] for c in cols)) for n in range(g.nt))
     return [(arts["trajectory.csv"], oracle_csv(["t", "x", "u", "v"], rows)),
             (arts["traces.csv"],
-             oracle_csv(["t"] + traces.column_names(), trace_rows))]
+             oracle_csv(["t"] + pde.TRACE_NAMES, trace_rows))]
 
 
 def controls_cases():

@@ -13,8 +13,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ggkdv import fdops, pde
-from ggkdv.core import Grid, Parameters
+from ggkdv import fdops, hum, pde
+from ggkdv.core import ControlConfig, Grid, Parameters
 from ggkdv.errors import NumericalError
 from ggkdv.fdops import boundary_stencils, fd_weights
 from stacked_view import stacked_ops
@@ -260,12 +260,16 @@ def test_both_steppers_of_a_grid_evaluate_its_stencils_once(monkeypatch):
             calls.append(name)
             return build(nx, dx)
         monkeypatch.setattr(pde, name, counting)
-    for cache in (pde._stencils, pde._first_derivative, fdops.boundary_stencils):
+    for cache in (pde._stencils, fdops.boundary_stencils):
         cache.cache_clear()
     g = Grid(L=1.0, N=24, T=1.0, M=48)
     fw, ad = (pde.Stepper(PARAMS[0], g, d, 0.5) for d in ("forward", "adjoint"))
     assert sorted(calls) == ["first_derivative_matrix", "third_derivative_matrix"]
     assert fdops.boundary_stencils.cache_info().misses == 1
+    # the nonlinear terms and the hidden-regularity norms read the same D1
+    pde.nonlinear_forcing(np.zeros((g.nt, 2 * g.nx)), PARAMS[0], g)
+    hum.estimate_observability(ControlConfig.of("FOUR_I"), 2, PARAMS[0], g, seed=3)
+    assert sorted(calls) == ["first_derivative_matrix", "third_derivative_matrix"]
     # B's transpose is built only for a transposed sweep
     fw.run(np.zeros(2 * g.nx))
     ad.run(np.zeros(2 * g.nx))

@@ -92,10 +92,10 @@ def test_control_formulas_decoupled_coefficients():
     traj, traces = solve_adjoint_backward(p0, g, final)
     sig = adjoint_controls(ControlConfig.of("FOUR_II"), traj, p0)
     sig = dict(zip(SIGNAL_NAMES, sig))
-    np.testing.assert_allclose(sig["h1"], traces.series(0, 1, "L"), atol=1e-13)
-    np.testing.assert_allclose(sig["g1"], traces.series(1, 1, "L"), atol=1e-13)
+    np.testing.assert_allclose(sig["h1"], traces[0, 1, "L"], atol=1e-13)
+    np.testing.assert_allclose(sig["g1"], traces[1, 1, "L"], atol=1e-13)
     recovered = riesz_map(sig["g2"], -1 / 3, g.T)
-    np.testing.assert_allclose(recovered, -traces.series(1, 0, "L"), atol=1e-12)
+    np.testing.assert_allclose(recovered, -traces[1, 0, "L"], atol=1e-12)
     # FOUR_II mask: h0, h2 inactive
     assert np.max(np.abs(sig["h0"])) == 0.0
     assert np.max(np.abs(sig["h2"])) == 0.0
@@ -199,7 +199,7 @@ def test_solve_control_hits_gaussian_target():
     assert res.iterations <= 500
 
 
-def test_cgls_reports_the_iterate_it_returns(monkeypatch):
+def test_cgls_reports_the_iterate_it_returns():
     # CGLS stalls above tol here and accepts its best iterate, number 29 of
     # 41: iterations and the last residual describe that iterate
     g = Grid(L=1.0, N=24, T=1.0, M=64)
@@ -208,15 +208,27 @@ def test_cgls_reports_the_iterate_it_returns(monkeypatch):
     assert res.iterations == 29 == len(res.residuals) - 1
     assert res.residuals[-1] == min(res.residuals) > 1e-3
     assert res.terminal_error == pytest.approx(res.residuals[-1], rel=1e-6)
-    # the same iterate, bit for bit, as a run capped at 29 iterations
+    # the same iterate, bit for bit, as a run stopped at 29 iterations by
+    # a tolerance that iterate 29 is the first to reach
     op = gramian_operator(FOUR_I, P, g, 0.5)
     rhs = np.concatenate([target.u, target.v])
     uncapped = hum._cgls(op, rhs, 1e-3)
-    monkeypatch.setattr(hum, "MAXITER", 29)
-    capped = hum._cgls(op, rhs, 1e-3)
+    capped = hum._cgls(op, rhs, uncapped[2][29])
     assert capped[0].tobytes() == uncapped[0].tobytes()
     assert np.concatenate([res.adjoint_final.u, res.adjoint_final.v]).tobytes() == \
         capped[0].tobytes()
+
+
+def test_cgls_stops_when_its_basis_is_full():
+    # at T = 1e-300 no FOUR_I iterate lowers the residual: CGLS stops after
+    # 2(N+2) iterations, the most directions its W-orthonormal basis holds
+    g = Grid(L=1.0, N=16, T=1e-300, M=32)
+    rhs = np.concatenate([gaussian_target(g, eps=1e-3).u, np.zeros(g.nx)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = gramian_operator(FOUR_I, P, g, 0.5)
+        with pytest.raises(NonConvergence, match="36 iterations") as err:
+            hum._cgls(op, rhs, 1e-3)
+    assert len(err.value.history) == 2 * g.nx + 1 == 37
 
 
 def test_solve_control_verification_is_reproducible():
@@ -627,7 +639,7 @@ def test_observability_builds_first_derivative_once(monkeypatch):
     for module in (pde, hum):
         if hasattr(module, "first_derivative_matrix"):
             monkeypatch.setattr(module, "first_derivative_matrix", counting)
-    pde._first_derivative.cache_clear()
+    pde._stencils.cache_clear()
     pde.stepper.cache_clear()
     g = Grid(L=1.0, N=20, T=0.5, M=40)
     estimate_observability(FOUR_I, 2, P, g, seed=3)
@@ -645,7 +657,6 @@ def test_observability_reads_its_signals_once_per_call(monkeypatch):
         return build(p, g)
 
     monkeypatch.setattr(hum, "combo_read_vectors", counting)
-    hum._quotient_terms.cache_clear()
     g = Grid(L=1.0, N=20, T=0.5, M=40)
     estimate_observability(FOUR_I, 4, P, g, seed=3)
     assert calls == [g]
@@ -668,15 +679,16 @@ def test_observability_estimates_match_per_sample_marches():
     # CSR transposes
     g = Grid(L=1.0, N=24, T=0.5, M=48)
     rep = estimate_observability(FOUR_I, 12, P, g, seed=11)
-    D1 = pde._first_derivative(g.nx, g.dx).T.tocsr()
+    D1 = pde._stencils(g.nx, g.dx)[4].T.tocsr()
     D2 = second_derivative_matrix(g.nx, g.dx).T.tocsr()
     ad = pde.stepper(P, g, "adjoint", 0.5)
+    terms = hum._quotient_terms(FOUR_I, P, g)
     rng = np.random.default_rng(11)
     quots, c_hidden = [], np.zeros(3)
     for _ in range(12):
         final = random_final_state(rng, P, g)
         z = ad.run(np.concatenate([final.u, final.v]))
-        quots.append(hum._quotient(FOUR_I, z, x_norm(final, P, g), P, g))
+        quots.append(hum._quotient(terms, z, x_norm(final, P, g), P, g))
         for var in (0, 1):
             blk = z[:, var * g.nx : (var + 1) * g.nx]
             for j, deriv in ((0, blk), (1, blk @ D1), (2, blk @ D2)):

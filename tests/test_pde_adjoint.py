@@ -55,15 +55,15 @@ def test_adjoint_boundary_rows_hold():
     traj, traces = solve_adjoint_backward(P, g, smooth_final(rng, g))
     # enforced at every level strictly before the final one
     sl = slice(0, g.M)
-    np.testing.assert_allclose(traces.series(0, 0, "0")[sl], 0.0, atol=1e-11)
-    np.testing.assert_allclose(traces.series(0, 1, "0")[sl], 0.0, atol=1e-10)
-    np.testing.assert_allclose(traces.series(1, 0, "0")[sl], 0.0, atol=1e-11)
-    np.testing.assert_allclose(traces.series(1, 1, "0")[sl], 0.0, atol=1e-10)
-    comb1 = traces.series(0, 2, "L") + P.a * traces.series(1, 2, "L")
+    np.testing.assert_allclose(traces[0, 0, "0"][sl], 0.0, atol=1e-11)
+    np.testing.assert_allclose(traces[0, 1, "0"][sl], 0.0, atol=1e-10)
+    np.testing.assert_allclose(traces[1, 0, "0"][sl], 0.0, atol=1e-11)
+    np.testing.assert_allclose(traces[1, 1, "0"][sl], 0.0, atol=1e-10)
+    comb1 = traces[0, 2, "L"] + P.a * traces[1, 2, "L"]
     comb2 = (
-        P.a * P.b * traces.series(0, 2, "L")
-        + P.r * traces.series(1, 0, "L")
-        + traces.series(1, 2, "L")
+        P.a * P.b * traces[0, 2, "L"]
+        + P.r * traces[1, 0, "L"]
+        + traces[1, 2, "L"]
     )
     np.testing.assert_allclose(comb1[sl], 0.0, atol=1e-9)
     np.testing.assert_allclose(comb2[sl], 0.0, atol=1e-9)
@@ -83,9 +83,9 @@ def multiplier_sides(p, g, final):
     bulk = trapz(
         np.array([x_norm(traj.state(n), p, g) ** 2 for n in range(g.nt)]), g.dt
     )
-    psi_L = traces.series(1, 0, "L")
-    phix_L = traces.series(0, 1, "L")
-    psix_L = traces.series(1, 1, "L")
+    psi_L = traces[1, 0, "L"]
+    phix_L = traces[0, 1, "L"]
+    psix_L = traces[1, 1, "L"]
     quad = p.b * phix_L**2 + 2 * p.a * p.b * psix_L * phix_L + psix_L**2
     rhs = bulk / g.T + trapz(psi_L**2, g.dt) / p.c + trapz(quad, g.dt) / p.c
     return lhs, rhs
@@ -114,9 +114,9 @@ def energy_identity_residual(p, g, final):
     bulk = trapz(
         np.array([x_norm(traj.state(n), p, g) ** 2 for n in range(g.nt)]), g.dt
     )
-    psi_L = traces.series(1, 0, "L")
-    phix_L = traces.series(0, 1, "L")
-    psix_L = traces.series(1, 1, "L")
+    psi_L = traces[1, 0, "L"]
+    phix_L = traces[0, 1, "L"]
+    psix_L = traces[1, 1, "L"]
     quad = p.b * phix_L**2 + 2 * p.a * p.b * psix_L * phix_L + psix_L**2
     rhs = (
         0.5 * bulk
@@ -149,12 +149,12 @@ def duality_residual(p, g, seed):
     adj_traj, traces = solve_adjoint_backward(p, g, final)
     lhs = x_inner(fw_traj.final_state, final, p, g)
     a, b, c = p.a, p.b, p.c
-    phi_L = traces.series(0, 0, "L")
-    psi_L = traces.series(1, 0, "L")
-    phix_L = traces.series(0, 1, "L")
-    psix_L = traces.series(1, 1, "L")
-    phixx_0 = traces.series(0, 2, "0")
-    psixx_0 = traces.series(1, 2, "0")
+    phi_L = traces[0, 0, "L"]
+    psi_L = traces[1, 0, "L"]
+    phix_L = traces[0, 1, "L"]
+    psix_L = traces[1, 1, "L"]
+    phixx_0 = traces[0, 2, "0"]
+    psixx_0 = traces[1, 2, "0"]
     rhs = (
         -(b / c) * trapz(bc.h2 * (phi_L + a * psi_L), g.dt)
         + (b / c) * trapz(bc.h1 * (phix_L + a * psix_L), g.dt)

@@ -9,8 +9,11 @@ from ggkdv.core import SIGNALS, Grid, Parameters, StatePair, x_norm
 from ggkdv.errors import ConstraintViolation
 from ggkdv.fdops import boundary_stencils, third_derivative_matrix
 from ggkdv.pde import (
+    TRACE_KEYS,
+    TRACE_NAMES,
     BoundarySignals,
     SchemeConfig,
+    extract_traces,
     solve_linear_forward,
 )
 
@@ -60,7 +63,16 @@ def test_zero_data_gives_zero():
     traj, traces = solve_linear_forward(P, g, StatePair.zeros(g),
                                         BoundarySignals.zeros(g))
     assert np.max(np.abs(traj.z)) == 0.0
-    assert all(np.max(np.abs(col)) == 0.0 for col in traces.columns())
+    assert all(np.max(np.abs(col)) == 0.0 for col in traces.values())
+
+
+def test_traces_are_keyed_in_trace_key_order():
+    # traces.csv writes the values in this order under TRACE_NAMES
+    g = Grid(L=1.0, N=24, T=1.0, M=32)
+    traces = extract_traces(np.zeros((g.nt, 2 * g.nx)), g)
+    assert list(traces) == TRACE_KEYS
+    assert TRACE_NAMES[:3] == ["u_x0", "ux_x0", "uxx_x0"]
+    assert len(TRACE_NAMES) == len(TRACE_KEYS) == 12
 
 
 def test_manufactured_solution_convergence():
@@ -239,7 +251,7 @@ def test_traces_are_one_sided_differences():
                 cols, wts = st[(key, order)]
                 expected = traj.z[:, var * g.nx + cols] @ wts
                 np.testing.assert_array_equal(
-                    traces.series(var, order, side), expected
+                    traces[var, order, side], expected
                 )
 
 
@@ -252,7 +264,7 @@ def test_imposed_boundary_data_recovered_in_traces():
     # imposed trace reads back its series
     for s in SIGNALS:
         side, order = s.trace
-        got = traces.series(s.var, order, "0" if side == "left" else "L")
+        got = traces[s.var, order, "0" if side == "left" else "L"]
         np.testing.assert_allclose(got[1:], getattr(bc, s.name)[1:],
                                    atol=1e-9 if order == 2 else 1e-10, err_msg=s.name)
 

@@ -16,6 +16,7 @@ from ggkdv.core import Grid
 from ggkdv.errors import (ConstraintViolation, ExpressionError, FeasibilityError,
                           GGKdVError, NonConvergence, NumericalError, ScenarioError)
 from ggkdv.scenario import parse_scenario_text, run_scenario
+from ggkdv.tracenorm import sobolev_trace_norm
 
 MINIMAL_SIMULATE = """
 command: simulate
@@ -852,19 +853,26 @@ def test_tiny_horizon_reports_finite_norms(tmp_path, command, keys):
     assert max(summary[key] for key in keys) > 1e154
 
 
-@pytest.mark.parametrize("T", ["1.0e-160", "1.0e-200"])
-def test_h0_control_at_a_tiny_horizon_has_finite_norms(tmp_path, T):
-    # h0 alone keeps G finite, and the H^{1/3} norms of the controls weigh
-    # frequencies near 1e200, whose (1 + w^2)^{1/3} is taken as w^{2/3}
+@pytest.mark.parametrize("T, iterations", [("1.0e-160", 2), ("1.0e-200", 36)],
+                         ids=["1.0e-160", "1.0e-200"])
+def test_h0_control_at_a_tiny_horizon_has_finite_norms(tmp_path, T, iterations):
+    # h0 alone keeps G finite, but no iterate lowers the residual below the
+    # 1 of no control: a zero control is refused, not returned.  The H^{1/3}
+    # norm of a control weighs frequencies near 1/T, whose (1 + w^2)^{1/3}
+    # is taken as w^{2/3}
     path = write(tmp_path, extreme("control", T).replace(
         "config: FOUR_I", "config: {mask: [true, false, false, false, false, false]}")
         + "tol: 0.5\n")
+    out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = run_scenario(path, output_dir=str(tmp_path / "out"))
-    assert result.exit_code == 0, result.message
-    norms = strict_json(result.artifacts["run.json"])["summary"]["control_norms"]
-    assert all(np.isfinite(v) for v in norms.values())
+        result = run_scenario(path, output_dir=str(out))
+        norm = sobolev_trace_norm(np.sin(np.linspace(0.0, 3.0, 33)), 1.0 / 3.0, float(T))
+    assert result.exit_code == 3
+    assert result.message == ("control CG stalled at relative residual 1.000e+00 "
+                              f"(target 5.0e-01, {iterations} iterations)")
+    assert not out.exists()
+    assert 0.0 < norm < np.inf
 
 
 def test_norm_past_the_double_range_exits_3(tmp_path):

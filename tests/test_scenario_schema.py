@@ -6,6 +6,7 @@ counts are capped here, in the generator, so that every run is small.
 """
 
 import contextlib
+import dataclasses
 import io
 import os
 import random
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggkdv.cli import main as cli_main
-from ggkdv.scenario import _TABLE, COMMANDS, _NeededBy, _Section
+from ggkdv.scenario import _RUNNERS, _TABLE, COMMANDS, Scenario, _NeededBy, _Section
 
 # A valid value of each field, capped so that every run is small.  The u, v
 # and bc fields take EXPRESSIONS; ``file`` is left null (not given).
@@ -168,3 +169,13 @@ def test_trace_norm_commands_reject_two_time_steps(tmp_path, command):
         assert checked == code == 2
         assert "grid.M" in check_err and "grid.M" in run_err
         assert not out.exists()
+
+
+def test_scenario_fields_and_commands_come_from_the_table_and_runners():
+    assert [f.name for f in dataclasses.fields(Scenario)] == ["raw", *_TABLE]
+    assert COMMANDS == tuple(_RUNNERS)
+    raw = {"command": "r0-check"}
+    sc = Scenario(raw=raw, **{key: None for key in _TABLE})
+    assert sc == Scenario(raw=dict(raw), **{key: 0 for key in _TABLE})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.seed = 1
