@@ -332,53 +332,50 @@ class Stepper:
                                      time_level=int(step))
         return out
 
-    def _sweep(self, x, count, trans="N", forc=None, bc=None, solve_first=False):
+    def _sweep(self, x, count, trans="N", forc=None, bc=None):
         """The level loop of every march and transpose sweep, in band order.
 
-        From the band-ordered (2 nx,) state or (2 nx, k) block ``x``, level
-        n forms y = B z (``trans="T"``: BT z), adds ``forc[n]``, writes
-        ``bc[n]`` into the boundary rows and solves A z = y (A^T z = y) in
-        place.  With ``solve_first``, ``x`` is the first y and each level
-        solves before its product.  After each of ``count`` levels it
-        yields z and y viewed in stacked order, (..., 2, nx) with a block's
-        columns first, until the next level overwrites them.
+        From the band-ordered (2 nx,) state or (2 nx, k) block z = ``x``,
+        level n forms the product y = B z (``trans="T"``: BT z), adds
+        ``forc[n]``, writes ``bc[n]`` into the boundary rows, solves
+        A z = y (A^T z = y) and yields z and y viewed in stacked order,
+        (..., 2, nx) with a block's columns first, until the next level
+        overwrites them.  Both transposes start from ``BandLU.solve``.
 
         The buffers are allocated once per call.  z and y are C-ordered for
         the ``csr_matvec(s)`` kernels of ``scipy.sparse._sparsetools``,
         which ``@`` ends in, and y is zeroed before each product, as ``@``
         does.  One column, 1-d or (2 nx, 1), takes the vector kernel, as
-        with ``@``, and is solved in y, after which z and y trade buffers;
-        a block is solved in a Fortran copy.  So every level has the bytes
-        of ``A @ z`` and ``BandLU.solve``.
+        with ``@``.  A 1-d state is solved in y, and z and y trade buffers;
+        a 2-d block, one column included, is solved in a Fortran copy, which
+        leaves y readable.  So every level has the bytes of ``A @ z`` and
+        ``BandLU.solve``.
         """
         A, n2, k = (self.B if trans == "N" else self.BT), len(x), x.size // len(x)
         indptr, indices, data = A.indptr, A.indices, A.data
         lu, rows, tr = self.lu, self.bc_rows, _TRANS[trans]
         ab, kl, ku, piv = lu.ab, lu.kl, lu.ku, lu.piv
         z, y = np.empty(x.shape), np.empty(x.shape)
-        (y if solve_first else z)[...] = x
+        z[...] = x
         z1, y1, zs, ys = z.reshape(-1), y.reshape(-1), _as_stacked(z), _as_stacked(y)
-        f = np.empty(x.shape, order="F") if k > 1 else None
-        steps = (not solve_first, solve_first)  # a level's two: product or solve
+        f = np.empty(x.shape, order="F") if x.ndim > 1 else None
         for n in range(count):
-            for product in steps:
-                if product:
-                    y.fill(0.0)
-                    if k == 1:
-                        csr_matvec(n2, n2, indptr, indices, data, z1, y1)
-                    else:
-                        csr_matvecs(n2, n2, k, indptr, indices, data, z1, y1)
-                    if forc is not None:
-                        y += forc[n]
-                    if bc is not None:
-                        y[rows] = bc[n]
-                elif k == 1:
-                    dgbtrs(ab, kl, ku, y, piv, trans=tr, overwrite_b=1)
-                    z, y, z1, y1, zs, ys = y, z, y1, z1, ys, zs
-                else:
-                    f[...] = y
-                    dgbtrs(ab, kl, ku, f, piv, trans=tr, overwrite_b=1)
-                    z[...] = f
+            y.fill(0.0)
+            if k == 1:
+                csr_matvec(n2, n2, indptr, indices, data, z1, y1)
+            else:
+                csr_matvecs(n2, n2, k, indptr, indices, data, z1, y1)
+            if forc is not None:
+                y += forc[n]
+            if bc is not None:
+                y[rows] = bc[n]
+            if f is None:
+                dgbtrs(ab, kl, ku, y, piv, trans=tr, overwrite_b=1)
+                z, y, z1, y1, zs, ys = y, z, y1, z1, ys, zs
+            else:
+                f[...] = y
+                dgbtrs(ab, kl, ku, f, piv, trans=tr, overwrite_b=1)
+                z[...] = f
             yield zs, ys
 
     # -- block sweeps that assemble the HUM Gramian ---------------------------
@@ -422,8 +419,8 @@ class Stepper:
 
         Returns Theta (k, M+1, 2 nx) in ascending time, with Theta[i, l] the
         gradient of readvecs[i] . z(l) with respect to the final data z(T).
-        One transposed sweep of the k read-out vectors makes it: each level
-        solves with A^T, then multiplies by BT.
+        One transposed sweep of the k read-out vectors makes it, from their
+        solve with A^T: each level's product with BT is Theta one level down.
         """
         if self.direction != "adjoint":
             raise ValueError("readout_transpose applies to the adjoint stepper")
@@ -431,11 +428,11 @@ class Stepper:
         theta = np.empty((len(readvecs), g.nt, 2 * self.nx))
         theta[:, g.M] = readvecs
         by_level = np.moveaxis(_split(theta), 1, 0)
-        lam = np.empty(readvecs.T.shape)
+        lam = np.empty(readvecs.T.shape, order="F")
         _band(readvecs.T, lam)
-        sweep = self._sweep(lam, g.M, trans="T", solve_first=True)
-        for n, (_, lam) in zip(range(g.M - 1, -1, -1), sweep):
-            by_level[n] = lam
+        sweep = self._sweep(self.lu.solve(lam, trans="T"), g.M, trans="T")
+        for n, (_, product) in zip(range(g.M - 1, -1, -1), sweep):
+            by_level[n] = product
         return theta
 
 
@@ -448,8 +445,9 @@ class BandLU:
     sub- and ``ku`` superdiagonals (at most 7 each), which ``dgbtrf``
     factors once; duplicate entries add up, in the given order.  ``solve``
     takes and returns band-ordered vectors and calls ``dgbtrs`` on them
-    directly; ``Stepper._sweep`` calls ``dgbtrs`` on ``ab`` and ``piv``
-    itself, in place on its own buffers, with the same arguments.
+    directly; both transposes of ``Stepper`` start from it.  ``_sweep``
+    calls ``dgbtrs`` on ``ab`` and ``piv`` itself, with the same arguments,
+    in place: a 1-d state in its product buffer, a block in a Fortran copy.
     """
 
     def __init__(self, row: np.ndarray, col: np.ndarray, data: np.ndarray, n: int):

@@ -573,17 +573,17 @@ def _r0_sigma_min(Ls: np.ndarray, ss: np.ndarray) -> np.ndarray:
     point (L, s) of one block; NumericalError names the first point whose
     matrix is not finite."""
     zero = np.hypot(ss.real, ss.imag) < 1e-14
-    A = np.zeros((len(ss), 5, 3), dtype=complex)
-    # monomials 1, x, x^2: rows phi(0), phi_x(0), phi_xx(0), phi_x(L), phi_xx(L)
-    A[zero] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0],
-               [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
-    A[zero, 3, 2] = 2.0 * Ls[zero]
     live = ~zero
     # the principal cube root by CPython's complex power, one point at a time;
     # an infinite s, where that power raises OverflowError, gets NaN instead
     mu0 = np.array([v ** (1.0 / 3.0) if cmath.isfinite(v) else np.nan
                     for v in ss[live].tolist()], dtype=complex)
+    A = np.zeros((len(ss), 5, 3), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
+        # monomials 1, x, x^2: rows phi(0), phi_x(0), phi_xx(0), phi_x(L), phi_xx(L)
+        A[zero] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0],
+                   [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]]
+        A[zero, 3, 2] = 2.0 * Ls[zero]
         mus = mu0[:, None] * np.exp(2j * np.pi * np.arange(3) / 3.0)
         eL = np.exp(mus * Ls[live][:, None])
         A[live, 0] = 1.0

@@ -7,6 +7,7 @@ lines; every tolerance below is fixed, not calibrated at run time.
 import time
 
 import numpy as np
+import pytest
 
 from ggkdv.core import ControlConfig, Grid, Parameters, StatePair, x_inner, x_norm
 from ggkdv.hum import (
@@ -112,38 +113,55 @@ def _w(g):
     return w
 
 
+def duality_residual(p, g, seed):
+    """The relative residual of the discrete duality identity for one draw
+    of six boundary signals and one adjoint final state."""
+    rng = np.random.default_rng(seed)
+    bc = BoundarySignals(*(smooth_signal(rng, g) for _ in range(6)))
+    final = shaped_state(rng, g, decay=1.0)
+    fw, _ = solve_linear_forward(p, g, StatePair.zeros(g), bc)
+    _, tr = solve_adjoint_backward(p, g, final)
+    lhs = x_inner(fw.final_state, final, p, g)
+    a, b, c = p.a, p.b, p.c
+    terms = [
+        -(b / c) * trapz(bc.h2 * (tr[0, 0, "L"] + a * tr[1, 0, "L"]), g.dt),
+        (b / c) * trapz(bc.h1 * (tr[0, 1, "L"] + a * tr[1, 1, "L"]), g.dt),
+        (b / c) * trapz(bc.h0 * (tr[0, 2, "0"] + a * tr[1, 2, "0"]), g.dt),
+        -(1 / c) * trapz(bc.g2 * (a * b * tr[0, 0, "L"] + tr[1, 0, "L"]), g.dt),
+        (1 / c) * trapz(bc.g1 * (a * b * tr[0, 1, "L"] + tr[1, 1, "L"]), g.dt),
+        (1 / c) * trapz(bc.g0 * (a * b * tr[0, 2, "0"] + tr[1, 2, "0"]), g.dt),
+    ]
+    rhs = sum(terms)
+    # backward-stable scale: the six pairings may cancel in the sum
+    scale = max(abs(lhs), abs(rhs), sum(abs(t) for t in terms))
+    return abs(lhs - rhs) / scale
+
+
 def test_criterion_2_duality_identity():
     t0 = time.time()
-
-    def residual(g, seed):
-        rng = np.random.default_rng(seed)
-        bc = BoundarySignals(*(smooth_signal(rng, g) for _ in range(6)))
-        final = shaped_state(rng, g, decay=1.0)
-        fw, _ = solve_linear_forward(P, g, StatePair.zeros(g), bc)
-        _, tr = solve_adjoint_backward(P, g, final)
-        lhs = x_inner(fw.final_state, final, P, g)
-        a, b, c = P.a, P.b, P.c
-        terms = [
-            -(b / c) * trapz(bc.h2 * (tr[0, 0, "L"] + a * tr[1, 0, "L"]), g.dt),
-            (b / c) * trapz(bc.h1 * (tr[0, 1, "L"] + a * tr[1, 1, "L"]), g.dt),
-            (b / c) * trapz(bc.h0 * (tr[0, 2, "0"] + a * tr[1, 2, "0"]), g.dt),
-            -(1 / c) * trapz(bc.g2 * (a * b * tr[0, 0, "L"] + tr[1, 0, "L"]), g.dt),
-            (1 / c) * trapz(bc.g1 * (a * b * tr[0, 1, "L"] + tr[1, 1, "L"]), g.dt),
-            (1 / c) * trapz(bc.g0 * (a * b * tr[0, 2, "0"] + tr[1, 2, "0"]), g.dt),
-        ]
-        rhs = sum(terms)
-        # backward-stable scale: the six pairings may cancel in the sum
-        scale = max(abs(lhs), abs(rhs), sum(abs(t) for t in terms))
-        return abs(lhs - rhs) / scale
-
     g1 = Grid(L=1.0, N=64, T=1.0, M=256)
     g2 = Grid(L=1.0, N=128, T=1.0, M=512)
-    worst1 = max(residual(g1, s) for s in range(10))
-    worst2 = max(residual(g2, s) for s in range(10))
+    worst1 = max(duality_residual(P, g1, s) for s in range(10))
+    worst2 = max(duality_residual(P, g2, s) for s in range(10))
     ok = worst1 <= 5e-2 and worst2 < worst1 and time.time() - t0 < 60
     _report(2, "discrete duality identity", ok,
             f"worst rel residual {worst1:.3e} at N=64, {worst2:.3e} at N=128, "
             f"{time.time()-t0:.1f}s")
+
+
+# At b = c = 1 the X-norm weight b/c is 1 whichever way round it is written;
+# these parameters tell b/c from c/b (worst residuals over seeds 0-9 at
+# N=64 / N=128: 2.93e-2 / 7.29e-3, 6.28e-2 / 1.28e-2, 2.81e-2 / 7.21e-3;
+# with the weight written c/b the N=128 residuals are 0.99, 0.73, 1.06).
+# The second exceeds criterion 2's 5e-2 at N=64, a resolution bound for
+# a = 0.2, so the bound here is on N=128 and on the fall from N=64.
+@pytest.mark.parametrize("a, b, c, r", [(0.3, 0.8, 1.5, 0.5), (0.5, 1.2, 0.6, 1.2),
+                                        (-0.4, 0.6, 1.8, 1.5)])
+def test_duality_identity_at_generic_parameters(a, b, c, r):
+    p = Parameters(a=a, b=b, c=c, r=r)
+    worst1, worst2 = (max(duality_residual(p, Grid(L=1.0, N=N, T=1.0, M=4 * N), s)
+                          for s in range(10)) for N in (64, 128))
+    assert worst2 <= 2e-2 and 3 * worst2 <= worst1, (worst1, worst2)
 
 
 def test_criterion_3_gramian_symmetry_positivity():

@@ -659,6 +659,20 @@ def test_non_finite_spectral_matrices_exit_3(tmp_path, capsys, text):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_r0_at_a_huge_length_exits_3_without_warning(tmp_path):
+    # 2 L overflows in the s = 0 rows, which are assembled under the same
+    # errstate as the other rows; the finiteness check then names the point
+    path = write(tmp_path, "command: r0-check\nr0: {re: [0, 0, 1], im: [0, 0, 1], "
+                 "lengths: [1.0e308]}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_scenario(path, output_dir=str(out))
+    assert result.exit_code == 3, result.message
+    assert result.message == "r0 boundary matrix is not finite at L = 1e+308, s = 0j"
+    assert not out.exists()
+
+
 def test_root_polish_overflow_exits_3_without_warning(tmp_path):
     # r = 1e150 overflows the Newton polish of two roots to NaN; the NaN
     # residual must fail the refinement check, with no numpy warning
@@ -900,3 +914,12 @@ def test_nonlinear_control_names_a_capped_picard_loop(tmp_path):
     assert result.message.endswith("; outer history []")
     assert "diverged" not in result.message
     assert not out.exists()
+
+
+def test_importing_the_scenario_module_loads_no_scipy_special():
+    # lambert_solve imports scipy.special where it is called, which keeps
+    # that import out of the start-up of every scenario run
+    code = ("import sys, ggkdv.scenario\n"
+            "assert not [m for m in sys.modules if m.startswith('scipy.special')]\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ggkdv.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
